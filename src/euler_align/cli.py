@@ -44,6 +44,7 @@ from .diagnostics import (
     reference_decay_slope,
     scaling_limit_experiment,
 )
+from .grid import GridError
 from .selftest import TOLERANCE_PROFILES, run_selftest
 from .solver import SolverError, Trajectory, load_trajectory, run, save_trajectory
 
@@ -205,6 +206,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return EXIT_BAD_INPUT
     try:
         traj = run(cfg)
+    except (OSError, GridError) as exc:
+        # The initial data named by the config cannot be read (missing file,
+        # non-finite or off-grid samples): the input is bad, not the run.
+        _write_manifest(
+            out, "simulate", files=[], checks={}, failure=str(exc),
+            wall=time.perf_counter() - start, extra={"config_ini": dump_config(cfg)},
+        )
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     except SolverError as exc:
         _write_manifest(
             out, "simulate", files=[], checks={}, failure=str(exc),

@@ -20,6 +20,16 @@ Also provided: Hilbert transform, Riesz potentials, the velocity primitive
 d_x^{-1} Lambda^alpha, the velocity reconstruction u = d_x^{-1}(G + Lambda^alpha rho),
 and numerical checks of the Stroock-Varopoulos and fractional
 Gagliardo-Nirenberg inequalities.
+
+The velocity reconstruction is the solver's hot path.  Its whole rho part --
+the periodic primitive, the cumulative integral of the periodic-image
+correction and, through the offset c - c[0], the left-edge pinning -- is one
+linear convolution of rho with a pre-integrated kernel that the workspace
+builds once and keeps (see ``SpectralWorkspace.velocity_kernel_spectrum``),
+evaluated as a single real-FFT product of length 2n.  The separate
+``periodic_image_correction`` (an ``fftconvolve`` with the raw image kernel)
+stays as the independent reference route the tests check that kernel
+against, and as the correction used by ``fractional_laplacian_spectral``.
 """
 from __future__ import annotations
 
@@ -27,9 +37,18 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
+import scipy.fft
 from scipy.signal import fftconvolve
 
-from .grid import Field, Grid1D, GridError, antiderivative, integrate, lp_norm
+from .grid import (
+    Field,
+    Grid1D,
+    GridError,
+    antiderivative,
+    cumulative_trapezoid,
+    integrate,
+    lp_norm,
+)
 
 
 class FracOrderError(ValueError):
@@ -72,8 +91,13 @@ class SpectralWorkspace:
     * ``pdinv_multiplier``  : -i * sgn(xi) * |xi|^(alpha-1) (d_x^{-1} Lambda^alpha)
 
     All three vanish at xi = 0; the two odd (imaginary) multipliers also vanish
-    at the Nyquist mode, which has no conjugate partner.  The arrays are frozen
-    after construction, so a workspace may be shared across threads.
+    at the Nyquist mode, which has no conjugate partner.
+
+    The image kernel, the velocity kernels, the tail-anchor weights and the
+    transport multipliers are built on first use, so a workspace that never
+    reconstructs a velocity never pays for them.  Every cached array is
+    frozen, and building one twice gives the same values, so a workspace may
+    be shared across threads.
     """
 
     def __init__(self, grid: Grid1D, alpha: float, n_images: int = 64):
@@ -100,6 +124,9 @@ class SpectralWorkspace:
 
         self._abs_power_cache: dict[float, np.ndarray] = {self.alpha: self.abs_xi_alpha}
         self._image_kernel: np.ndarray | None = None
+        self._velocity_kernels: dict[bool, np.ndarray] = {}
+        self._tail_anchor_weights: np.ndarray | None = None
+        self._transport_multipliers: tuple[np.ndarray, np.ndarray] | None = None
 
     def abs_power_multiplier(self, power: float) -> np.ndarray:
         """|xi|^power with the zero mode set to 0 (also for negative powers)."""
@@ -134,6 +161,64 @@ class SpectralWorkspace:
             q.setflags(write=False)
             self._image_kernel = q
         return self._image_kernel
+
+    def velocity_kernel_spectrum(self, image_correction: bool) -> np.ndarray:
+        """Length-2n rfft of the pre-integrated velocity kernel K.
+
+        On the offsets d = -(n-1) .. n-1 (array index d + n - 1),
+
+            K[d] = p[d mod n] + h * (S[d] - h * Q[d] / 2),
+
+        with p = ifft(pdinv_multiplier) the impulse response of the periodic
+        primitive, Q = image_kernel() and S = cumsum(h * Q) its cumulative sum
+        from the left; the image part is left out when ``image_correction`` is
+        false.  For c[j] = sum_k rho_k K[j - k] the difference c - c[0] is the
+        periodic primitive pinned to 0 at the left edge plus the cumulative
+        trapezoid integral of ``periodic_image_correction(rho)``, because the
+        trapezoid sum of h * Q[i - k] over i = 0 .. j equals F[j-k] - F[-k]
+        with F = S - h * Q / 2.  Zero padding to 2n keeps the wrap-around of
+        the circular product out of the n samples that are used.
+        """
+        key = bool(image_correction)
+        spectrum = self._velocity_kernels.get(key)
+        if spectrum is None:
+            n, h = self.grid.n, self.grid.spacing
+            p = scipy.fft.irfft(self.pdinv_multiplier[: n // 2 + 1], n)
+            kernel = p[np.arange(-(n - 1), n) % n]
+            if key:
+                q = self.image_kernel()
+                kernel += h * (np.cumsum(h * q) - 0.5 * h * q)
+            spectrum = scipy.fft.rfft(kernel, 2 * n)
+            spectrum.setflags(write=False)
+            self._velocity_kernels[key] = spectrum
+        return spectrum
+
+    def tail_anchor_weights(self) -> np.ndarray:
+        """Weights w with w @ f == left_tail_anchor(f, alpha) (w[0] = 0)."""
+        if self._tail_anchor_weights is None:
+            grid, a = self.grid, self.alpha
+            w = np.zeros(grid.n)
+            w[1:] = (grid.x[1:] + grid.half_width) ** (-a)
+            w *= -singular_kernel_constant(a) / a * grid.spacing
+            w.setflags(write=False)
+            self._tail_anchor_weights = w
+        return self._tail_anchor_weights
+
+    def transport_multipliers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Half-spectrum (rfft layout) xi^2 and the dealiased derivative i*xi.
+
+        The derivative multiplier keeps the modes with |xi| <= (2/3) max|xi|
+        (the 2/3 rule; the Nyquist mode is always dropped).  Used by the
+        spectral transport for its diffusion half-steps and flux derivatives.
+        """
+        if self._transport_multipliers is None:
+            xi = np.abs(self.grid.wavenumbers[: self.grid.n // 2 + 1])
+            xi_sq = xi**2
+            ik = 1j * xi * (xi <= (2.0 / 3.0) * xi.max())
+            for arr in (xi_sq, ik):
+                arr.setflags(write=False)
+            self._transport_multipliers = (xi_sq, ik)
+        return self._transport_multipliers
 
 
 def apply_multiplier(f: Field, multiplier: np.ndarray) -> Field:
@@ -286,9 +371,17 @@ def velocity_from_state(
     """Velocity u = d_x^{-1}(G + Lambda^alpha rho).
 
     The G part is the cumulative trapezoid integral (so u at the right edge
-    approaches integrate(G)); the rho part uses the spectral primitive.
-    ``image_correction=True`` adds the cumulative periodic-image term so
-    interior velocities match the real-line operator.
+    approaches integrate(G)).  The rho part is one linear convolution,
+    c = rho * K, with the workspace's pre-integrated kernel (see
+    ``SpectralWorkspace.velocity_kernel_spectrum``), computed as one real-FFT
+    product of length 2n; c - c[0] is the spectral primitive of
+    Lambda^alpha rho pinned to 0 at the left edge.  ``image_correction=True``
+    selects the kernel that also carries the cumulative periodic-image term,
+    so interior velocities match the real-line operator.  The result equals
+    the composition of ``apply_multiplier(rho, pdinv_multiplier)``,
+    ``antiderivative(periodic_image_correction(rho))`` and
+    ``left_tail_anchor`` to round-off; that composition is kept as the
+    reference the tests compare against.
 
     gauge:
       * ``"left_zero"``: u(left edge) = 0 exactly.
@@ -300,14 +393,15 @@ def velocity_from_state(
     """
     _check_ws(rho, ws)
     _check_ws(g, ws)
-    w = apply_multiplier(rho, ws.pdinv_multiplier).values
-    u = antiderivative(g).values + (w - w[0])
-    if image_correction:
-        u = u + antiderivative(periodic_image_correction(rho, ws)).values
-    if gauge == "real_line":
-        u = u + left_tail_anchor(rho, ws.alpha)
-    elif gauge != "left_zero":
+    if gauge not in ("left_zero", "real_line"):
         raise ValueError(f"gauge must be 'left_zero' or 'real_line', got {gauge!r}")
+    n = ws.grid.n
+    spectrum = scipy.fft.rfft(rho.values, 2 * n) * ws.velocity_kernel_spectrum(image_correction)
+    c = scipy.fft.irfft(spectrum, 2 * n)[n - 1 : 2 * n - 1]
+    u = cumulative_trapezoid(g.values, ws.grid.spacing)
+    u += c - c[0]
+    if gauge == "real_line":
+        u += ws.tail_anchor_weights() @ rho.values
     return Field(rho.grid, u)
 
 

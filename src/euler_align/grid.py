@@ -147,11 +147,15 @@ def antiderivative(f: Field) -> Field:
     mean m the result contains a non-periodic ramp m * (x + L); callers that
     need a periodic result must remove the mean first.
     """
-    h = f.grid.spacing
-    g = np.empty(f.grid.n)
+    return Field(f.grid, cumulative_trapezoid(f.values, f.grid.spacing))
+
+
+def cumulative_trapezoid(values: np.ndarray, h: float) -> np.ndarray:
+    """Array form of ``antiderivative``: cumulative trapezoid sums, starting at 0."""
+    g = np.empty(len(values))
     g[0] = 0.0
-    np.cumsum(0.5 * h * (f.values[:-1] + f.values[1:]), out=g[1:])
-    return Field(f.grid, g)
+    np.cumsum(0.5 * h * (values[:-1] + values[1:]), out=g[1:])
+    return g
 
 
 def support_margin(f: Field, rel_tol: float = 1e-12) -> float:
@@ -184,7 +188,10 @@ def read_field_csv(path, grid: Grid1D | None = None) -> Field:
     Otherwise a grid is reconstructed from the x-column (which must be a
     uniform [-L, L) lattice).
     """
-    data = np.loadtxt(path, delimiter=",", comments="#")
+    try:
+        data = np.loadtxt(path, delimiter=",", comments="#")
+    except ValueError as exc:  # unparsable text; a missing file stays an OSError
+        raise GridError(f"{path}: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != 2:
         raise GridError(f"{path}: expected two columns 'x,value'")
     x, v = data[:, 0], data[:, 1]

@@ -34,6 +34,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
 
 from ._version import __version__
 from .closedform import getoor_profile
@@ -392,21 +393,6 @@ def _velocity(rho: np.ndarray, g: np.ndarray, ws: SpectralWorkspace, cfg: Solver
     ).values
 
 
-def _dealias_mask(grid: Grid1D) -> np.ndarray:
-    xi = grid.wavenumbers
-    return (np.abs(xi) <= (2.0 / 3.0) * np.abs(xi).max()).astype(float)
-
-
-def _spectral_transport_rhs(
-    rho: np.ndarray, g: np.ndarray, ws: SpectralWorkspace, cfg: SolverConfig, mask: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    u = _velocity(rho, g, ws, cfg)
-    ik = 1j * ws.grid.wavenumbers * mask
-    drho = -np.fft.ifft(ik * np.fft.fft(rho * u)).real
-    dg = -np.fft.ifft(ik * np.fft.fft(g * u)).real
-    return drho, dg
-
-
 def _spectral_step(
     rho: np.ndarray,
     g: np.ndarray,
@@ -414,21 +400,28 @@ def _spectral_step(
     ws: SpectralWorkspace,
     cfg: SolverConfig,
     eps: float,
-    mask: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Strang split: exact diffusion half-step, SSP-RK2 transport, half-step."""
-    half = np.exp(-eps * ws.grid.wavenumbers**2 * (0.5 * dt))
+    """Strang split: exact diffusion half-step, SSP-RK2 transport, half-step.
 
-    def diffuse(v: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(half * np.fft.fft(v)).real
+    rho and G travel as the two rows of one array, so every diffusion
+    half-step and every flux derivative is one stacked rfft/irfft pair.
+    """
+    n = ws.grid.n
+    xi_sq, ik = ws.transport_multipliers()
+    half = np.exp(-eps * xi_sq * (0.5 * dt))
 
-    rho, g = diffuse(rho), diffuse(g)
-    d1r, d1g = _spectral_transport_rhs(rho, g, ws, cfg, mask)
-    r1, g1 = rho + dt * d1r, g + dt * d1g
-    d2r, d2g = _spectral_transport_rhs(r1, g1, ws, cfg, mask)
-    rho = rho + 0.5 * dt * (d1r + d2r)
-    g = g + 0.5 * dt * (d1g + d2g)
-    return diffuse(rho), diffuse(g)
+    def diffuse(y: np.ndarray) -> np.ndarray:
+        return scipy.fft.irfft(half * scipy.fft.rfft(y), n)
+
+    def transport_rhs(y: np.ndarray) -> np.ndarray:
+        u = _velocity(y[0], y[1], ws, cfg)
+        return -scipy.fft.irfft(ik * scipy.fft.rfft(y * u), n)
+
+    y = diffuse(np.stack((rho, g)))
+    d1 = transport_rhs(y)
+    d2 = transport_rhs(y + dt * d1)
+    y = diffuse(y + 0.5 * dt * (d1 + d2))
+    return y[0], y[1]
 
 
 def _upwind_rhs(
@@ -489,7 +482,7 @@ def step(state: State, dt: float, cfg: SolverConfig, ws: SpectralWorkspace) -> S
     if cfg.flux_scheme == "upwind":
         rho_new, g_new = _upwind_step(rho, g, dt, ws, cfg, eps)
     else:
-        rho_new, g_new = _spectral_step(rho, g, dt, ws, cfg, eps, _dealias_mask(grid))
+        rho_new, g_new = _spectral_step(rho, g, dt, ws, cfg, eps)
     if not (np.isfinite(rho_new).all() and np.isfinite(g_new).all()):
         raise SolverError(f"non-finite values produced at t = {state.t + dt:.6g}; aborting")
     t_new = state.t + dt

@@ -127,6 +127,25 @@ class TestSimulateCommand:
         manifest = _manifest(out)
         assert "boundary margin" in manifest["failure"]
 
+    @pytest.mark.parametrize(
+        "bad_sample, reason",
+        [(None, "rho0.csv not found"), ("nan", "non-finite"), ("abc", "could not convert")],
+        ids=["missing", "non_finite", "unparsable"],
+    )
+    def test_unreadable_initial_csv_exits_two_with_manifest(self, tmp_path, bad_sample, reason):
+        if bad_sample is not None:
+            x = -8.0 + np.arange(256) * (16.0 / 256)
+            values = [f"{v:.17g}" for v in np.exp(-x**2)]
+            values[100] = bad_sample
+            rows = "".join(f"{xv:.17g},{v}\n" for xv, v in zip(x, values))
+            (tmp_path / "rho0.csv").write_text("# x,value\n" + rows)
+        cfg = _write(tmp_path, "csv.ini", SMALL_RUN.replace(
+            "rho0_kind = gaussian", "rho0_kind = csv\nrho0_path = rho0.csv"))
+        out = tmp_path / "csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        manifest = _manifest(out)
+        assert reason in manifest["failure"] and manifest["files"] == []
+
     def test_runs_are_byte_identical(self, tmp_path):
         cfg = _write(tmp_path, "det.ini", SMALL_RUN)
         out1, out2 = tmp_path / "a", tmp_path / "b"

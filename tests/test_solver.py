@@ -7,7 +7,9 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.fft
 
+from euler_align import fracops
 from euler_align import (
     FracOrderError,
     InitialDataSpec,
@@ -236,6 +238,29 @@ class TestStep:
         state, _ = make_initial_state(cfg.initial, grid, cfg.alpha, ws=ws)
         with pytest.raises(SolverError, match="CFL violation"):
             step(state, 10.0, cfg, ws)
+
+    def test_spectral_step_transform_count(self, monkeypatch):
+        """One spectral step: 3 velocities x 2 + 2 diffusions x 2 + 2 fluxes x 2 rffts."""
+        cfg = _gaussian_proportional(n=256)
+        grid = cfg.make_grid()
+        ws = SpectralWorkspace(grid, cfg.alpha)
+        state, _ = make_initial_state(cfg.initial, grid, cfg.alpha, ws=ws)
+        counts = {"scipy": 0, "numpy": 0, "fftconvolve": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for key, module in (("scipy", scipy.fft), ("numpy", np.fft)):
+            for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn",
+                         "fft2", "ifft2", "rfft2", "irfft2", "hfft", "ihfft"):
+                monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
+        monkeypatch.setattr(fracops, "fftconvolve", counted("fftconvolve", fracops.fftconvolve))
+        dt = 0.5 * cfg.cfl * grid.spacing / float(np.abs(state.u.values).max())
+        step(state, dt, cfg, ws)
+        assert counts == {"scipy": 14, "numpy": 0, "fftconvolve": 0}
 
     @pytest.mark.parametrize("scheme", ["spectral", "upwind"])
     def test_time_stepping_is_second_order(self, scheme):
