@@ -64,7 +64,6 @@ from .solver import (
 )
 
 from .closedform import (
-    GetoorProfile,
     RarefactionTriple,
     attractor_density,
     attractor_velocity,

@@ -46,7 +46,7 @@ from .diagnostics import (
 )
 from .grid import GridError
 from .selftest import TOLERANCE_PROFILES, run_selftest
-from .solver import SolverError, Trajectory, load_trajectory, run, save_trajectory
+from .solver import SolverError, Trajectory, _jsonable, load_trajectory, run, save_trajectory
 
 __all__ = ["main"]
 
@@ -64,22 +64,6 @@ DECAY_BOUND_SLACK = 0.05
 SCALING_SLACK = 0.10
 
 VERIFY_CHECKS = ("mass", "comparison", "maxprinciple", "decay", "oleinik")
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(float(v)) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    if isinstance(obj, Path):
-        return str(obj)
-    return obj
 
 
 def _write_manifest(

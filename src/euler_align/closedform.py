@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, quad
 from scipy.special import hyp2f1, roots_jacobi, roots_legendre
 
 from .fracops import FracOrder, singular_kernel_constant
@@ -72,24 +71,6 @@ def profile_mass(alpha: float) -> float:
     """
     a = float(FracOrder(alpha))
     return math.pi / (2.0**a * math.gamma((1.0 + a) / 2.0) * math.gamma((3.0 + a) / 2.0))
-
-
-@dataclass(frozen=True)
-class GetoorProfile:
-    """Bundled profile constants for one fractional order."""
-
-    alpha: FracOrder
-
-    @property
-    def K(self) -> float:
-        return getoor_constant(self.alpha.value)
-
-    @property
-    def mass(self) -> float:
-        return profile_mass(self.alpha.value)
-
-    def __call__(self, x):
-        return getoor_profile(self.alpha.value, x)
 
 
 def tail_farfield_coefficient(alpha: float) -> float:
@@ -172,11 +153,15 @@ def _u_cache(alpha: float) -> tuple[np.ndarray, np.ndarray, float, float]:
     T is accumulated by the trapezoid rule from the far end, anchored at the
     adaptive-quadrature value T(ymax), and extended beyond ymax by the
     |y|^(-alpha) power law.  U(1) = T(1) = 1 then holds to ~1e-9.
+    ``scipy.integrate`` is imported here, on the first table build, rather
+    than with the package.
     """
     key = float(alpha)
     cached = _U_CACHE.get(key)
     if cached is not None:
         return cached
+    from scipy.integrate import cumulative_trapezoid, quad
+
     a = key
     q = 2.0 / (2.0 - a)
     t_far = quad(lambda s: -getoor_fraclap_tail(a, s), _U_YMAX, np.inf)[0]

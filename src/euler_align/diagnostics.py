@@ -354,6 +354,15 @@ def _rarefaction_case(
     return du, dr / n_s, dg / n_s, du_x, dr_x / n_s, dg_x / n_s
 
 
+def _map_cases(case, args: list[tuple], jobs: int) -> list:
+    """[case(*a) for a in args], on min(jobs, len(args)) worker processes when that exceeds 1."""
+    workers = min(jobs, len(args))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(case, *zip(*args)))
+    return [case(*a) for a in args]
+
+
 def scaling_limit_experiment(
     base_cfg: SolverConfig,
     lambdas,
@@ -388,11 +397,7 @@ def scaling_limit_experiment(
     samples = tuple(np.linspace(t1, t2, n_samples))
     eps = base_cfg.effective_epsilon(base_cfg.make_grid().spacing)
     args = [(base_cfg, lam, q, R, samples, eps) for lam in lams]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_rarefaction_case_star, args))
-    else:
-        results = [_rarefaction_case(*a) for a in args]
+    results = _map_cases(_rarefaction_case, args, jobs)
     du, dr, dg, du_x, dr_x, dg_x = (tuple(r[i] for r in results) for i in range(6))
     return ScalingReport(
         mode="rarefaction",
@@ -408,10 +413,6 @@ def scaling_limit_experiment(
         rho_distances_no_kink=dr_x,
         g_distances_no_kink=dg_x,
     )
-
-
-def _rarefaction_case_star(args):
-    return _rarefaction_case(*args)
 
 
 def _unit_mass_initial(initial: InitialDataSpec, grid, alpha: float) -> InitialDataSpec:
@@ -482,11 +483,7 @@ def barenblatt_limit_experiment(
     grid = base_cfg.make_grid()
     initial = _unit_mass_initial(base_cfg.initial, grid, base_cfg.alpha)
     cfg = replace(base_cfg, initial=initial)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            dists = list(pool.map(_barenblatt_case_star, [(cfg, lam, p) for lam in lams]))
-    else:
-        dists = [_barenblatt_case(cfg, lam, p) for lam in lams]
+    dists = _map_cases(_barenblatt_case, [(cfg, lam, p) for lam in lams], jobs)
     return ScalingReport(
         mode="barenblatt",
         lambdas=lams,
@@ -496,7 +493,3 @@ def barenblatt_limit_experiment(
         t1=1.0,
         t2=1.0,
     )
-
-
-def _barenblatt_case_star(args):
-    return _barenblatt_case(*args)

@@ -30,6 +30,12 @@ evaluated as a single real-FFT product of length 2n.  The separate
 ``periodic_image_correction`` (an ``fftconvolve`` with the raw image kernel)
 stays as the independent reference route the tests check that kernel
 against, and as the correction used by ``fractional_laplacian_spectral``.
+
+``fftconvolve`` is the module's own full linear convolution on
+``scipy.fft``: the same transforms ``scipy.signal.fftconvolve`` runs for
+real 1-D input, so results are bit-identical, without importing
+``scipy.signal``, which would be most of the package's start-up time.  It
+stays a module-level name so that call counters can patch it.
 """
 from __future__ import annotations
 
@@ -38,7 +44,6 @@ import math
 
 import numpy as np
 import scipy.fft
-from scipy.signal import fftconvolve
 
 from .grid import (
     Field,
@@ -49,6 +54,13 @@ from .grid import (
     integrate,
     lp_norm,
 )
+
+
+def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real 1-D arrays, as ``scipy.signal.fftconvolve``."""
+    m = len(a) + len(b) - 1
+    size = scipy.fft.next_fast_len(m, True)
+    return scipy.fft.irfft(scipy.fft.rfft(a, size) * scipy.fft.rfft(b, size), size)[:m]
 
 
 class FracOrderError(ValueError):
@@ -237,7 +249,8 @@ def periodic_image_correction(f: Field, ws: SpectralWorkspace) -> Field:
 
     For f supported inside the domain, Lambda^alpha_{R} f = Lambda^alpha_{per} f
     + (f conv Q) pointwise on the grid, where Q collects the kernel's periodic
-    images.  Computed as a linear (zero-padded) convolution.
+    images.  Computed as a linear (zero-padded) convolution by the module-level
+    ``fftconvolve`` (see the module docstring for why it is local).
     """
     _check_ws(f, ws)
     n = f.grid.n

@@ -87,9 +87,6 @@ class Field:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    def with_values(self, values: np.ndarray) -> "Field":
-        return Field(self.grid, values)
-
     # Pointwise arithmetic (returns new fields; scalars broadcast).
     def _coerce(self, other) -> np.ndarray:
         if isinstance(other, Field):

@@ -621,14 +621,20 @@ def run(cfg: SolverConfig, *, ws: SpectralWorkspace | None = None) -> Trajectory
 
 
 def _jsonable(obj):
+    """JSON-ready copy: containers and arrays to lists, numpy scalars to Python,
+    non-finite floats to 'nan'/'inf'/'-inf' strings, paths to strings."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, Path):
-        return str(obj)
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(float(v)) for v in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
+    if isinstance(obj, Path):
+        return str(obj)
     return obj
 
 

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import euler_align
 from euler_align import (
     InitialDataSpec,
     ShapeSpec,
@@ -17,6 +23,22 @@ from euler_align import (
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def fresh_python():
+    """Run Python code in a new interpreter that imports this checkout's package; return stdout."""
+    src = str(Path(euler_align.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run_code(code: str) -> str:
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    return run_code
 
 
 @pytest.fixture(scope="session")

@@ -31,6 +31,7 @@ from euler_align import (
     reference_decay_slope,
     scaling_limit_experiment,
 )
+from euler_align import diagnostics
 from euler_align.solver import SUMMARY_COLUMNS
 
 
@@ -303,3 +304,48 @@ class TestScalingExperiments:
         report = barenblatt_limit_experiment(cfg, (1.0, 2.0), p=1.0)
         assert report.mode == "barenblatt"
         assert all(d < 0.25 for d in report.distances), report.distances
+
+
+class TestPoolSizing:
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch) -> list[int]:
+        """Pool sizes requested, with ProcessPoolExecutor replaced by an in-process stand-in."""
+        sizes: list[int] = []
+
+        class RecordingPool:
+            def __init__(self, max_workers: int) -> None:
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc) -> None:
+                return None
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(diagnostics, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(diagnostics, "_rarefaction_case", lambda cfg, lam, *rest: (lam,) * 6)
+        monkeypatch.setattr(diagnostics, "_barenblatt_case", lambda cfg, lam, p: lam * p)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "lambdas, jobs, sizes",
+        [((1.0, 2.0), 8, [2]), ((1.0, 2.0, 4.0, 8.0), 2, [2]), ((1.0,), 8, []), ((1.0, 2.0), 1, [])],
+    )
+    def test_rarefaction_pool_is_capped_by_lambda_count(self, pool_sizes, lambdas, jobs, sizes):
+        report = scaling_limit_experiment(
+            _rarefaction_base(), lambdas, q=2.0, R=1.5, t1=1.0, t2=2.0, jobs=jobs
+        )
+        assert pool_sizes == sizes
+        assert report.distances == lambdas
+        assert report.g_distances_no_kink == lambdas
+
+    def test_barenblatt_pool_is_capped_by_lambda_count(self, pool_sizes):
+        zero = _rarefaction_base(
+            initial=InitialDataSpec(rho0=ShapeSpec(kind="bump", width=2.0), mode="zero_G")
+        )
+        report = barenblatt_limit_experiment(zero, (1.0, 2.0), p=2.0, jobs=3)
+        assert pool_sizes == [2]
+        assert report.distances == (2.0, 4.0)

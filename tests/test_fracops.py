@@ -25,8 +25,10 @@ from euler_align import (
     singular_kernel_constant,
     stroock_varopoulos_check,
     velocity_from_state,
+    velocity_profile_U,
 )
-from euler_align.fracops import apply_multiplier, derivative
+from euler_align import closedform
+from euler_align.fracops import apply_multiplier, derivative, fftconvolve
 from euler_align.grid import antiderivative
 
 ALPHAS = (0.25, 0.5, 0.75)
@@ -283,3 +285,36 @@ class TestInequalities:
             gagliardo_nirenberg_check(v, r=2.0, q=1.5, ws=ws)  # needs r > 2
         with pytest.raises(ValueError):
             gagliardo_nirenberg_check(v, r=5.0, q=2.0, ws=ws)  # needs r < 2q
+
+
+class TestLocalConvolution:
+    """The package's own fftconvolve and the lazily imported U-table quadrature."""
+
+    @pytest.mark.parametrize(
+        "la, lb", [(1, 1), (7, 13), (256, 511), (1000, 1999), (8192, 16383)]
+    )
+    def test_fftconvolve_bit_identical_to_scipy_signal(self, la, lb, rng):
+        from scipy import signal
+
+        a, b = rng.standard_normal(la), rng.standard_normal(lb)
+        assert np.array_equal(fftconvolve(a, b), signal.fftconvolve(a, b))
+
+    def test_velocity_profile_U_unchanged_by_lazy_integrate_import(self, fresh_python, monkeypatch):
+        y = np.linspace(-120.0, 120.0, 481)
+        out = fresh_python(
+            "import sys\n"
+            "import numpy as np\n"
+            "from euler_align import velocity_profile_U\n"
+            "assert 'scipy.integrate' not in sys.modules\n"
+            f"u = np.stack([velocity_profile_U(a, np.linspace(-120.0, 120.0, 481)) for a in {ALPHAS!r}])\n"
+            "assert 'scipy.integrate' in sys.modules\n"
+            "print(u.tobytes().hex())\n"
+        )
+        first_build = np.frombuffer(bytes.fromhex(out.strip())).reshape(len(ALPHAS), -1)
+        import scipy.integrate  # noqa: F401  the table below is built with it already loaded
+
+        monkeypatch.setattr(closedform, "_U_CACHE", {})
+        rebuilt = np.stack([velocity_profile_U(a, y) for a in ALPHAS])
+        cached = np.stack([velocity_profile_U(a, y) for a in ALPHAS])
+        assert np.array_equal(first_build, rebuilt)
+        assert np.array_equal(rebuilt, cached)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -29,6 +31,7 @@ from euler_align import (
     step,
     write_field_csv,
 )
+from euler_align import cli, solver
 from euler_align.solver import SUMMARY_COLUMNS
 
 
@@ -413,3 +416,31 @@ class TestPersistence:
     def test_load_rejects_missing_manifest(self, tmp_path):
         with pytest.raises(SolverError):
             load_trajectory(tmp_path)
+
+    def test_json_encoder_handles_numpy_nonfinite_and_paths(self):
+        data = {
+            "nan": math.nan,
+            "inf": math.inf,
+            "ninf": -math.inf,
+            "f64": np.float64(0.25),
+            "f64_nan": np.float64(np.nan),
+            "i64": np.int64(7),
+            "array": np.array([1.5, -np.inf]),
+            "path": Path("runs") / "a",
+            "nested": (np.int64(-3), [np.float64(np.inf)]),
+        }
+        out = solver._jsonable(data)
+        assert out == {
+            "nan": "nan",
+            "inf": "inf",
+            "ninf": "-inf",
+            "f64": 0.25,
+            "f64_nan": "nan",
+            "i64": 7,
+            "array": [1.5, "-inf"],
+            "path": str(Path("runs") / "a"),
+            "nested": [-3, ["inf"]],
+        }
+        assert type(out["f64"]) is float and type(out["i64"]) is int
+        json.dumps(out, allow_nan=False)
+        assert cli._jsonable is solver._jsonable
