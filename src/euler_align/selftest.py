@@ -2,10 +2,11 @@
 
 Every check here validates a mathematical identity that the discrete
 operators must satisfy, against either an exact closed form (Fourier modes,
-the Getoor profile) or an independent numerical route (adaptive singular
-quadrature).  Each check produces a :class:`CheckRecord` with the measured
-maximum error and the tolerance it was held to; :func:`run_selftest` bundles
-them into a JSON-serializable :class:`SelfTestReport`.
+the Getoor profile) or an independent numerical route (the singular-integral
+oracle, a fixed dyadic-shell midpoint rule with 48 nodes per shell).  Each
+check produces a :class:`CheckRecord` with the measured maximum error and the
+tolerance it was held to; :func:`run_selftest` bundles them into a
+JSON-serializable :class:`SelfTestReport`.
 
 The suite is the backing for the ``selftest`` CLI subcommand and doubles as
 the source of seeded random test fields for the acceptance tests
@@ -206,19 +207,23 @@ def cross_validation_errors(
 
     Returns two arrays of per-trial sup errors at probe points, normalized by
     the field's sup norm.  The two routes share nothing but the field samples:
-    one is a corrected Fourier multiplier, the other adaptive singular
-    quadrature of the difference kernel, so agreement validates both.
+    one is a corrected Fourier multiplier, the other a fixed dyadic-shell
+    midpoint rule (48 nodes per shell) for the singular integral of the
+    difference kernel, so agreement validates both.  Each resolution's grid
+    and workspace are built once and shared by all trials.
     """
     coarse = np.empty(trials)
     fine = np.empty(trials)
+    levels = []
+    for out, m in ((coarse, n), (fine, 2 * n)):
+        grid = build_grid(m, half_width)
+        probes = grid.x[np.abs(grid.x) <= 0.75 * half_width][:: max(1, m // n_probes)]
+        levels.append((out, grid, SpectralWorkspace(grid, alpha), probes))
     for trial in range(trials):
         params = _bump_params(rng, half_width, n_bumps=3)
-        for out, m in ((coarse, n), (fine, 2 * n)):
-            grid = build_grid(m, half_width)
+        for out, grid, ws, probes in levels:
             f = as_field(grid, _bump_values(grid.x, params))
-            ws = SpectralWorkspace(grid, alpha)
             spec = fractional_laplacian_spectral(f, ws, image_correction=True)
-            probes = grid.x[np.abs(grid.x) <= 0.75 * half_width][:: max(1, m // n_probes)]
             quad = fractional_laplacian_quadrature(f, alpha, probes)
             spec_at = np.interp(probes, grid.x, spec.values)
             out[trial] = np.abs(spec_at - quad).max() / np.abs(f.values).max()

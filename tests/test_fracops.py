@@ -89,6 +89,37 @@ class TestSpectralOperator:
             fractional_laplacian_spectral(f, ws)
 
 
+def _reference_quadrature(f, alpha, x, nodes_per_shell=48):
+    """The oracle as a point-by-point, shell-by-shell loop; the vectorized one must match it bit for bit."""
+    a = float(FracOrder(alpha))
+    c_a = singular_kernel_constant(a)
+    grid = f.grid
+    h, L = grid.spacing, grid.half_width
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+
+    def sample(pts):
+        return np.interp(pts, grid.x, f.values, left=0.0, right=0.0)
+
+    out = np.empty_like(xs)
+    z_min = h / 2.0
+    for i, xv in enumerate(xs):
+        fx = sample(np.array([xv]))[0]
+        big_r = L + abs(xv)
+        n_shells = int(np.ceil(np.log2(big_r / z_min)))
+        total = 0.0
+        for m in range(n_shells):
+            lo = z_min * 2.0**m
+            hi = min(z_min * 2.0 ** (m + 1), big_r)
+            if lo >= hi:
+                break
+            w = (hi - lo) / nodes_per_shell
+            z = lo + (np.arange(nodes_per_shell) + 0.5) * w
+            total += w * ((2.0 * fx - sample(xv + z) - sample(xv - z)) / z ** (1.0 + a)).sum()
+        total += 2.0 * fx * big_r ** (-a) / a
+        out[i] = c_a * total
+    return out
+
+
 class TestQuadratureOracle:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_agrees_with_spectral_on_bump(self, alpha, rng):
@@ -114,6 +145,41 @@ class TestQuadratureOracle:
             quad = fractional_laplacian_quadrature(f, 0.5, probes)
             errs[n] = np.abs(np.interp(probes, grid.x, spec.values) - quad).max()
         assert errs[2048] < errs[1024]
+
+    # With n a power of two only x = 0 has fewer shells, and its extra shell
+    # has zero width; n = 1000 splits the probes into 10- and 11-shell points,
+    # so there the shell mask decides the result.
+    @pytest.mark.parametrize("n", [1000, 1024, 2048, 4096])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_bit_identical_to_point_by_point_loop(self, alpha, n):
+        grid = build_grid(n, 8.0)
+        L, step = grid.half_width, n // 128
+        near_zero = grid.x[np.abs(grid.x) <= 0.9][::step]
+        near_edges = grid.x[np.abs(np.abs(grid.x) - 0.9 * L) <= 0.05 * L][::step]
+        probes = np.concatenate([near_zero, near_edges, [0.0, 0.9 * L, -0.9 * L]])
+        shells = np.ceil(np.log2((L + np.abs(probes)) / (grid.spacing / 2.0)))
+        assert len(np.unique(shells)) > 1  # points with different shell counts share one call
+        bumps = random_bump_field(grid, np.random.default_rng(n + int(100 * alpha)))
+        for f in (as_field(grid, getoor_profile(alpha, grid.x)), bumps):
+            assert np.array_equal(
+                fractional_laplacian_quadrature(f, alpha, probes), _reference_quadrature(f, alpha, probes)
+            )
+            assert np.array_equal(
+                fractional_laplacian_quadrature(f, alpha, 0.3), _reference_quadrature(f, alpha, 0.3)
+            )
+
+    def test_empty_points_give_empty_array(self):
+        grid = build_grid(256, 8.0)
+        f = as_field(grid, getoor_profile(0.5, grid.x))
+        out = fractional_laplacian_quadrature(f, 0.5, np.array([]))
+        assert out.shape == (0,) and out.dtype == np.float64
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 8.0])
+    def test_points_outside_open_domain_rejected(self, bad):
+        grid = build_grid(256, 8.0)
+        f = as_field(grid, getoor_profile(0.5, grid.x))
+        with pytest.raises(ValueError, match=r"inside \(-L, L\)"):
+            fractional_laplacian_quadrature(f, 0.5, np.array([0.0, bad]))
 
 
 class TestGetoorIdentity:

@@ -7,11 +7,13 @@ import pytest
 
 from euler_align import (
     TOLERANCE_PROFILES,
+    SpectralWorkspace,
     build_grid,
     cross_validation_errors,
     random_bump_field,
     run_selftest,
 )
+from euler_align import selftest
 
 
 class TestRunSelftest:
@@ -75,3 +77,17 @@ class TestRandomFields:
         assert coarse.shape == fine.shape == (4,)
         assert fine.max() < coarse.max()
         assert coarse.max() < 5e-2
+
+    def test_cross_validation_builds_one_workspace_per_resolution(self, monkeypatch):
+        expected = cross_validation_errors(0.5, np.random.default_rng(11), trials=4)
+        built = []
+
+        def counting_workspace(*args, **kwargs):
+            built.append(SpectralWorkspace(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(selftest, "SpectralWorkspace", counting_workspace)
+        coarse, fine = cross_validation_errors(0.5, np.random.default_rng(11), trials=4)
+        assert len(built) == 2
+        assert np.array_equal(coarse, expected[0])
+        assert np.array_equal(fine, expected[1])
