@@ -70,7 +70,7 @@ def _convert(section: str, key: str, raw: str, kind: type) -> float | int:
                 raise ValueError
             return int(as_float)
         return float(raw)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ConfigError(
             f"[{section}] {key} = {raw!r} is not a valid {kind.__name__}"
         ) from None

@@ -160,17 +160,19 @@ class SpectralWorkspace:
         Sampled on the linear-convolution lattice z_k = (k - (n-1)) h,
         k = 0 .. 2n-2.  The first ``n_images`` image pairs are summed directly;
         the remainder is added as its analytic integral tail (z-dependence of
-        far images is negligible at that distance).
+        far images is negligible at that distance).  Only k < n is computed:
+        z[2n-2-k] = -z[k] exactly and the two image sums swap there.
         """
         if self._image_kernel is None:
             n, L, a = self.grid.n, self.grid.half_width, self.alpha
             h = self.grid.spacing
-            z = (np.arange(2 * n - 1) - (n - 1)) * h
+            z = (np.arange(n) - (n - 1)) * h
             m = 2.0 * L * np.arange(1, self.n_images + 1)[:, None]
             q = (np.abs(z[None, :] - m) ** (-1.0 - a)).sum(axis=0)
             q += (np.abs(z[None, :] + m) ** (-1.0 - a)).sum(axis=0)
             q += 2.0 * (2.0 * L) ** (-1.0 - a) * (self.n_images + 0.5) ** (-a) / a
             q *= singular_kernel_constant(a)
+            q = np.concatenate((q, q[-2::-1]))
             q.setflags(write=False)
             self._image_kernel = q
         return self._image_kernel

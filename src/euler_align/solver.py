@@ -223,7 +223,12 @@ class InitialReport:
 
 @dataclass(frozen=True)
 class State:
-    """Solution snapshot (rho, G, u) at time t; u is cached and consistent."""
+    """Solution snapshot (rho, G, u) at time t.
+
+    u is the real-line-gauge velocity of (rho, G) with the run's
+    ``image_correction``, as ``make_initial_state``, ``step`` and
+    ``load_trajectory`` produce it; ``step`` relies on that.
+    """
 
     rho: Field
     g: Field
@@ -424,45 +429,45 @@ def _spectral_step(
     return y[0], y[1]
 
 
-def _upwind_rhs(
-    rho: np.ndarray, g: np.ndarray, ws: SpectralWorkspace, cfg: SolverConfig, eps: float
+def _upwind_step(
+    rho: np.ndarray, g: np.ndarray, u: np.ndarray, dt: float,
+    ws: SpectralWorkspace, cfg: SolverConfig, eps: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Finite-volume upwind advection plus explicit second-difference diffusion."""
-    h = ws.grid.spacing
-    u = _velocity(rho, g, ws, cfg)
-    u_face = 0.5 * (u + np.roll(u, -1))
-    u_plus = np.maximum(u_face, 0.0)
-    u_minus = np.minimum(u_face, 0.0)
+    """SSP-RK2 (Heun): a convex average of two forward-Euler substeps.
 
-    def tendency(v: np.ndarray) -> np.ndarray:
-        flux = u_plus * v + u_minus * np.roll(v, -1)
-        adv = -(flux - np.roll(flux, 1)) / h
-        diff = eps * (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / h**2
+    Each substep is face-centered upwind advection plus explicit
+    second-difference diffusion on the stacked (rho, G) array, with periodic
+    neighbours taken by slicing.  u is the velocity of (rho, G), so only the
+    second substep reconstructs one.
+    """
+    h = ws.grid.spacing
+
+    def shift(v: np.ndarray, k: int) -> np.ndarray:  # v[..., (j + k) mod n]
+        return np.concatenate((v[..., k:], v[..., :k]), axis=-1)
+
+    def tendency(y: np.ndarray, u: np.ndarray) -> np.ndarray:
+        u_face = 0.5 * (u + shift(u, 1))
+        u_plus = np.maximum(u_face, 0.0)
+        u_minus = np.minimum(u_face, 0.0)
+        y_next = shift(y, 1)
+        flux = u_plus * y + u_minus * y_next
+        adv = -(flux - shift(flux, -1)) / h
+        diff = eps * (y_next - 2.0 * y + shift(y, -1)) / h**2
         return adv + diff
 
-    return tendency(rho), tendency(g)
-
-
-def _upwind_step(
-    rho: np.ndarray,
-    g: np.ndarray,
-    dt: float,
-    ws: SpectralWorkspace,
-    cfg: SolverConfig,
-    eps: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """SSP-RK2 (Heun): a convex average of two forward-Euler substeps."""
-    d1r, d1g = _upwind_rhs(rho, g, ws, cfg, eps)
-    r1, g1 = rho + dt * d1r, g + dt * d1g
-    d2r, d2g = _upwind_rhs(r1, g1, ws, cfg, eps)
-    return 0.5 * (rho + r1 + dt * d2r), 0.5 * (g + g1 + dt * d2g)
+    y = np.stack((rho, g))
+    y1 = y + dt * tendency(y, u)
+    y = 0.5 * (y + y1 + dt * tendency(y1, _velocity(y1[0], y1[1], ws, cfg)))
+    return y[0], y[1]
 
 
 def step(state: State, dt: float, cfg: SolverConfig, ws: SpectralWorkspace) -> State:
     """Advance one time step of size dt; mass-conservative, u recomputed.
 
-    Raises SolverError on a CFL violation (dt beyond the scheme's stability
-    cap) or if the update produces non-finite values.
+    state.u must be the velocity State describes; the upwind scheme uses it
+    as its first-stage velocity.  Raises SolverError on a CFL violation (dt
+    beyond the scheme's stability cap) or if the update produces non-finite
+    values.
     """
     if dt <= 0 or not math.isfinite(dt):
         raise SolverError(f"dt must be positive and finite, got {dt}")
@@ -480,7 +485,7 @@ def step(state: State, dt: float, cfg: SolverConfig, ws: SpectralWorkspace) -> S
         )
     rho, g = state.rho.values, state.g.values
     if cfg.flux_scheme == "upwind":
-        rho_new, g_new = _upwind_step(rho, g, dt, ws, cfg, eps)
+        rho_new, g_new = _upwind_step(rho, g, state.u.values, dt, ws, cfg, eps)
     else:
         rho_new, g_new = _spectral_step(rho, g, dt, ws, cfg, eps)
     if not (np.isfinite(rho_new).all() and np.isfinite(g_new).all()):

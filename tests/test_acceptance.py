@@ -7,6 +7,7 @@ assertions; the slow shared runs live in module-scoped fixtures.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 from pathlib import Path
@@ -38,6 +39,7 @@ from euler_align import (
     scaling_limit_experiment,
     stroock_varopoulos_check,
 )
+from euler_align.solver import SUMMARY_COLUMNS
 
 ALPHAS = (0.25, 0.5, 0.75)
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -151,6 +153,83 @@ def test_criterion_04_maximum_principle_on_examples(example_runs):
         details.append(f"{name}: {violation:.1e}")
     _verdict(4, "velocity sup-norm never exceeds its initial value", ok,
              "relative violations " + ", ".join(details) + " <= 1e-6")
+
+
+#: SHA-256 of the shipped runs' output states (rho, G, u, each as float64
+#: bytes) and summary tables, one "config state field digest" line each.
+SHIPPED_RUN_DIGESTS = """
+gaussian_spectral.ini 0 rho 5fb8336df52b3a1c3d5f062ccf68d2a4affa29071e2e167e890a3c88febf031a
+gaussian_spectral.ini 0 G 5fb8336df52b3a1c3d5f062ccf68d2a4affa29071e2e167e890a3c88febf031a
+gaussian_spectral.ini 0 u f31594905ead5d9ef146bf3bd8c50abf3125e67bf3980647b0047a31e499cb90
+gaussian_spectral.ini 1 rho 20ee81c7072f1b63ecafe0f479bbd453ac3a82c8e55e32b32008e2aa136b7979
+gaussian_spectral.ini 1 G 20ee81c7072f1b63ecafe0f479bbd453ac3a82c8e55e32b32008e2aa136b7979
+gaussian_spectral.ini 1 u f8e9eacf69ce51215062f1fb5052cfa980a9e85d921de7917679291fb7be5559
+gaussian_spectral.ini 2 rho 5c4e1e9d6df31c9736dde008b15e6183bde545c7078a036d3cf61b968f4c07da
+gaussian_spectral.ini 2 G 5c4e1e9d6df31c9736dde008b15e6183bde545c7078a036d3cf61b968f4c07da
+gaussian_spectral.ini 2 u 91aae8ff7dae83f16c51172e42886f7751bd84d2a5a9162f762b8bffcd5340fe
+gaussian_spectral.ini 3 rho 8e6c023dee4e338d8aa4545d3dd34dd0bbc419f39160285ea11b86a9fc940e04
+gaussian_spectral.ini 3 G 8e6c023dee4e338d8aa4545d3dd34dd0bbc419f39160285ea11b86a9fc940e04
+gaussian_spectral.ini 3 u 77f046374ed14bf01d0024dc74c719156d6deefc9fcb4c2f982de75e135e3116
+gaussian_spectral.ini 4 rho 0e2831889e580bd1cf2ba15ec260d83b4d3cf5a2793f27bd38c471d5e4d3beaf
+gaussian_spectral.ini 4 G 0e2831889e580bd1cf2ba15ec260d83b4d3cf5a2793f27bd38c471d5e4d3beaf
+gaussian_spectral.ini 4 u 505167cf5f84bb47e0720b0a0bb584c2e11639a54f6e3eb148874e8805c79286
+gaussian_spectral.ini summary 5e5d80fcdc55cab3dcd30af1e9cfb8059036bf0746cba64421550608f3c4d842
+gaussian_upwind.ini 0 rho 5fb8336df52b3a1c3d5f062ccf68d2a4affa29071e2e167e890a3c88febf031a
+gaussian_upwind.ini 0 G 5fb8336df52b3a1c3d5f062ccf68d2a4affa29071e2e167e890a3c88febf031a
+gaussian_upwind.ini 0 u f31594905ead5d9ef146bf3bd8c50abf3125e67bf3980647b0047a31e499cb90
+gaussian_upwind.ini 1 rho c753fab2fd1c8b39ee3a23904dd8d5ae616912261b778b503351b360d39879f7
+gaussian_upwind.ini 1 G c753fab2fd1c8b39ee3a23904dd8d5ae616912261b778b503351b360d39879f7
+gaussian_upwind.ini 1 u cd06c95c8b8c842f63518e7eef428f73bf74585cd37b11749b5a46644231ae93
+gaussian_upwind.ini 2 rho 11617e67a0902a033c6bd3bc15145f2eb2d585a46088db8d44b676d3fa659f9b
+gaussian_upwind.ini 2 G 11617e67a0902a033c6bd3bc15145f2eb2d585a46088db8d44b676d3fa659f9b
+gaussian_upwind.ini 2 u 176cbd3b32334d7b1744a6c8cd8b8fc8f27869ee7c3c7df974fdb52c3dc219d6
+gaussian_upwind.ini 3 rho 1730de872fe6fd9953896520d2277253c8e471c7515e9be4bc77959356410a83
+gaussian_upwind.ini 3 G 1730de872fe6fd9953896520d2277253c8e471c7515e9be4bc77959356410a83
+gaussian_upwind.ini 3 u 6bf0251d93892d23e4e77a352f17e953701be454d01f13a1620d44427606695d
+gaussian_upwind.ini summary e0d1f63291fddb6b6c112e27a57d09dba25118595135e2b6a3c2a779e61013a8
+gaussian_zero_g.ini 0 rho cafd3f70886b2f4493a3459cb1aaa7b2749f3c678911360e231f7bc0d163224e
+gaussian_zero_g.ini 0 G 9f1dcbc35c350d6027f98be0f5c8b43b42ca52b7604459c0c42be3aa88913d47
+gaussian_zero_g.ini 0 u e9a2f5718418b23dac629fd28e735997b2a738ecee297dcc45f381793fd1da12
+gaussian_zero_g.ini 1 rho 5d56ec22e26be01442c7666380844c4338d5bf982b54bd0b00ae1a68a6a8036b
+gaussian_zero_g.ini 1 G 9f1dcbc35c350d6027f98be0f5c8b43b42ca52b7604459c0c42be3aa88913d47
+gaussian_zero_g.ini 1 u da0251b979673c8124005573014f76dc462c7dd193331d91393d49e44fff03c8
+gaussian_zero_g.ini 2 rho 859b2f7f800b62ec287351e09c4d3e66418b3557324b8566a1d83073cd1b354c
+gaussian_zero_g.ini 2 G 9f1dcbc35c350d6027f98be0f5c8b43b42ca52b7604459c0c42be3aa88913d47
+gaussian_zero_g.ini 2 u 7d411c39d26aeddde1547332027cc3703dc91d9cff1fae11b0aa2a20d9b3db14
+gaussian_zero_g.ini summary 6d811dca9eb9fa0125aa527eb7deb30e496af4de998660780939dc8c172684d8
+getoor_zero_g.ini 0 rho a942a6d36e5560a08eac8b39a6e94931e9d0d2e86c2f20c7d35dd3c2e7f14618
+getoor_zero_g.ini 0 G 9f1dcbc35c350d6027f98be0f5c8b43b42ca52b7604459c0c42be3aa88913d47
+getoor_zero_g.ini 0 u 17647d506cd7ba0fc11bfee42d2352f8b57f5d4dcbe9e7c1c9cc1e59a0b73a4d
+getoor_zero_g.ini 1 rho ec467f52cdfe52a5e4fd461e0c9db5a11057e567dd7e3dd5a682ea9c3e28be5f
+getoor_zero_g.ini 1 G 9f1dcbc35c350d6027f98be0f5c8b43b42ca52b7604459c0c42be3aa88913d47
+getoor_zero_g.ini 1 u ffefe0586f2170894ae65f180d03cf7af94aa65e18672047b51fdf70c0416ccd
+getoor_zero_g.ini 2 rho 07f6b1e70c146be29e490551394e545b2b1fc0d568a2dbe84c057d5f9a8e44ab
+getoor_zero_g.ini 2 G 9f1dcbc35c350d6027f98be0f5c8b43b42ca52b7604459c0c42be3aa88913d47
+getoor_zero_g.ini 2 u 4fc0e619d1e27bb668ff6e149a265e6857487ebaa2fd5c48fb4798d9ee2a11cc
+getoor_zero_g.ini 3 rho 795703b052aebc2b7d77b006ba1f260a6edfc248901052ac6022af5e860f17bd
+getoor_zero_g.ini 3 G 9f1dcbc35c350d6027f98be0f5c8b43b42ca52b7604459c0c42be3aa88913d47
+getoor_zero_g.ini 3 u a96d7f99bf18560718778f53c8c11882e8f8e5d35a280f4afaf050ba54638ff9
+getoor_zero_g.ini summary 2c2b322592054318fda9a1b5692d078940e5d02dcbd3b21af96e19b22d828608
+""".strip().splitlines()
+
+
+def test_shipped_runs_are_byte_identical_to_pinned_digests(example_runs):
+    """Every shipped run's output arrays and summary table match the pinned digests.
+
+    This is the byte-identity gate for changes that must not move results.
+    The digests are pinned for numpy 2.4.6 and scipy 1.17.1 on an x86-64
+    Linux host; other library versions or FFT backends may round
+    differently, and there the digests are recorded again once the criteria
+    pass.
+    """
+    lines = []
+    for name, traj in sorted(example_runs.items()):
+        for i, state in enumerate(traj.states):
+            for field, arr in (("rho", state.rho), ("G", state.g), ("u", state.u)):
+                lines.append(f"{name} {i} {field} {hashlib.sha256(arr.values.tobytes()).hexdigest()}")
+        table = np.column_stack([traj.summary[c] for c in SUMMARY_COLUMNS])
+        lines.append(f"{name} summary {hashlib.sha256(table.tobytes()).hexdigest()}")
+    assert lines == SHIPPED_RUN_DIGESTS
 
 
 def test_criterion_05_comparison_principle():

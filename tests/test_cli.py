@@ -117,6 +117,12 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         assert _manifest(out)["failure"] is not None
 
+    def test_infinite_grid_size_exits_two_with_manifest(self, tmp_path):
+        cfg = _write(tmp_path, "inf.ini", SMALL_RUN.replace("n = 256", "n = inf"))
+        out = tmp_path / "inf"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "not a valid int" in _manifest(out)["failure"]
+
     def test_runtime_abort_exits_three_with_manifest(self, tmp_path):
         boundary = SMALL_RUN.replace("half_width = 8.0", "half_width = 3.0").replace(
             "rho0_width = 0.5", "rho0_width = 0.2\ng_coef = 4.0"

@@ -79,6 +79,9 @@ class TestParse:
             (("t_end = 1.0", "t_end = 1.0\ncfl = 2.0"), "cfl"),
             (("rho0_kind = gaussian", "rho0_width = 1.0"), "rho0_kind"),
             (("mode = proportional", "mode = proportional\ng0_mass = 1.0"), "g0_kind"),
+            (("n = 256", "n = inf"), "not a valid int"),
+            (("n = 256", "n = -inf"), "not a valid int"),
+            (("n = 256", "n = 1e400"), "not a valid int"),
         ],
     )
     def test_rejects_malformed_input(self, mutation, message):

@@ -89,6 +89,27 @@ class TestSpectralOperator:
             fractional_laplacian_spectral(f, ws)
 
 
+def _reference_image_kernel(ws):
+    """The image kernel evaluated on the whole lattice k = 0 .. 2n-2, without mirroring."""
+    n, L, a, h = ws.grid.n, ws.grid.half_width, ws.alpha, ws.grid.spacing
+    z = (np.arange(2 * n - 1) - (n - 1)) * h
+    m = 2.0 * L * np.arange(1, ws.n_images + 1)[:, None]
+    q = (np.abs(z[None, :] - m) ** (-1.0 - a)).sum(axis=0)
+    q += (np.abs(z[None, :] + m) ** (-1.0 - a)).sum(axis=0)
+    q += 2.0 * (2.0 * L) ** (-1.0 - a) * (ws.n_images + 0.5) ** (-a) / a
+    return q * singular_kernel_constant(a)
+
+
+class TestImageKernel:
+    @pytest.mark.parametrize("alpha", (0.25, 0.5, 0.75, 0.9))
+    @pytest.mark.parametrize("n", (256, 1000, 1024, 2048, 8192))
+    def test_mirrored_half_equals_full_lattice(self, n, alpha):
+        ws = SpectralWorkspace(build_grid(n, 8.0), alpha)
+        q = ws.image_kernel()
+        assert q.shape == (2 * n - 1,) and not q.flags.writeable
+        assert np.array_equal(q, _reference_image_kernel(ws))
+
+
 def _reference_quadrature(f, alpha, x, nodes_per_shell=48):
     """The oracle as a point-by-point, shell-by-shell loop; the vectorized one must match it bit for bit."""
     a = float(FracOrder(alpha))

@@ -52,6 +52,31 @@ def _gaussian_proportional(**overrides) -> SolverConfig:
     return SolverConfig(**base)
 
 
+def _rolled_upwind_rhs(rho, g, ws, cfg, eps):
+    """Upwind right-hand side with np.roll neighbours and its own stage velocity."""
+    h = ws.grid.spacing
+    u = solver._velocity(rho, g, ws, cfg)
+    u_face = 0.5 * (u + np.roll(u, -1))
+    u_plus = np.maximum(u_face, 0.0)
+    u_minus = np.minimum(u_face, 0.0)
+
+    def tendency(v):
+        flux = u_plus * v + u_minus * np.roll(v, -1)
+        adv = -(flux - np.roll(flux, 1)) / h
+        diff = eps * (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / h**2
+        return adv + diff
+
+    return tendency(rho), tendency(g)
+
+
+def _rolled_upwind_step(rho, g, dt, ws, cfg, eps):
+    """Heun step on separate rho and G arrays that rebuilds its stage-1 velocity: the stepper's reference."""
+    d1r, d1g = _rolled_upwind_rhs(rho, g, ws, cfg, eps)
+    r1, g1 = rho + dt * d1r, g + dt * d1g
+    d2r, d2g = _rolled_upwind_rhs(r1, g1, ws, cfg, eps)
+    return 0.5 * (rho + r1 + dt * d2r), 0.5 * (g + g1 + dt * d2g)
+
+
 class TestShapes:
     def test_unknown_kind_rejected(self):
         with pytest.raises(SolverError, match="unknown shape kind"):
@@ -264,6 +289,54 @@ class TestStep:
         dt = 0.5 * cfg.cfl * grid.spacing / float(np.abs(state.u.values).max())
         step(state, dt, cfg, ws)
         assert counts == {"scipy": 14, "numpy": 0, "fftconvolve": 0}
+
+    @pytest.mark.parametrize("scheme, calls", [("upwind", 2), ("spectral", 3)])
+    def test_velocities_per_step(self, monkeypatch, scheme, calls):
+        """Upwind reuses the state's velocity for its first stage; spectral cannot."""
+        cfg = _gaussian_proportional(n=256, flux_scheme=scheme)
+        grid = cfg.make_grid()
+        ws = SpectralWorkspace(grid, cfg.alpha)
+        state, _ = make_initial_state(cfg.initial, grid, cfg.alpha, ws=ws)
+        count = [0]
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return fracops.velocity_from_state(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "velocity_from_state", counted)
+        eps = cfg.effective_epsilon(grid.spacing)
+        u_inf = float(np.abs(state.u.values).max())
+        step(state, 0.5 * solver._stable_dt(cfg, eps, grid.spacing, u_inf), cfg, ws)
+        assert count[0] == calls
+
+    @pytest.mark.parametrize("image_correction", [True, False])
+    @pytest.mark.parametrize("n", [256, 1000])
+    def test_upwind_step_bit_identical_to_rolled_reference(self, n, image_correction):
+        cfg = _gaussian_proportional(
+            n=n,
+            flux_scheme="upwind",
+            image_correction=image_correction,
+            initial=InitialDataSpec(
+                rho0=ShapeSpec(kind="gaussian", mass=1.0, width=0.6),
+                mode="proportional",
+                g_coef=0.8,
+                b_coef=0.5,
+                a_coef=2.0,
+            ),
+        )
+        grid = cfg.make_grid()
+        ws = SpectralWorkspace(grid, cfg.alpha)
+        state, _ = make_initial_state(
+            cfg.initial, grid, cfg.alpha, ws=ws, image_correction=image_correction
+        )
+        eps = cfg.effective_epsilon(grid.spacing)
+        dt = 0.5 * solver._stable_dt(cfg, eps, grid.spacing, float(np.abs(state.u.values).max()))
+        rho, g = state.rho.values, state.g.values
+        for _ in range(5):
+            state = step(state, dt, cfg, ws)
+            rho, g = _rolled_upwind_step(rho, g, dt, ws, cfg, eps)
+        assert np.array_equal(state.rho.values, rho)
+        assert np.array_equal(state.g.values, g)
 
     @pytest.mark.parametrize("scheme", ["spectral", "upwind"])
     def test_time_stepping_is_second_order(self, scheme):
