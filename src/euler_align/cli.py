@@ -349,7 +349,8 @@ def cmd_scaling(args: argparse.Namespace) -> int:
             )
         else:
             report = barenblatt_limit_experiment(cfg, lambdas, p=args.p, jobs=args.jobs)
-    except DiagnosticsError as exc:
+    except (DiagnosticsError, OSError, GridError) as exc:
+        # Bad experiment parameters, or initial data that cannot be read.
         _write_manifest(out, "scaling", files=[], checks={}, failure=str(exc), wall=time.perf_counter() - start)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

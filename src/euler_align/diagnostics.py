@@ -363,6 +363,14 @@ def _map_cases(case, args: list[tuple], jobs: int) -> list:
     return [case(*a) for a in args]
 
 
+def _scale_factors(lambdas) -> tuple[float, ...]:
+    """The lambdas as floats; they must be finite, distinct, increasing and >= 1."""
+    lams = tuple(float(v) for v in lambdas)
+    if not lams or not all(1 <= v < math.inf for v in lams) or list(lams) != sorted(set(lams)):
+        raise DiagnosticsError("lambdas must be finite, distinct, increasing, and >= 1")
+    return lams
+
+
 def scaling_limit_experiment(
     base_cfg: SolverConfig,
     lambdas,
@@ -383,9 +391,7 @@ def scaling_limit_experiment(
     sup over sampled s in [t1, t2] of the L^q([-R, R]) velocity distance,
     plus time-averaged L^q distances of the mollified density and G.
     """
-    lams = tuple(float(v) for v in lambdas)
-    if not lams or any(v < 1 for v in lams) or list(lams) != sorted(set(lams)):
-        raise DiagnosticsError("lambdas must be distinct, increasing, and >= 1")
+    lams = _scale_factors(lambdas)
     if base_cfg.initial.mode != "proportional":
         raise DiagnosticsError("rarefaction experiment requires proportional initial data")
     if base_cfg.initial.g_coef <= 1e-12:
@@ -475,9 +481,7 @@ def barenblatt_limit_experiment(
     running.  distances[i] = || lam_i*rho(lam_i*y, lam_i^(1+alpha)) -
     target(y) ||_{L^p} with the target described in _barenblatt_case.
     """
-    lams = tuple(float(v) for v in lambdas)
-    if not lams or any(v < 1 for v in lams) or list(lams) != sorted(set(lams)):
-        raise DiagnosticsError("lambdas must be distinct, increasing, and >= 1")
+    lams = _scale_factors(lambdas)
     if base_cfg.initial.mode != "zero_G":
         raise DiagnosticsError("barenblatt experiment requires zero_G initial data")
     grid = base_cfg.make_grid()

@@ -224,7 +224,7 @@ class SpectralWorkspace:
 
         The derivative multiplier keeps the modes with |xi| <= (2/3) max|xi|
         (the 2/3 rule; the Nyquist mode is always dropped).  Used by the
-        spectral transport for its diffusion half-steps and flux derivatives.
+        spectral transport for its diffusion factor and flux derivatives.
         """
         if self._transport_multipliers is None:
             xi = np.abs(self.grid.wavenumbers[: self.grid.n // 2 + 1])
@@ -419,14 +419,21 @@ def velocity_from_state(
     _check_ws(g, ws)
     if gauge not in ("left_zero", "real_line"):
         raise ValueError(f"gauge must be 'left_zero' or 'real_line', got {gauge!r}")
+    return Field(rho.grid, _velocity_values(rho.values, g.values, ws, image_correction, gauge))
+
+
+def _velocity_values(
+    rho: np.ndarray, g: np.ndarray, ws: SpectralWorkspace, image_correction: bool, gauge: str
+) -> np.ndarray:
+    """Raw-array core of ``velocity_from_state``; the caller has checked its arguments."""
     n = ws.grid.n
-    spectrum = scipy.fft.rfft(rho.values, 2 * n) * ws.velocity_kernel_spectrum(image_correction)
+    spectrum = scipy.fft.rfft(rho, 2 * n) * ws.velocity_kernel_spectrum(image_correction)
     c = scipy.fft.irfft(spectrum, 2 * n)[n - 1 : 2 * n - 1]
-    u = cumulative_trapezoid(g.values, ws.grid.spacing)
+    u = cumulative_trapezoid(g, ws.grid.spacing)
     u += c - c[0]
     if gauge == "real_line":
-        u += ws.tail_anchor_weights() @ rho.values
-    return Field(rho.grid, u)
+        u += ws.tail_anchor_weights() @ rho
+    return u
 
 
 def stroock_varopoulos_check(

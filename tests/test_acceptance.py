@@ -161,19 +161,19 @@ SHIPPED_RUN_DIGESTS = """
 gaussian_spectral.ini 0 rho 5fb8336df52b3a1c3d5f062ccf68d2a4affa29071e2e167e890a3c88febf031a
 gaussian_spectral.ini 0 G 5fb8336df52b3a1c3d5f062ccf68d2a4affa29071e2e167e890a3c88febf031a
 gaussian_spectral.ini 0 u f31594905ead5d9ef146bf3bd8c50abf3125e67bf3980647b0047a31e499cb90
-gaussian_spectral.ini 1 rho 20ee81c7072f1b63ecafe0f479bbd453ac3a82c8e55e32b32008e2aa136b7979
-gaussian_spectral.ini 1 G 20ee81c7072f1b63ecafe0f479bbd453ac3a82c8e55e32b32008e2aa136b7979
-gaussian_spectral.ini 1 u f8e9eacf69ce51215062f1fb5052cfa980a9e85d921de7917679291fb7be5559
-gaussian_spectral.ini 2 rho 5c4e1e9d6df31c9736dde008b15e6183bde545c7078a036d3cf61b968f4c07da
-gaussian_spectral.ini 2 G 5c4e1e9d6df31c9736dde008b15e6183bde545c7078a036d3cf61b968f4c07da
-gaussian_spectral.ini 2 u 91aae8ff7dae83f16c51172e42886f7751bd84d2a5a9162f762b8bffcd5340fe
-gaussian_spectral.ini 3 rho 8e6c023dee4e338d8aa4545d3dd34dd0bbc419f39160285ea11b86a9fc940e04
-gaussian_spectral.ini 3 G 8e6c023dee4e338d8aa4545d3dd34dd0bbc419f39160285ea11b86a9fc940e04
-gaussian_spectral.ini 3 u 77f046374ed14bf01d0024dc74c719156d6deefc9fcb4c2f982de75e135e3116
-gaussian_spectral.ini 4 rho 0e2831889e580bd1cf2ba15ec260d83b4d3cf5a2793f27bd38c471d5e4d3beaf
-gaussian_spectral.ini 4 G 0e2831889e580bd1cf2ba15ec260d83b4d3cf5a2793f27bd38c471d5e4d3beaf
-gaussian_spectral.ini 4 u 505167cf5f84bb47e0720b0a0bb584c2e11639a54f6e3eb148874e8805c79286
-gaussian_spectral.ini summary 5e5d80fcdc55cab3dcd30af1e9cfb8059036bf0746cba64421550608f3c4d842
+gaussian_spectral.ini 1 rho 964004517b3cf587f0608a14d150ae2adcc96cd8d72fbf40ae6cbdb7d7ac5e56
+gaussian_spectral.ini 1 G 964004517b3cf587f0608a14d150ae2adcc96cd8d72fbf40ae6cbdb7d7ac5e56
+gaussian_spectral.ini 1 u 81b9ec06daca3b9442bb296f0f8a72a2e553fd2848722c749fdeff64af46b605
+gaussian_spectral.ini 2 rho c14f820495030fe5826d2ada835b3ea3ec22a9f48a1abb0d9f3195da0f6afe5a
+gaussian_spectral.ini 2 G c14f820495030fe5826d2ada835b3ea3ec22a9f48a1abb0d9f3195da0f6afe5a
+gaussian_spectral.ini 2 u bca7195461af4c5cd73b9c65cefd30f3a14ab49e372b4c1fe53370a41817fd28
+gaussian_spectral.ini 3 rho 9faa558b1593f51c3cb394d4c79495e99590bfedd186ab1fee2328f282aa45b2
+gaussian_spectral.ini 3 G 9faa558b1593f51c3cb394d4c79495e99590bfedd186ab1fee2328f282aa45b2
+gaussian_spectral.ini 3 u b55f24f64a0dce51f5c376030d40bca15e31272bd845698d4e201b634e57eb9b
+gaussian_spectral.ini 4 rho f9c76851ce282e2850a826b014e909c411c3d7807d1011aeae6c29937f447b7b
+gaussian_spectral.ini 4 G f9c76851ce282e2850a826b014e909c411c3d7807d1011aeae6c29937f447b7b
+gaussian_spectral.ini 4 u b97b024cd12cc8221781cdac62efcf9f7c7c9d8651e7af0dbc7c798035734d7e
+gaussian_spectral.ini summary a8541cc6f2cb4206259d99643e4a692cc9a9f2c72bd3c886bfa98ce1126b65c7
 gaussian_upwind.ini 0 rho 5fb8336df52b3a1c3d5f062ccf68d2a4affa29071e2e167e890a3c88febf031a
 gaussian_upwind.ini 0 G 5fb8336df52b3a1c3d5f062ccf68d2a4affa29071e2e167e890a3c88febf031a
 gaussian_upwind.ini 0 u f31594905ead5d9ef146bf3bd8c50abf3125e67bf3980647b0047a31e499cb90
@@ -190,26 +190,26 @@ gaussian_upwind.ini summary e0d1f63291fddb6b6c112e27a57d09dba25118595135e2b6a3c2
 gaussian_zero_g.ini 0 rho cafd3f70886b2f4493a3459cb1aaa7b2749f3c678911360e231f7bc0d163224e
 gaussian_zero_g.ini 0 G 9f1dcbc35c350d6027f98be0f5c8b43b42ca52b7604459c0c42be3aa88913d47
 gaussian_zero_g.ini 0 u e9a2f5718418b23dac629fd28e735997b2a738ecee297dcc45f381793fd1da12
-gaussian_zero_g.ini 1 rho 5d56ec22e26be01442c7666380844c4338d5bf982b54bd0b00ae1a68a6a8036b
+gaussian_zero_g.ini 1 rho 07781c8650bfe07e10803d0b28c68bc7e8ca8b25b0e31a37fefafc210898fb9d
 gaussian_zero_g.ini 1 G 9f1dcbc35c350d6027f98be0f5c8b43b42ca52b7604459c0c42be3aa88913d47
-gaussian_zero_g.ini 1 u da0251b979673c8124005573014f76dc462c7dd193331d91393d49e44fff03c8
-gaussian_zero_g.ini 2 rho 859b2f7f800b62ec287351e09c4d3e66418b3557324b8566a1d83073cd1b354c
+gaussian_zero_g.ini 1 u 162a4baf8baf4bb49c80afe862c3bda6458d88d3554b57c5c6e3008f97a3862a
+gaussian_zero_g.ini 2 rho 5e3a4faa35063c9a5549a85fa26714be675038a615a50b5a14527bda92fb7438
 gaussian_zero_g.ini 2 G 9f1dcbc35c350d6027f98be0f5c8b43b42ca52b7604459c0c42be3aa88913d47
-gaussian_zero_g.ini 2 u 7d411c39d26aeddde1547332027cc3703dc91d9cff1fae11b0aa2a20d9b3db14
-gaussian_zero_g.ini summary 6d811dca9eb9fa0125aa527eb7deb30e496af4de998660780939dc8c172684d8
+gaussian_zero_g.ini 2 u e1aa9c5ba81dd2a0529c79d8c667045713fc9a282bc4c772fc2fb487a5598b23
+gaussian_zero_g.ini summary eac4e04f885bf8008678e2541b95fa527d3fbb145482be74305d810e3d817141
 getoor_zero_g.ini 0 rho a942a6d36e5560a08eac8b39a6e94931e9d0d2e86c2f20c7d35dd3c2e7f14618
 getoor_zero_g.ini 0 G 9f1dcbc35c350d6027f98be0f5c8b43b42ca52b7604459c0c42be3aa88913d47
 getoor_zero_g.ini 0 u 17647d506cd7ba0fc11bfee42d2352f8b57f5d4dcbe9e7c1c9cc1e59a0b73a4d
-getoor_zero_g.ini 1 rho ec467f52cdfe52a5e4fd461e0c9db5a11057e567dd7e3dd5a682ea9c3e28be5f
+getoor_zero_g.ini 1 rho f1108a50505f519fa7305f74d20230feae82b9a12b2c1eaeb086b21f1f3f9296
 getoor_zero_g.ini 1 G 9f1dcbc35c350d6027f98be0f5c8b43b42ca52b7604459c0c42be3aa88913d47
-getoor_zero_g.ini 1 u ffefe0586f2170894ae65f180d03cf7af94aa65e18672047b51fdf70c0416ccd
-getoor_zero_g.ini 2 rho 07f6b1e70c146be29e490551394e545b2b1fc0d568a2dbe84c057d5f9a8e44ab
+getoor_zero_g.ini 1 u 70295c47811d1c8588b03c7fce49e294194570aac1ee0da089e014fdcda5dd94
+getoor_zero_g.ini 2 rho 5b4fc83b79af162650c481565ed864fa517bd24540c1ce72583d876b76085e10
 getoor_zero_g.ini 2 G 9f1dcbc35c350d6027f98be0f5c8b43b42ca52b7604459c0c42be3aa88913d47
-getoor_zero_g.ini 2 u 4fc0e619d1e27bb668ff6e149a265e6857487ebaa2fd5c48fb4798d9ee2a11cc
-getoor_zero_g.ini 3 rho 795703b052aebc2b7d77b006ba1f260a6edfc248901052ac6022af5e860f17bd
+getoor_zero_g.ini 2 u 0d6543cdc60da9e2875a7fb0442234150dca36f4cb7d6f87907e3bf876efe793
+getoor_zero_g.ini 3 rho f27c7ade0d3eef64bbd6edee6160178b6f276d2ddb282a1f64f0963cdc0b5275
 getoor_zero_g.ini 3 G 9f1dcbc35c350d6027f98be0f5c8b43b42ca52b7604459c0c42be3aa88913d47
-getoor_zero_g.ini 3 u a96d7f99bf18560718778f53c8c11882e8f8e5d35a280f4afaf050ba54638ff9
-getoor_zero_g.ini summary 2c2b322592054318fda9a1b5692d078940e5d02dcbd3b21af96e19b22d828608
+getoor_zero_g.ini 3 u fd58f00bf5e16cbb5ad3fd54796227e137398b98c8d31aa525d907127ae82a67
+getoor_zero_g.ini summary b2937a813c94d5f3f73228630c8d282a70452de803295848fc33d949508d7837
 """.strip().splitlines()
 
 

@@ -251,6 +251,37 @@ class TestScalingCommand:
         assert code == 2
         assert _manifest(out)["failure"] is not None
 
+    @pytest.mark.parametrize("mode", ["barenblatt", "rarefaction"])
+    @pytest.mark.parametrize("lambdas", ["1,nan", "1,inf"])
+    def test_non_finite_lambdas_exit_two_with_manifest(self, tmp_path, mode, lambdas):
+        cfg = _write(tmp_path, "base.ini", SCALING_BASE)
+        out = tmp_path / "scnan"
+        code = main([
+            "scaling", "--config", str(cfg), "--mode", mode,
+            "--lambdas", lambdas, "--jobs", "1", "--out", str(out),
+        ])
+        assert code == 2
+        assert "lambdas must be finite" in _manifest(out)["failure"]
+
+    @pytest.mark.parametrize(
+        "mode, initial",
+        [("barenblatt", "mode = zero_G"), ("rarefaction", "mode = proportional")],
+        ids=["barenblatt", "rarefaction"],
+    )
+    def test_missing_initial_csv_exits_two_with_manifest(self, tmp_path, mode, initial):
+        base = SCALING_BASE.replace("mode = proportional", initial).replace(
+            "rho0_kind = bump", "rho0_kind = csv\nrho0_path = rho0.csv"
+        )
+        cfg = _write(tmp_path, "csv.ini", base)
+        out = tmp_path / "sccsv"
+        code = main([
+            "scaling", "--config", str(cfg), "--mode", mode,
+            "--lambdas", "1,2", "--jobs", "1", "--out", str(out),
+        ])
+        assert code == 2
+        manifest = _manifest(out)
+        assert "rho0.csv" in manifest["failure"] and manifest["files"] == []
+
 
 class TestProfilesCommand:
     def test_writes_profile_table(self, tmp_path):

@@ -77,6 +77,30 @@ def _rolled_upwind_step(rho, g, dt, ws, cfg, eps):
     return 0.5 * (rho + r1 + dt * d2r), 0.5 * (g + g1 + dt * d2g)
 
 
+def _reference_strang_step(rho, g, dt, ws, cfg, eps):
+    """Strang split step: exact diffusion half-step, SSP-RK2 transport, half-step.
+
+    The spectral scheme's former step, kept as a second-order reference that
+    evaluates its first stage at the diffused state.
+    """
+    n = ws.grid.n
+    xi_sq, ik = ws.transport_multipliers()
+    half = np.exp(-eps * xi_sq * (0.5 * dt))
+
+    def diffuse(y):
+        return scipy.fft.irfft(half * scipy.fft.rfft(y), n)
+
+    def transport_rhs(y):
+        u = solver._velocity(y[0], y[1], ws, cfg)
+        return -scipy.fft.irfft(ik * scipy.fft.rfft(y * u), n)
+
+    y = diffuse(np.stack((rho, g)))
+    d1 = transport_rhs(y)
+    d2 = transport_rhs(y + dt * d1)
+    y = diffuse(y + 0.5 * dt * (d1 + d2))
+    return y[0], y[1]
+
+
 class TestShapes:
     def test_unknown_kind_rejected(self):
         with pytest.raises(SolverError, match="unknown shape kind"):
@@ -268,7 +292,7 @@ class TestStep:
             step(state, 10.0, cfg, ws)
 
     def test_spectral_step_transform_count(self, monkeypatch):
-        """One spectral step: 3 velocities x 2 + 2 diffusions x 2 + 2 fluxes x 2 rffts."""
+        """One spectral step: 2 velocities x 2 + 2 fluxes + 1 state rfft + 2 stage irffts."""
         cfg = _gaussian_proportional(n=256)
         grid = cfg.make_grid()
         ws = SpectralWorkspace(grid, cfg.alpha)
@@ -288,22 +312,25 @@ class TestStep:
         monkeypatch.setattr(fracops, "fftconvolve", counted("fftconvolve", fracops.fftconvolve))
         dt = 0.5 * cfg.cfl * grid.spacing / float(np.abs(state.u.values).max())
         step(state, dt, cfg, ws)
-        assert counts == {"scipy": 14, "numpy": 0, "fftconvolve": 0}
+        assert counts == {"scipy": 9, "numpy": 0, "fftconvolve": 0}
 
-    @pytest.mark.parametrize("scheme, calls", [("upwind", 2), ("spectral", 3)])
+    @pytest.mark.parametrize("scheme, calls", [("upwind", 2), ("spectral", 2)])
     def test_velocities_per_step(self, monkeypatch, scheme, calls):
-        """Upwind reuses the state's velocity for its first stage; spectral cannot."""
+        """Both schemes reuse state.u for their first stage: stage 2 and the new State."""
         cfg = _gaussian_proportional(n=256, flux_scheme=scheme)
         grid = cfg.make_grid()
         ws = SpectralWorkspace(grid, cfg.alpha)
         state, _ = make_initial_state(cfg.initial, grid, cfg.alpha, ws=ws)
         count = [0]
+        core = fracops._velocity_values
 
         def counted(*args, **kwargs):
             count[0] += 1
-            return fracops.velocity_from_state(*args, **kwargs)
+            return core(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "velocity_from_state", counted)
+        # Every reconstruction, raw or Field-wrapped, goes through the core.
+        monkeypatch.setattr(fracops, "_velocity_values", counted)
+        monkeypatch.setattr(solver, "_velocity_values", counted)
         eps = cfg.effective_epsilon(grid.spacing)
         u_inf = float(np.abs(state.u.values).max())
         step(state, 0.5 * solver._stable_dt(cfg, eps, grid.spacing, u_inf), cfg, ws)
@@ -337,6 +364,36 @@ class TestStep:
             rho, g = _rolled_upwind_step(rho, g, dt, ws, cfg, eps)
         assert np.array_equal(state.rho.values, rho)
         assert np.array_equal(state.g.values, g)
+
+    @pytest.mark.parametrize("image_correction", [True, False])
+    def test_spectral_step_agrees_with_strang_reference_to_third_order(self, image_correction):
+        """Both steps are second order, so their one-step difference is O(dt^3)."""
+        cfg = _gaussian_proportional(
+            image_correction=image_correction,
+            epsilon=0.05,
+            initial=InitialDataSpec(
+                rho0=ShapeSpec(kind="gaussian", mass=1.0, width=0.6),
+                mode="proportional",
+                g_coef=0.8,
+                b_coef=0.5,
+                a_coef=2.0,
+            ),
+        )
+        grid = cfg.make_grid()
+        ws = SpectralWorkspace(grid, cfg.alpha)
+        state, _ = make_initial_state(
+            cfg.initial, grid, cfg.alpha, ws=ws, image_correction=image_correction
+        )
+        eps = cfg.effective_epsilon(grid.spacing)
+        dt0 = solver._stable_dt(cfg, eps, grid.spacing, float(np.abs(state.u.values).max()))
+        diffs = []
+        for dt in (dt0, dt0 / 2, dt0 / 4):
+            new = step(state, dt, cfg, ws)
+            rho, g = _reference_strang_step(state.rho.values, state.g.values, dt, ws, cfg, eps)
+            diffs.append(max(float(np.abs(new.rho.values - rho).max()),
+                             float(np.abs(new.g.values - g).max())))
+        ratios = [diffs[i] / diffs[i + 1] for i in range(2)]
+        assert min(ratios) >= 6.0, f"one-step differences {diffs}, ratios {ratios}"
 
     @pytest.mark.parametrize("scheme", ["spectral", "upwind"])
     def test_time_stepping_is_second_order(self, scheme):
