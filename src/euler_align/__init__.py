@@ -33,7 +33,6 @@ from .fracops import (
     FracOrder,
     FracOrderError,
     SpectralWorkspace,
-    antiderivative_fraclap,
     fractional_laplacian_quadrature,
     fractional_laplacian_spectral,
     gagliardo_nirenberg_check,

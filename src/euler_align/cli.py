@@ -10,12 +10,15 @@ scaling    Run the rarefaction or self-similar scaling-limit experiment.
 profiles   Tabulate the closed-form profile family for one order alpha.
 
 Exit codes: 0 success, 1 check failure, 2 bad input, 3 runtime abort.
-Every subcommand writes ``manifest.json`` into its output directory before
-exiting — also on failure paths, with the failure reason — so that partial
-artifacts are always identifiable.  CSV payloads use the %.17g format and
-contain no timestamps: rerunning the same config with the same code version
-produces byte-identical CSV files.  The ``EULER_ALIGN_OUT`` environment
-variable overrides ``--out``.
+``main`` alone picks them, by exception class: ``ConfigError``,
+``GridError``, ``DiagnosticsError``, ``OSError`` and rejected arguments give
+2, ``SolverError`` gives 3.  ``main`` also writes ``manifest.json`` into the
+output directory, once, on every path — on failure with the reason, and also
+when an unexpected exception ends the command (that exception then
+propagates) — so that partial artifacts are always identifiable.  CSV
+payloads use the %.17g format and contain no timestamps: rerunning the same
+config with the same code version produces byte-identical CSV files.  The
+``EULER_ALIGN_OUT`` environment variable overrides ``--out``.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .diagnostics import (
     DiagnosticsError,
     ScalingReport,
     barenblatt_limit_experiment,
-    comparison_principle_report,
     decay_fit,
     oleinik_check,
     reference_decay_slope,
@@ -64,32 +66,18 @@ DECAY_BOUND_SLACK = 0.05
 SCALING_SLACK = 0.10
 
 VERIFY_CHECKS = ("mass", "comparison", "maxprinciple", "decay", "oleinik")
+# The `verify` checks that `_trajectory_checks` computes, by the keys it stores them under.
+_SUMMARY_CHECKS = {"mass": ("mass_rho", "mass_G"), "maxprinciple": ("max_principle",), "comparison": ("comparison",)}
 
 
-def _write_manifest(
-    outdir: Path,
-    command: str,
-    *,
-    files: list[str],
-    checks: dict[str, dict],
-    failure: str | None,
-    wall: float,
-    extra: dict | None = None,
-) -> None:
+class _BadInput(Exception):
+    """An argument or input the CLI itself rejects (exit 2)."""
+
+
+def _write_manifest(outdir: Path, manifest: dict) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "wall_time_seconds": round(wall, 3),
-        "files": sorted(files),
-        "checks": _jsonable(checks),
-        "failure": failure,
-    }
-    if extra:
-        manifest.update(_jsonable(extra))
-    (outdir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    body = _jsonable({**manifest, "files": sorted(manifest["files"])})
+    (outdir / "manifest.json").write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
 
 
 def _check(value: float, tolerance: float, passed: bool | None = None) -> dict:
@@ -144,94 +132,46 @@ def _series_monotone_checks(name: str, lambdas, distances) -> dict[str, dict]:
 # Subcommands
 
 
-def cmd_selftest(args: argparse.Namespace) -> int:
-    out = args.out
-    start = time.perf_counter()
+def _gate(manifest: dict, checks: dict[str, dict], failure: str) -> int:
+    """Record and print the checks; exit 1 with ``failure`` if any failed."""
+    manifest["checks"] = checks
+    for name, c in checks.items():
+        print(f"[{'pass' if c['passed'] else 'FAIL'}] {name}: value={c['value']} tolerance={c['tolerance']}")
+    if all(c["passed"] for c in checks.values()):
+        return EXIT_OK
+    manifest["failure"] = failure
+    return EXIT_CHECK_FAILED
+
+
+def cmd_selftest(args: argparse.Namespace, manifest: dict) -> int:
     report = run_selftest(
         seed=args.seed,
         profile=args.tolerance_profile,
         inject_hilbert_sign_error=args.inject_hilbert_sign_error,
     )
-    out.mkdir(parents=True, exist_ok=True)
-    report_path = out / "selftest_report.json"
-    report_path.write_text(json.dumps(report.to_jsonable(), indent=2, sort_keys=True) + "\n")
+    args.out.mkdir(parents=True, exist_ok=True)
+    (args.out / "selftest_report.json").write_text(json.dumps(report.to_jsonable(), indent=2, sort_keys=True) + "\n")
+    manifest.update(files=["selftest_report.json"], seed=args.seed, profile=args.tolerance_profile)
     checks = {
         f"{r.check}" + (f"_alpha{r.alpha:g}" if r.alpha is not None else ""): _check(
             r.max_error, r.tolerance, passed=r.passed
         )
         for r in report.records
     }
-    failure = None if report.passed else "one or more operator identities failed"
-    _write_manifest(
-        out,
-        "selftest",
-        files=[report_path.name],
-        checks=checks,
-        failure=failure,
-        wall=time.perf_counter() - start,
-        extra={"seed": args.seed, "profile": args.tolerance_profile},
-    )
-    for r in report.records:
-        tag = "pass" if r.passed else "FAIL"
-        alpha = f" alpha={r.alpha:g}" if r.alpha is not None else ""
-        print(f"[{tag}] {r.check}{alpha}: max_error={r.max_error:.3e} tolerance={r.tolerance:.1e}")
+    code = _gate(manifest, checks, "one or more operator identities failed")
     print(f"selftest: {'pass' if report.passed else 'FAIL'} ({len(report.records)} checks, {report.wall_time:.1f}s)")
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return code
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    out = args.out
-    start = time.perf_counter()
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        _write_manifest(out, "simulate", files=[], checks={}, failure=str(exc), wall=time.perf_counter() - start)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        traj = run(cfg)
-    except (OSError, GridError) as exc:
-        # The initial data named by the config cannot be read (missing file,
-        # non-finite or off-grid samples): the input is bad, not the run.
-        _write_manifest(
-            out, "simulate", files=[], checks={}, failure=str(exc),
-            wall=time.perf_counter() - start, extra={"config_ini": dump_config(cfg)},
-        )
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except SolverError as exc:
-        _write_manifest(
-            out, "simulate", files=[], checks={}, failure=str(exc),
-            wall=time.perf_counter() - start, extra={"config_ini": dump_config(cfg)},
-        )
-        print(f"runtime abort: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME_ABORT
-
-    solver_manifest = save_trajectory(traj, out)
-    files = [entry["file"] for entry in solver_manifest["states"]]
-    files.append(solver_manifest["summary_file"])
-    checks = _trajectory_checks(traj)
-    passed = all(c["passed"] for c in checks.values())
-    _write_manifest(
-        out,
-        "simulate",
-        files=files,
-        checks=checks,
-        failure=None if passed else "a per-run invariant check failed",
-        wall=time.perf_counter() - start,
-        extra={
-            "config_ini": dump_config(cfg),
-            "config": solver_manifest["config"],
-            "initial_report": solver_manifest["initial_report"],
-            "states": solver_manifest["states"],
-            "summary_file": solver_manifest["summary_file"],
-            "steps": solver_manifest["steps"],
-        },
-    )
-    for name, c in checks.items():
-        print(f"[{'pass' if c['passed'] else 'FAIL'}] {name}: value={c['value']} tolerance={c['tolerance']}")
-    print(f"simulate: wrote {len(traj.states)} states to {out} ({traj.steps} steps)")
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+def cmd_simulate(args: argparse.Namespace, manifest: dict) -> int:
+    cfg = load_config(args.config)
+    manifest["config_ini"] = dump_config(cfg)
+    traj = run(cfg)
+    manifest.update(save_trajectory(traj, args.out))
+    manifest["files"] = [entry["file"] for entry in manifest["states"]] + [manifest["summary_file"]]
+    code = _gate(manifest, _trajectory_checks(traj), "a per-run invariant check failed")
+    print(f"simulate: wrote {len(traj.states)} states to {args.out} ({traj.steps} steps)")
+    return code
 
 
 def _verify_decay(traj: Trajectory) -> dict[str, dict]:
@@ -245,68 +185,35 @@ def _verify_decay(traj: Trajectory) -> dict[str, dict]:
     return checks
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    out = args.out if args.out_given else args.rundir / "verify"
-    start = time.perf_counter()
+def cmd_verify(args: argparse.Namespace, manifest: dict) -> int:
     which = tuple(dict.fromkeys(w.strip() for w in args.which.split(",") if w.strip()))
     bad = [w for w in which if w not in VERIFY_CHECKS]
     if bad or not which:
-        msg = f"unknown checks {bad}; choose from {VERIFY_CHECKS}" if bad else "no checks requested"
-        _write_manifest(out, "verify", files=[], checks={}, failure=msg, wall=time.perf_counter() - start)
-        print(f"error: {msg}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise _BadInput(f"unknown checks {bad}; choose from {VERIFY_CHECKS}" if bad else "no checks requested")
+    manifest.update(rundir=str(args.rundir), which=list(which))
     try:
         traj = load_trajectory(args.rundir)
-    except (SolverError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        msg = f"cannot load run directory {args.rundir}: {exc}"
-        _write_manifest(out, "verify", files=[], checks={}, failure=msg, wall=time.perf_counter() - start)
-        print(f"error: {msg}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    except (SolverError, OSError, KeyError, TypeError, ValueError) as exc:
+        raise _BadInput(f"cannot load run directory {args.rundir}: {exc}") from exc
 
     base = _trajectory_checks(traj)
-    checks: dict[str, dict] = {}
-    try:
-        for name in which:
-            if name == "mass":
-                checks["mass_rho"] = base["mass_rho"]
-                checks["mass_G"] = base["mass_G"]
-            elif name == "maxprinciple":
-                checks["max_principle"] = base["max_principle"]
-            elif name == "comparison":
-                if "comparison" not in base:
-                    raise DiagnosticsError(
-                        "comparison check needs a proportional-mode run with recorded sandwich constants"
-                    )
-                rep = comparison_principle_report(traj)
-                floor = -COMPARISON_TOL * rep.rho0_linf
-                worst = min(rep.min_g, rep.min_arho_minus_g, rep.min_g_minus_brho)
-                checks["comparison"] = _check(-worst, -floor)
-            elif name == "decay":
-                checks.update(_verify_decay(traj))
-            elif name == "oleinik":
-                rep = oleinik_check(traj)
-                checks["oleinik_bounded"] = _check(rep.fitted_growth, 0.5, passed=rep.bounded)
-    except DiagnosticsError as exc:
-        _write_manifest(out, "verify", files=[], checks=checks, failure=str(exc), wall=time.perf_counter() - start)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-
-    passed = all(c["passed"] for c in checks.values())
-    _write_manifest(
-        out,
-        "verify",
-        files=[],
-        checks=checks,
-        failure=None if passed else "a requested invariant check failed",
-        wall=time.perf_counter() - start,
-        extra={"rundir": str(args.rundir), "which": list(which)},
-    )
-    for name, c in checks.items():
-        print(f"[{'pass' if c['passed'] else 'FAIL'}] {name}: value={c['value']} tolerance={c['tolerance']}")
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    checks = manifest["checks"]
+    for name in which:
+        if name == "decay":
+            checks.update(_verify_decay(traj))
+        elif name == "oleinik":
+            rep = oleinik_check(traj)
+            checks["oleinik_bounded"] = _check(rep.fitted_growth, 0.5, passed=rep.bounded)
+        elif name == "comparison" and "comparison" not in base:
+            raise DiagnosticsError(
+                "comparison check needs a proportional-mode run with recorded sandwich constants"
+            )
+        else:
+            checks.update((key, base[key]) for key in _SUMMARY_CHECKS[name])
+    return _gate(manifest, checks, "a requested invariant check failed")
 
 
-def _scaling_csv(out: Path, report: ScalingReport) -> str:
+def _scaling_csv(out: Path, report: ScalingReport) -> list[str]:
     if report.mode == "rarefaction":
         columns = [
             ("u_distance", report.distances),
@@ -320,6 +227,7 @@ def _scaling_csv(out: Path, report: ScalingReport) -> str:
         columns = [("distance", report.distances)]
     header = "lambda," + ",".join(name for name, _ in columns)
     table = np.column_stack([np.asarray(report.lambdas)] + [np.asarray(v) for _, v in columns])
+    out.mkdir(parents=True, exist_ok=True)
     np.savetxt(out / "scaling.csv", table, fmt="%.17g", delimiter=",", header=header, comments="# ")
     gp = (
         "set logscale xy\n"
@@ -329,80 +237,52 @@ def _scaling_csv(out: Path, report: ScalingReport) -> str:
         'plot for [col=2:' + str(1 + len(columns)) + '] "scaling.csv" using 1:col with linespoints title columnheader(col)\n'
     )
     (out / "scaling.gp").write_text(gp)
-    return "scaling.csv"
+    return ["scaling.csv", "scaling.gp"]
 
 
-def cmd_scaling(args: argparse.Namespace) -> int:
-    out = args.out
-    start = time.perf_counter()
+def cmd_scaling(args: argparse.Namespace, manifest: dict) -> int:
+    cfg = load_config(args.config)
+    manifest["config_ini"] = dump_config(cfg)
     try:
-        cfg = load_config(args.config)
         lambdas = tuple(float(v) for v in args.lambdas.split(","))
-    except (ConfigError, ValueError) as exc:
-        _write_manifest(out, "scaling", files=[], checks={}, failure=str(exc), wall=time.perf_counter() - start)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        if args.mode == "rarefaction":
-            report = scaling_limit_experiment(
-                cfg, lambdas, q=args.q, R=args.radius, t1=args.t1, t2=args.t2, jobs=args.jobs
-            )
-        else:
-            report = barenblatt_limit_experiment(cfg, lambdas, p=args.p, jobs=args.jobs)
-    except (DiagnosticsError, OSError, GridError) as exc:
-        # Bad experiment parameters, or initial data that cannot be read.
-        _write_manifest(out, "scaling", files=[], checks={}, failure=str(exc), wall=time.perf_counter() - start)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except SolverError as exc:
-        _write_manifest(out, "scaling", files=[], checks={}, failure=str(exc), wall=time.perf_counter() - start)
-        print(f"runtime abort: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME_ABORT
-
-    out.mkdir(parents=True, exist_ok=True)
-    csv_name = _scaling_csv(out, report)
+    except ValueError as exc:
+        raise _BadInput(f"--lambdas: {exc}") from exc
+    if args.mode == "rarefaction":
+        report = scaling_limit_experiment(
+            cfg, lambdas, q=args.q, R=args.radius, t1=args.t1, t2=args.t2, jobs=args.jobs
+        )
+    else:
+        report = barenblatt_limit_experiment(cfg, lambdas, p=args.p, jobs=args.jobs)
+    manifest["report"] = asdict(report)
+    manifest["files"] = _scaling_csv(args.out, report)
     checks = _series_monotone_checks("primary_distance", report.lambdas, report.distances)
     if report.mode == "rarefaction":
         checks.update(_series_monotone_checks("rho_distance", report.lambdas, report.rho_distances))
         checks.update(_series_monotone_checks("g_distance", report.lambdas, report.g_distances))
-    passed = all(c["passed"] for c in checks.values())
-    _write_manifest(
-        out,
-        "scaling",
-        files=[csv_name, "scaling.gp"],
-        checks=checks,
-        failure=None if passed else "scaling distances are not monotone",
-        wall=time.perf_counter() - start,
-        extra={"config_ini": dump_config(cfg), "report": asdict(report)},
-    )
-    for name, c in checks.items():
-        print(f"[{'pass' if c['passed'] else 'FAIL'}] {name}: value={c['value']} tolerance={c['tolerance']}")
+    code = _gate(manifest, checks, "scaling distances are not monotone")
     print(f"scaling[{report.mode}]: lambdas={report.lambdas} distances={tuple(round(d, 6) for d in report.distances)}")
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    return code
 
 
-def cmd_profiles(args: argparse.Namespace) -> int:
-    out = args.out
-    start = time.perf_counter()
+def cmd_profiles(args: argparse.Namespace, manifest: dict) -> int:
     try:
         alpha = float(args.alpha)
-        if not (0.0 < alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     except ValueError as exc:
-        _write_manifest(out, "profiles", files=[], checks={}, failure=str(exc), wall=time.perf_counter() - start)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise _BadInput(f"--alpha: {exc}") from exc
+    if not (0.0 < alpha < 1.0):
+        raise _BadInput(f"alpha must lie in (0, 1), got {alpha}")
     n = 1536
+    manifest.update(alpha=alpha, n=n)
     h = 6.0 / n
     # Cell midpoints: avoids evaluating exactly on the profile edge |x| = 1.
     x = -3.0 + (np.arange(n) + 0.5) * h
     phi = getoor_profile(alpha, x)
     frac = getoor_fraclap(alpha, x)
     vel = velocity_profile_U(alpha, x)
-    out.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     table = np.column_stack([x, phi, frac, vel])
-    np.savetxt(out / "profile.csv", table, fmt="%.17g", delimiter=",", header="x,phi,fraclap,U", comments="# ")
-    (out / "profiles.gp").write_text(
+    np.savetxt(args.out / "profile.csv", table, fmt="%.17g", delimiter=",", header="x,phi,fraclap,U", comments="# ")
+    (args.out / "profiles.gp").write_text(
         'set datafile separator ","\n'
         'set xlabel "x"\n'
         f'set title "profile family, alpha = {alpha:g}"\n'
@@ -410,23 +290,11 @@ def cmd_profiles(args: argparse.Namespace) -> int:
         '     "profile.csv" using 1:3 with lines title "fractional laplacian", \\\n'
         '     "profile.csv" using 1:4 with lines title "velocity"\n'
     )
-    checks = {
-        "values_finite": _check(
-            0.0, 0.5, passed=bool(np.isfinite(table).all())
-        )
-    }
-    passed = checks["values_finite"]["passed"]
-    _write_manifest(
-        out,
-        "profiles",
-        files=["profile.csv", "profiles.gp"],
-        checks=checks,
-        failure=None if passed else "profile tabulation produced non-finite values",
-        wall=time.perf_counter() - start,
-        extra={"alpha": alpha, "n": n},
-    )
-    print(f"profiles: wrote {out / 'profile.csv'} (alpha={alpha:g}, {n} points)")
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    manifest["files"] = ["profile.csv", "profiles.gp"]
+    checks = {"values_finite": _check(0.0, 0.5, passed=bool(np.isfinite(table).all()))}
+    code = _gate(manifest, checks, "profile tabulation produced non-finite values")
+    print(f"profiles: wrote {args.out / 'profile.csv'} (alpha={alpha:g}, {n} points)")
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +334,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--which", default="mass,comparison,maxprinciple",
         help=f"comma-separated subset of {','.join(VERIFY_CHECKS)}",
     )
-    _add_out(p, "verify-out")
-    p.set_defaults(func=cmd_verify, verify_default_out=True)
+    p.add_argument("--out", type=Path, help="output directory (default: RUNDIR/verify)")
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scaling", help="run a scaling-limit experiment")
     p.add_argument("--config", type=Path, required=True, help="INI base configuration")
@@ -490,15 +358,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    raw = argv if argv is not None else sys.argv[1:]
-    args.out_given = any(a == "--out" or a.startswith("--out=") for a in raw)
-    env_out = os.environ.get("EULER_ALIGN_OUT")
-    if env_out:
-        args.out = Path(env_out)
-        args.out_given = True
-    return args.func(args)
+    """Run one subcommand; the only place that picks the exit code and writes the manifest."""
+    args = _build_parser().parse_args(argv)
+    args.out = Path(os.environ.get("EULER_ALIGN_OUT") or args.out or args.rundir / "verify")
+    manifest = {"command": args.command, "version": __version__, "files": [], "checks": {}, "failure": None}
+    start = time.perf_counter()
+    try:
+        return args.func(args, manifest)
+    except (ConfigError, GridError, DiagnosticsError, OSError, _BadInput) as exc:
+        # Also initial data named by a config that cannot be read (missing
+        # file, non-finite or off-grid samples): the input is bad, not the run.
+        manifest["failure"] = str(exc)
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except SolverError as exc:
+        manifest["failure"] = str(exc)
+        print(f"runtime abort: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME_ABORT
+    except BaseException as exc:
+        manifest["failure"] = f"{type(exc).__name__}: {exc}"
+        raise
+    finally:
+        manifest["wall_time_seconds"] = round(time.perf_counter() - start, 3)
+        _write_manifest(args.out, manifest)
 
 
 if __name__ == "__main__":

@@ -371,6 +371,12 @@ def _scale_factors(lambdas) -> tuple[float, ...]:
     return lams
 
 
+def _check_distance_exponent(name: str, value: float) -> None:
+    """Like ``grid.lp_norm``, an L^p distance needs p >= 1 or p = inf."""
+    if not value >= 1:
+        raise DiagnosticsError(f"distance exponent {name} must be >= 1 or inf, got {value}")
+
+
 def scaling_limit_experiment(
     base_cfg: SolverConfig,
     lambdas,
@@ -392,6 +398,7 @@ def scaling_limit_experiment(
     plus time-averaged L^q distances of the mollified density and G.
     """
     lams = _scale_factors(lambdas)
+    _check_distance_exponent("q", q)
     if base_cfg.initial.mode != "proportional":
         raise DiagnosticsError("rarefaction experiment requires proportional initial data")
     if base_cfg.initial.g_coef <= 1e-12:
@@ -482,6 +489,7 @@ def barenblatt_limit_experiment(
     target(y) ||_{L^p} with the target described in _barenblatt_case.
     """
     lams = _scale_factors(lambdas)
+    _check_distance_exponent("p", p)
     if base_cfg.initial.mode != "zero_G":
         raise DiagnosticsError("barenblatt experiment requires zero_G initial data")
     grid = base_cfg.make_grid()

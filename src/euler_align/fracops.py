@@ -50,7 +50,6 @@ from .grid import (
     Field,
     Grid1D,
     GridError,
-    antiderivative,
     cumulative_trapezoid,
     integrate,
     lp_norm,
@@ -363,26 +362,6 @@ def left_tail_anchor(f: Field, alpha: float) -> float:
     w = (grid.x[1:] + grid.half_width) ** (-a)
     acc = float(grid.spacing * (f.values[1:] * w).sum())
     return -singular_kernel_constant(a) / a * acc
-
-
-def antiderivative_fraclap(
-    f: Field, ws: SpectralWorkspace, image_correction: bool = False
-) -> Field:
-    """Velocity primitive d_x^{-1} Lambda^alpha f, anchored at the real-line value.
-
-    The periodic route applies the -i*sgn(xi)*|xi|^(alpha-1) multiplier (the
-    zero mode fixes only a gauge) and then shifts by a constant so the value at
-    the left grid edge equals the zero-extension cumulative integral
-    ``left_tail_anchor(f, alpha)``.  With ``image_correction=True`` the
-    cumulative integral of the periodic-image term is added as well, which
-    recovers the real-line primitive in the interior.
-    """
-    _check_ws(f, ws)
-    w = apply_multiplier(f, ws.pdinv_multiplier).values
-    w = w - w[0] + left_tail_anchor(f, ws.alpha)
-    if image_correction:
-        w = w + antiderivative(periodic_image_correction(f, ws)).values
-    return Field(f.grid, w)
 
 
 def velocity_from_state(

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+import math
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from euler_align.cli import main
+from euler_align.cli import VERIFY_CHECKS, main
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -64,6 +68,10 @@ mode = proportional
 rho0_kind = bump
 rho0_width = 2.0
 """
+
+BARENBLATT_BASE = SCALING_BASE.replace("mode = proportional", "mode = zero_G").replace(
+    "rho0_kind = bump", "rho0_kind = gaussian"
+).replace("rho0_width = 2.0", "rho0_width = 0.5").replace("half_width = 8.0", "half_width = 12.0")
 
 
 def _manifest(outdir: Path) -> dict:
@@ -160,6 +168,17 @@ class TestSimulateCommand:
         for name in ("summary.csv", "state_000.csv", "state_001.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_unexpected_error_writes_manifest_and_propagates(self, tmp_path, monkeypatch):
+        def crash(cfg):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr("euler_align.cli.run", crash)
+        cfg = _write(tmp_path, "crash.ini", SMALL_RUN)
+        out = tmp_path / "crash"
+        with pytest.raises(ZeroDivisionError):
+            main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert "ZeroDivisionError" in _manifest(out)["failure"]
+
     def test_environment_variable_overrides_out(self, tmp_path, monkeypatch):
         cfg = _write(tmp_path, "env.ini", SMALL_RUN)
         target = tmp_path / "env_out"
@@ -183,6 +202,7 @@ class TestVerifyCommand:
         manifest = _manifest(rundir / "verify")
         assert {"mass_rho", "mass_G", "max_principle", "comparison"} <= set(manifest["checks"])
         assert manifest["failure"] is None
+        assert manifest["checks"]["comparison"] == _manifest(rundir)["checks"]["comparison"]
 
     def test_explicit_out_and_subset(self, rundir, tmp_path):
         out = tmp_path / "v"
@@ -197,6 +217,16 @@ class TestVerifyCommand:
     def test_missing_rundir_exits_two(self, tmp_path):
         out = tmp_path / "vmissing"
         assert main(["verify", str(tmp_path / "nope"), "--out", str(out)]) == 2
+
+    def test_malformed_run_manifest_exits_two(self, rundir, tmp_path):
+        broken = tmp_path / "broken"
+        shutil.copytree(rundir, broken)
+        manifest = _manifest(broken)
+        manifest["config"]["initial"]["rho0"]["bogus"] = 1.0
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "vbroken"
+        assert main(["verify", str(broken), "--out", str(out)]) == 2
+        assert "cannot load run directory" in _manifest(out)["failure"]
 
     def test_decay_and_oleinik_on_long_run(self, tmp_path):
         cfg = _write(tmp_path, "decay.ini", DECAY_RUN)
@@ -264,6 +294,20 @@ class TestScalingCommand:
         assert "lambdas must be finite" in _manifest(out)["failure"]
 
     @pytest.mark.parametrize(
+        "mode, option", [("rarefaction", "--q=0"), ("rarefaction", "--q=nan"), ("barenblatt", "--p=0")]
+    )
+    def test_distance_exponent_below_one_exits_two_with_manifest(self, tmp_path, mode, option):
+        base = SCALING_BASE if mode == "rarefaction" else BARENBLATT_BASE
+        cfg = _write(tmp_path, "base.ini", base)
+        out = tmp_path / "scexp"
+        code = main([
+            "scaling", "--config", str(cfg), "--mode", mode,
+            "--lambdas", "1,2", "--jobs", "1", option, "--out", str(out),
+        ])
+        assert code == 2
+        assert f"distance exponent {option[2]}" in _manifest(out)["failure"]
+
+    @pytest.mark.parametrize(
         "mode, initial",
         [("barenblatt", "mode = zero_G"), ("rarefaction", "mode = proportional")],
         ids=["barenblatt", "rarefaction"],
@@ -308,3 +352,49 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def scaling_config(tmp_path_factory):
+    return _write(tmp_path_factory.mktemp("fuzz_config"), "base.ini", SCALING_BASE)
+
+
+def _rejected_exponent():
+    return st.one_of(st.floats(max_value=1.0, exclude_max=True), st.just(math.nan))
+
+
+def _rejected_lambdas():
+    """Dilation lists that fail parsing or validation, so no solver run starts."""
+    bad_values = st.lists(st.floats(), min_size=1).filter(lambda v: not all(1 <= x < math.inf for x in v))
+    no_digits = st.text().filter(lambda t: not any(c.isdigit() for c in t))
+    return st.one_of(bad_values.map(lambda v: ",".join(map(repr, v))), no_digits)
+
+
+_CLI_FUZZ_ARGS = st.one_of(
+    st.tuples(st.just("profiles"), st.text()),
+    st.tuples(st.just("verify"), st.one_of(st.text(), st.lists(st.sampled_from(VERIFY_CHECKS + ("", " x"))).map(",".join))),
+    st.tuples(st.just("scaling-lambdas"), _rejected_lambdas()),
+    st.tuples(st.just("scaling-q"), _rejected_exponent().map(repr)),
+    st.tuples(st.just("scaling-p"), _rejected_exponent().map(repr)),
+)
+
+
+class TestContractFuzz:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=_CLI_FUZZ_ARGS)
+    def test_exit_code_and_manifest(self, case, rundir, scaling_config, tmp_path_factory):
+        """Any argument text exits 0, 1 or 2 with a manifest whose failure is set iff the exit is nonzero."""
+        kind, text = case
+        out = tmp_path_factory.mktemp("fuzz")
+        scaling = ["scaling", "--config", str(scaling_config), "--jobs", "1", "--out", str(out)]
+        argv = {
+            "profiles": ["profiles", f"--alpha={text}", "--out", str(out)],
+            "verify": ["verify", str(rundir), f"--which={text}", "--out", str(out)],
+            "scaling-lambdas": scaling + ["--mode", "rarefaction", f"--lambdas={text}"],
+            "scaling-q": scaling + ["--mode", "rarefaction", "--lambdas", "1,2", f"--q={text}"],
+            "scaling-p": scaling + ["--mode", "barenblatt", "--lambdas", "1,2", f"--p={text}"],
+        }[kind]
+        code = main(argv)
+        assert code in (0, 1, 2)
+        assert (_manifest(out)["failure"] is None) == (code == 0)
+
