@@ -23,6 +23,9 @@ This expression is validated in the test suite against direct adaptive
 quadrature of the singular integral; it integrates to exactly -1 over (1, inf)
 (so U is continuous at the support edge) and behaves like C_H |x|^(-1-alpha)
 with C_H = Gamma(1/2) / (Gamma(-alpha/2) Gamma((3+alpha)/2)) < 0 at infinity.
+
+``scipy.special`` (hyp2f1 and the Gauss rules) is imported inside the
+functions that call it, so importing the package loads no scipy module.
 """
 from __future__ import annotations
 
@@ -31,7 +34,6 @@ import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import hyp2f1, roots_jacobi, roots_legendre
 
 from .fracops import FracOrder
 from .grid import cumulative_trapezoid
@@ -97,6 +99,8 @@ def getoor_fraclap_tail(alpha: float, x) -> np.ndarray | float:
     Diverges like -(|x|-1)^(-alpha/2) at the support edge and decays like
     C_H |x|^(-1-alpha); its integral over (1, inf) is exactly -1.
     """
+    from scipy.special import hyp2f1
+
     a = float(FracOrder(alpha))
     xs = np.asarray(x, dtype=float)
     s = np.abs(xs)
@@ -162,6 +166,8 @@ def _u_cache(alpha: float) -> tuple[np.ndarray, np.ndarray, float, float]:
     cached = _U_CACHE.get(key)
     if cached is not None:
         return cached
+    from scipy.special import hyp2f1
+
     a = key
     q = 2.0 / (2.0 - a)
     t_far = _far_tail(a)
@@ -190,6 +196,8 @@ def _far_tail(alpha: float) -> float:
     where w^(-4/alpha) does.  The integrand is smooth on [0, 1]: 64 nodes
     reach ~1e-14 relative accuracy.
     """
+    from scipy.special import hyp2f1
+
     a = alpha
     x, weights = leggauss(_U_FAR_NODES)
     w = 0.5 * (x + 1.0)
@@ -386,6 +394,8 @@ def burgers_weak_residual(
     the residual measures only the weak-solution property (zero for the
     entropy solution).
     """
+    from scipy.special import roots_legendre
+
     gl_x, gw_x = roots_legendre(n_space)
     gl_t, gw_t = roots_legendre(n_time)
 
@@ -428,6 +438,8 @@ def continuity_weak_residual(
     Gauss-Jacobi panel with weight (1-y^2)^(alpha/2) absorbing the edge
     behavior exactly.
     """
+    from scipy.special import roots_jacobi, roots_legendre
+
     a = float(FracOrder(alpha))
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (0 < t0 < t1):

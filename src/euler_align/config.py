@@ -201,19 +201,11 @@ def load_config(path: str | Path) -> SolverConfig:
 
 
 def _shape_lines(prefix: str, shape: ShapeSpec) -> list[str]:
+    # Every field, also those the kind does not read, so that the dump
+    # parses back to an equal ShapeSpec.
     lines = [f"{prefix}_kind = {shape.kind}"]
-    if shape.kind in ("gaussian", "bump"):
-        lines += [
-            f"{prefix}_mass = {shape.mass!r}",
-            f"{prefix}_width = {shape.width!r}",
-            f"{prefix}_center = {shape.center!r}",
-        ]
-    elif shape.kind == "getoor":
-        lines += [
-            f"{prefix}_amplitude = {shape.amplitude!r}",
-            f"{prefix}_center = {shape.center!r}",
-        ]
-    else:
+    lines += [f"{prefix}_{k} = {getattr(shape, k)!r}" for k in ("mass", "width", "center", "amplitude")]
+    if shape.path is not None:
         lines.append(f"{prefix}_path = {shape.path}")
     return lines
 
@@ -245,12 +237,11 @@ def dump_config(cfg: SolverConfig) -> str:
         "[initial]",
         f"mode = {cfg.initial.mode}",
     ]
-    if cfg.initial.mode == "proportional":
-        lines += [
-            f"g_coef = {cfg.initial.g_coef!r}",
-            f"b_coef = {cfg.initial.b_coef!r}",
-            f"a_coef = {cfg.initial.a_coef!r}",
-        ]
+    lines.append(f"g_coef = {cfg.initial.g_coef!r}")
+    for key in ("b_coef", "a_coef"):
+        value = getattr(cfg.initial, key)
+        if value is not None:
+            lines.append(f"{key} = {value!r}")
     lines += _shape_lines("rho0", cfg.initial.rho0)
     if cfg.initial.g0 is not None:
         lines += _shape_lines("g0", cfg.initial.g0)

@@ -32,10 +32,20 @@ evaluated as a single real-FFT product of length 2n.  The separate
 stays as the independent reference route the tests check that kernel
 against, and as the correction used by ``fractional_laplacian_spectral``.
 
-``fftconvolve`` is the module's own full linear convolution on
-``scipy.fft``: the same transforms ``scipy.signal.fftconvolve`` runs for
-real 1-D input, so results are bit-identical, without importing
-``scipy.signal``, which would be most of the package's start-up time.  It
+Every transform runs on ``numpy.fft``, not ``scipy.fft``.  Both wrap the
+same pocketfft C++ code and give the same floats, but importing
+``scipy.fft`` (which also loads ``scipy.special``) would be most of the
+package's start-up time, and only ``numpy.fft`` (numpy >= 2.0) takes an
+``out=`` array.  The velocity and the solver's spectral step write their
+transforms and elementwise intermediates into per-thread work arrays (see
+``_work_array``) that persist between calls: at n >= 8192 each is >= 128 KiB,
+and fresh ones would make the allocator trim and re-fault the heap top on
+every step.  Call sites name ``np.fft.rfft`` through the module attribute,
+so call counters can patch it.
+
+``fftconvolve`` is the module's own full linear convolution: the transforms
+``scipy.signal.fftconvolve`` runs for real 1-D input, at the same 5-smooth
+length, so results are bit-identical without importing ``scipy.signal``.  It
 stays a module-level name so that call counters can patch it.
 """
 from __future__ import annotations
@@ -43,9 +53,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 import sys
+import threading
 
 import numpy as np
-import scipy.fft
 
 from .grid import (
     Field,
@@ -57,11 +67,43 @@ from .grid import (
 )
 
 
+def _next_fast_len(m: int) -> int:
+    """Smallest 5-smooth integer >= m, as ``scipy.fft.next_fast_len(m, True)``."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            quotient = -(-m // p35)
+            best = min(best, p35 << (quotient - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear convolution of two real 1-D arrays, as ``scipy.signal.fftconvolve``."""
     m = len(a) + len(b) - 1
-    size = scipy.fft.next_fast_len(m, True)
-    return scipy.fft.irfft(scipy.fft.rfft(a, size) * scipy.fft.rfft(b, size), size)[:m]
+    size = _next_fast_len(m)
+    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:m]
+
+
+_work = threading.local()
+
+
+def _work_array(name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    """This thread's work array ``name``, allocated anew only when its shape changes.
+
+    The contents are scratch: every caller overwrites the array before it
+    reads it, and no caller returns it.  Keeping the arrays per thread, and
+    out of ``SpectralWorkspace``, lets threads share one workspace, which
+    stays immutable and picklable.
+    """
+    arr = getattr(_work, name, None)
+    if arr is None or arr.shape != shape:
+        arr = np.empty(shape, dtype)
+        setattr(_work, name, arr)
+    return arr
 
 
 class FracOrderError(ValueError):
@@ -114,7 +156,9 @@ class SpectralWorkspace:
     transport multipliers are built on first use, so a workspace that never
     reconstructs a velocity never pays for them.  Every cached array is
     frozen, and building one twice gives the same values, so a workspace may
-    be shared across threads.
+    be shared across threads and pickled.  The scratch arrays that the
+    velocity and the spectral step write into are not part of it: they are
+    per thread, one set per grid size (``_work_array``).
     """
 
     def __init__(self, grid: Grid1D, alpha: float, n_images: int = 64):
@@ -212,12 +256,12 @@ class SpectralWorkspace:
         spectrum = self._velocity_kernels.get(key)
         if spectrum is None:
             n, h = self.grid.n, self.grid.spacing
-            p = scipy.fft.irfft(self.pdinv_multiplier[: n // 2 + 1], n)
+            p = np.fft.irfft(self.pdinv_multiplier[: n // 2 + 1], n)
             kernel = p[np.arange(-(n - 1), n) % n]
             if key:
                 q = self.image_kernel()
                 kernel += h * (np.cumsum(h * q) - 0.5 * h * q)
-            spectrum = scipy.fft.rfft(kernel, 2 * n)
+            spectrum = np.fft.rfft(kernel, 2 * n)
             spectrum.setflags(write=False)
             self._velocity_kernels[key] = spectrum
         return spectrum
@@ -421,10 +465,12 @@ def _velocity_values(
 ) -> np.ndarray:
     """Raw-array core of ``velocity_from_state``; the caller has checked its arguments."""
     n = ws.grid.n
-    spectrum = scipy.fft.rfft(rho, 2 * n) * ws.velocity_kernel_spectrum(image_correction)
-    c = scipy.fft.irfft(spectrum, 2 * n)[n - 1 : 2 * n - 1]
+    spectrum = np.fft.rfft(rho, 2 * n, out=_work_array("velocity_hat", (n + 1,), complex))
+    spectrum *= ws.velocity_kernel_spectrum(image_correction)
+    c = np.fft.irfft(spectrum, 2 * n, out=_work_array("velocity_conv", (2 * n,)))[n - 1 : 2 * n - 1]
+    c -= c[0]
     u = cumulative_trapezoid(g, ws.grid.spacing)
-    u += c - c[0]
+    u += c
     if gauge == "real_line":
         u += ws.tail_anchor_weights() @ rho
     return u

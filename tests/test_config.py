@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 from pathlib import Path
+import sys
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from euler_align import (
     InitialDataSpec,
     ShapeSpec,
     SolverConfig,
+    SolverError,
     as_field,
     build_grid,
     dump_config,
@@ -155,3 +159,61 @@ class TestDump:
             ),
         )
         assert self._round_trip(cfg) == cfg
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_round_trip_property(self, data):
+        """Every valid config dumps and parses back to an equal one; ``output_times=()`` is invalid."""
+        kwargs = data.draw(_config_kwargs())
+        if kwargs["output_times"] == ():
+            with pytest.raises(SolverError, match="at least one time"):
+                SolverConfig(**kwargs)
+            return
+        cfg = SolverConfig(**kwargs)
+        assert self._round_trip(cfg) == cfg
+
+
+_POSITIVE = st.floats(min_value=5e-324, max_value=1e300)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+_SHAPES = st.builds(
+    ShapeSpec,
+    kind=st.sampled_from(("gaussian", "bump", "getoor", "csv")),
+    mass=_POSITIVE,
+    width=_POSITIVE,
+    center=_FINITE,
+    amplitude=_POSITIVE,
+    path=st.from_regex(r"[a-z0-9_]{1,8}(/[a-z0-9_]{1,8})?\.csv", fullmatch=True),
+)
+
+
+@st.composite
+def _initial_specs(draw) -> InitialDataSpec:
+    mode = draw(st.sampled_from(("proportional", "independent", "zero_G")))
+    rho0 = draw(_SHAPES)
+    if mode == "proportional":
+        b, c, a = sorted(draw(st.lists(st.floats(0.0, 1e6), min_size=3, max_size=3)))
+        return InitialDataSpec(rho0, mode, g_coef=c, b_coef=draw(st.none() | st.just(b)),
+                               a_coef=draw(st.none() | st.just(a)))
+    g0 = draw(_SHAPES) if mode == "independent" else draw(st.none() | _SHAPES)
+    coefs = st.none() | st.floats(allow_nan=False, allow_infinity=False)
+    return InitialDataSpec(rho0, mode, g_coef=draw(st.floats(0.0, 1e6)),
+                           b_coef=draw(coefs), a_coef=draw(coefs), g0=g0)
+
+
+@st.composite
+def _config_kwargs(draw) -> dict:
+    t_end = draw(st.floats(0.0, 1e6))
+    times = st.lists(st.floats(0.0, t_end), max_size=4, unique=True).map(lambda ts: tuple(sorted(ts)))
+    return dict(
+        alpha=draw(st.floats(sys.float_info.min, 1.0, exclude_max=True)),
+        n=2 * draw(st.integers(4, 1 << 16)),
+        half_width=draw(st.floats(1e-6, 1e6)),
+        t_end=t_end,
+        initial=draw(_initial_specs()),
+        epsilon=draw(st.none() | st.floats(0.0, 1e3)),
+        cfl=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        flux_scheme=draw(st.sampled_from(("spectral", "upwind"))),
+        output_times=draw(st.none() | times),
+        image_correction=draw(st.booleans()),
+    )

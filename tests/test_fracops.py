@@ -28,7 +28,7 @@ from euler_align import (
     velocity_from_state,
     velocity_profile_U,
 )
-from euler_align import closedform
+from euler_align import closedform, fracops
 from euler_align.fracops import apply_multiplier, derivative, fftconvolve
 from euler_align.grid import antiderivative
 
@@ -399,6 +399,12 @@ class TestLocalConvolution:
 
         a, b = rng.standard_normal(la), rng.standard_normal(lb)
         assert np.array_equal(fftconvolve(a, b), signal.fftconvolve(a, b))
+
+    def test_next_fast_len_matches_scipy(self):
+        import scipy.fft
+
+        got = [fracops._next_fast_len(m) for m in range(1, 20001)]
+        assert got == [scipy.fft.next_fast_len(m, True) for m in range(1, 20001)]
 
     @pytest.mark.parametrize("alpha", (0.1, 0.25, 0.5, 0.75, 0.9))
     def test_velocity_profile_U_far_tail_matches_tight_quad(self, alpha, monkeypatch):

@@ -1,8 +1,16 @@
-"""Import graph: the package starts, and runs its oracles, on numpy, scipy.fft and scipy.special alone."""
+"""Import graph: the package starts on numpy alone, and runs its oracles without heavy scipy.
+
+Importing the package, loading a config, building a workspace and making the
+initial state load no scipy module: every transform runs on ``numpy.fft``.
+``scipy.special`` is loaded on the first closed-form call that needs it.
+"""
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 # Heavy SciPy subpackages the package must not load at import time, nor in
 # `selftest` or `profiles`; each costs from a tenth of a second to a second of
@@ -24,6 +32,26 @@ def test_package_import_leaves_heavy_scipy_unloaded(fresh_python):
             "import json, sys\n"
             "import euler_align, euler_align.cli\n"
             f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n"
+        )
+    )
+    assert loaded == []
+
+
+def test_set_up_of_shipped_configs_loads_no_scipy(fresh_python):
+    paths = sorted(str(p) for p in CONFIG_DIR.glob("*.ini"))
+    assert paths
+    loaded = json.loads(
+        fresh_python(
+            "import json, sys\n"
+            "import euler_align, euler_align.cli\n"
+            "from euler_align import SpectralWorkspace, load_config, make_initial_state\n"
+            f"for path in {paths!r}:\n"
+            "    cfg = load_config(path)\n"
+            "    grid = cfg.make_grid()\n"
+            "    ws = SpectralWorkspace(grid, cfg.alpha)\n"
+            "    make_initial_state(cfg.initial, grid, cfg.alpha, ws=ws,\n"
+            "                       image_correction=cfg.image_correction)\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
         )
     )
     assert loaded == []

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 import json
 import math
 from pathlib import Path
+import pickle
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -19,6 +23,7 @@ from euler_align import (
     SolverConfig,
     SolverError,
     SpectralWorkspace,
+    State,
     as_field,
     build_grid,
     evaluate_shape,
@@ -252,6 +257,8 @@ class TestConfig:
             _gaussian_proportional(output_times=(0.0, 0.4, 0.2))
         with pytest.raises(SolverError, match="inside"):
             _gaussian_proportional(output_times=(0.0, 0.9))
+        with pytest.raises(SolverError, match="at least one time"):
+            _gaussian_proportional(output_times=())
         with pytest.raises(FracOrderError):
             SolverConfig(alpha=1.5, n=256, half_width=8.0, t_end=1.0, initial=initial)
 
@@ -292,7 +299,7 @@ class TestStep:
             step(state, 10.0, cfg, ws)
 
     def test_spectral_step_transform_count(self, monkeypatch):
-        """One spectral step: 2 velocities x 2 + 2 fluxes + 1 state rfft + 2 stage irffts."""
+        """One spectral step: 2 velocities x 2 + 2 fluxes + 1 state rfft + 2 stage irffts, all on numpy.fft."""
         cfg = _gaussian_proportional(n=256)
         grid = cfg.make_grid()
         ws = SpectralWorkspace(grid, cfg.alpha)
@@ -312,7 +319,53 @@ class TestStep:
         monkeypatch.setattr(fracops, "fftconvolve", counted("fftconvolve", fracops.fftconvolve))
         dt = 0.5 * cfg.cfl * grid.spacing / float(np.abs(state.u.values).max())
         step(state, dt, cfg, ws)
-        assert counts == {"scipy": 9, "numpy": 0, "fftconvolve": 0}
+        assert counts == {"scipy": 0, "numpy": 9, "fftconvolve": 0}
+
+    def test_used_workspace_survives_pickle(self):
+        """The per-thread work arrays live outside the workspace, so it pickles."""
+        cfg = _gaussian_proportional(n=256)
+        grid = cfg.make_grid()
+        ws = SpectralWorkspace(grid, cfg.alpha)
+        state, _ = make_initial_state(cfg.initial, grid, cfg.alpha, ws=ws)
+        dt = 0.5 * cfg.cfl * grid.spacing / float(np.abs(state.u.values).max())
+        state = step(state, dt, cfg, ws)
+        loaded = pickle.loads(pickle.dumps(ws))
+        assert np.array_equal(loaded.velocity_kernel_spectrum(True), ws.velocity_kernel_spectrum(True))
+        ours, theirs = step(state, dt, cfg, ws), step(state, dt, cfg, loaded)
+        assert np.array_equal(ours.rho.values, theirs.rho.values)
+        assert np.array_equal(ours.u.values, theirs.u.values)
+
+    @pytest.mark.parametrize("scheme", ["spectral", "upwind"])
+    def test_threads_sharing_a_workspace_match_serial_stepping(self, scheme):
+        """Each thread has its own work arrays, so concurrent steps do not mix."""
+        cfg = _gaussian_proportional(n=1024, flux_scheme=scheme)
+        grid = cfg.make_grid()
+        ws = SpectralWorkspace(grid, cfg.alpha)
+        initial = [
+            make_initial_state(replace(cfg.initial, rho0=ShapeSpec("gaussian", width=w)),
+                               grid, cfg.alpha, ws=ws)[0]
+            for w in (0.4, 0.45, 0.5, 0.55)
+        ]
+        dt = 0.25 * cfg.cfl * grid.spacing / max(float(np.abs(s.u.values).max()) for s in initial)
+
+        def advance(state: State) -> State:
+            for _ in range(20):
+                state = step(state, dt, cfg, ws)
+            return state
+
+        serial = [advance(s) for s in initial]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(initial)) as pool:
+                futures = [pool.submit(advance, s) for s in initial]
+                threaded = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(switch)
+        for a, b in zip(serial, threaded):
+            assert np.array_equal(a.rho.values, b.rho.values)
+            assert np.array_equal(a.g.values, b.g.values)
+            assert np.array_equal(a.u.values, b.u.values)
 
     @pytest.mark.parametrize("scheme, calls", [("upwind", 2), ("spectral", 2)])
     def test_velocities_per_step(self, monkeypatch, scheme, calls):
