@@ -151,7 +151,10 @@ def cumulative_trapezoid(values: np.ndarray, h: float) -> np.ndarray:
     """Array form of ``antiderivative``: cumulative trapezoid sums, starting at 0."""
     g = np.empty(len(values))
     g[0] = 0.0
-    np.cumsum(0.5 * h * (values[:-1] + values[1:]), out=g[1:])
+    # 0.5 * h * (values[:-1] + values[1:]), summed in place in g's own storage.
+    tail = np.add(values[:-1], values[1:], out=g[1:])
+    tail *= 0.5 * h
+    np.cumsum(tail, out=tail)
     return g
 
 

@@ -25,13 +25,17 @@ real-line gauge at every stage.  Two transport discretizations are provided:
 Mass of rho and of G is conserved to roundoff by both schemes: the fluxes
 telescope (upwind) or have an exactly zero mean mode (spectral), and the
 diffusion operators are periodic.
+
+Both schemes run through one raw-array core, ``_advance``, that ``run`` loops
+on and ``step`` wraps; ``Field``s are built only at those API boundaries, for
+each ``step`` result and each state ``run`` records.
 """
 from __future__ import annotations
 
 import json
 import math
 import time as _time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -400,7 +404,7 @@ def _velocity(rho: np.ndarray, g: np.ndarray, ws: SpectralWorkspace, cfg: Solver
 def _spectral_step(
     rho: np.ndarray, g: np.ndarray, u: np.ndarray, dt: float,
     ws: SpectralWorkspace, cfg: SolverConfig, eps: float,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Integrating-factor SSP-RK2 (Lawson-Heun) on the stacked (rho, G) array.
 
     With E = exp(-eps xi^2 dt) and the flux F(Y) = i xi (Y u(Y))^:
@@ -416,9 +420,7 @@ def _spectral_step(
     decay *= dt
     np.exp(decay, out=decay)
     dt_ik = np.multiply(dt, ik, out=_work_array("step_dt_ik", (m,), complex))
-    y = _work_array("step_y", (2, n))
-    y[0] = rho
-    y[1] = g
+    y = np.stack((rho, g), out=_work_array("step_y", (2, n)))
     y_hat = np.fft.rfft(y, out=_work_array("step_y_hat", (2, m), complex))
     y *= u
     s1 = np.fft.rfft(y, out=_work_array("step_s1", (2, m), complex))
@@ -435,40 +437,76 @@ def _spectral_step(
     f2 *= dt
     y_hat -= f2
     y_hat *= 0.5
-    y = np.fft.irfft(y_hat, n)
-    return y[0], y[1]
+    return np.fft.irfft(y_hat, n)
+
+
+def _upwind_tendency(y: np.ndarray, u: np.ndarray, eps: float, h: float, out: np.ndarray) -> np.ndarray:
+    """-(F_j - F_{j-1}) / h + eps (y_{j+1} - 2 y_j + y_{j-1}) / h^2 of the stacked y, into out.
+
+    F_j = max(w_j, 0) y_j + min(w_j, 0) y_{j+1} with w_j = 0.5 (u_j + u_{j+1}), periodic in j,
+    evaluated in that order on work arrays, so the floats are those of the plain expressions.
+    """
+    u_minus = _work_array("upwind_u_minus", u.shape)
+    np.add(u[:-1], u[1:], out=u_minus[:-1])
+    np.add(u[-1:], u[:1], out=u_minus[-1:])
+    u_minus *= 0.5
+    u_plus = np.maximum(u_minus, 0.0, out=_work_array("upwind_u_plus", u.shape))
+    np.minimum(u_minus, 0.0, out=u_minus)
+    y_next = np.concatenate((y[:, 1:], y[:, :1]), axis=1, out=_work_array("upwind_y_next", y.shape))
+    flux = np.multiply(u_plus, y, out=_work_array("upwind_flux", y.shape))
+    flux += np.multiply(u_minus, y_next, out=out)
+    np.subtract(flux[:, 1:], flux[:, :-1], out=out[:, 1:])
+    np.subtract(flux[:, :1], flux[:, -1:], out=out[:, :1])
+    np.negative(out, out=out)
+    out /= h
+    diff = np.multiply(2.0, y, out=flux)
+    np.subtract(y_next, diff, out=diff)
+    diff[:, 1:] += y[:, :-1]
+    diff[:, :1] += y[:, -1:]
+    diff *= eps
+    diff /= h**2
+    out += diff
+    return out
 
 
 def _upwind_step(
     rho: np.ndarray, g: np.ndarray, u: np.ndarray, dt: float,
     ws: SpectralWorkspace, cfg: SolverConfig, eps: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """SSP-RK2 (Heun): a convex average of two forward-Euler substeps.
+) -> np.ndarray:
+    """SSP-RK2 (Heun): y1 = y + dt D(y, u), y_new = (y + y1 + dt D(y1, u(y1))) / 2.
 
-    Each substep is face-centered upwind advection plus explicit
-    second-difference diffusion on the stacked (rho, G) array, with periodic
-    neighbours taken by slicing.  u is the velocity of (rho, G), so only the
-    second substep reconstructs one.
+    D is ``_upwind_tendency`` on the stacked (rho, G) array.  u is the velocity
+    of (rho, G), so only the second substep reconstructs one.  y_new is fresh.
     """
     h = ws.grid.spacing
+    y = np.stack((rho, g), out=_work_array("upwind_y", (2, ws.grid.n)))
+    dy = _upwind_tendency(y, u, eps, h, _work_array("upwind_dy", y.shape))
+    dy *= dt
+    y1 = np.add(y, dy, out=_work_array("upwind_y1", y.shape))
+    _upwind_tendency(y1, _velocity(y1[0], y1[1], ws, cfg), eps, h, dy)
+    dy *= dt
+    y1 += y
+    y1 += dy
+    return np.multiply(0.5, y1)
 
-    def shift(v: np.ndarray, k: int) -> np.ndarray:  # v[..., (j + k) mod n]
-        return np.concatenate((v[..., k:], v[..., :k]), axis=-1)
 
-    def tendency(y: np.ndarray, u: np.ndarray) -> np.ndarray:
-        u_face = 0.5 * (u + shift(u, 1))
-        u_plus = np.maximum(u_face, 0.0)
-        u_minus = np.minimum(u_face, 0.0)
-        y_next = shift(y, 1)
-        flux = u_plus * y + u_minus * y_next
-        adv = -(flux - shift(flux, -1)) / h
-        diff = eps * (y_next - 2.0 * y + shift(y, -1)) / h**2
-        return adv + diff
+def _advance(
+    rho: np.ndarray, g: np.ndarray, u: np.ndarray, t: float, dt: float,
+    ws: SpectralWorkspace, cfg: SolverConfig, eps: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The raw-array step ``step`` and ``run`` share: fresh stacked (rho, G) at t + dt and its u.
 
-    y = np.stack((rho, g))
-    y1 = y + dt * tendency(y, u)
-    y = 0.5 * (y + y1 + dt * tendency(y1, _velocity(y1[0], y1[1], ws, cfg)))
-    return y[0], y[1]
+    Raises SolverError on non-finite values; the caller has checked dt.
+    """
+    scheme = _upwind_step if cfg.flux_scheme == "upwind" else _spectral_step
+    y = scheme(rho, g, u, dt, ws, cfg, eps)
+    if not np.isfinite(y).all():
+        raise SolverError(f"non-finite values produced at t = {t + dt:.6g}; aborting")
+    return y, _velocity(y[0], y[1], ws, cfg)
+
+
+def _state(grid: Grid1D, y: np.ndarray, t: float, u: np.ndarray) -> State:
+    return State(rho=Field(grid, y[0]), g=Field(grid, y[1]), t=t, u=Field(grid, u))
 
 
 def step(state: State, dt: float, cfg: SolverConfig, ws: SpectralWorkspace) -> State:
@@ -477,7 +515,8 @@ def step(state: State, dt: float, cfg: SolverConfig, ws: SpectralWorkspace) -> S
     state.u must be the velocity State describes; both schemes use it as
     their first-stage velocity.  Raises SolverError on a CFL violation (dt
     beyond the scheme's stability cap) or if the update produces non-finite
-    values.
+    values.  It wraps the raw-array core ``run`` loops on, adding these checks
+    and the new State's 3 ``Field``s.
     """
     if dt <= 0 or not math.isfinite(dt):
         raise SolverError(f"dt must be positive and finite, got {dt}")
@@ -493,18 +532,8 @@ def step(state: State, dt: float, cfg: SolverConfig, ws: SpectralWorkspace) -> S
             f"CFL violation: dt = {dt:.6g} exceeds the {cfg.flux_scheme} cap {dt_cap:.6g} "
             f"(||u||_inf = {u_inf:.6g}, h = {h:.6g}, eps = {eps:.6g})"
         )
-    rho, g = state.rho.values, state.g.values
-    advance = _upwind_step if cfg.flux_scheme == "upwind" else _spectral_step
-    rho_new, g_new = advance(rho, g, state.u.values, dt, ws, cfg, eps)
-    if not (np.isfinite(rho_new).all() and np.isfinite(g_new).all()):
-        raise SolverError(f"non-finite values produced at t = {state.t + dt:.6g}; aborting")
-    t_new = state.t + dt
-    rho_f = Field(grid, rho_new)
-    g_f = Field(grid, g_new)
-    u_f = velocity_from_state(
-        rho_f, g_f, ws, image_correction=cfg.image_correction, gauge="real_line"
-    )
-    return State(rho=rho_f, g=g_f, t=t_new, u=u_f)
+    y, u = _advance(state.rho.values, state.g.values, state.u.values, state.t, dt, ws, cfg, eps)
+    return _state(grid, y, state.t + dt, u)
 
 
 # ---------------------------------------------------------------------------
@@ -534,20 +563,18 @@ class Trajectory:
 _L4_FLUSH = 2.0**-280
 
 
-def _summary_row(
-    t: float, rho: np.ndarray, g: np.ndarray, u_inf: float, report: InitialReport, h: float
-) -> list[float]:
-    """One SUMMARY_COLUMNS row, in one pass over the stacked (rho, G) array.
+def _summary_row(t: float, y: np.ndarray, u_inf: float, report: InitialReport, h: float) -> list[float]:
+    """One SUMMARY_COLUMNS row, in one pass over the stacked (rho, G) array y.
 
     Each value is the float ``integrate``/``lp_norm`` give on the fields.
     """
-    y = np.stack((rho, g))
     ay = np.abs(y)
     mass = h * y.sum(axis=1)
     l1 = h * ay.sum(axis=1)
     l2 = h * (ay**2).sum(axis=1)
     l4 = h * (np.where(ay < _L4_FLUSH, 0.0, ay) ** 4).sum(axis=1)
     linf = ay.max(axis=1)
+    rho, g = y
     b, a = report.b, report.a
     if math.isfinite(a) and math.isfinite(b):
         min_arho_g = float((a * rho - g).min())
@@ -563,6 +590,8 @@ def _summary_row(
 def run(cfg: SolverConfig, *, ws: SpectralWorkspace | None = None) -> Trajectory:
     """Integrate from t = 0 to t_end, recording states at the output times.
 
+    The loop advances raw arrays through the core ``step`` wraps and builds
+    ``Field``s only for recorded states, whose t is the output time itself.
     The run aborts with SolverError if the state develops non-finite values
     or if the density/G support reaches the outer quarter of the domain
     (|x| >= 3L/4), where the periodic truncation stops being meaningful.
@@ -571,51 +600,52 @@ def run(cfg: SolverConfig, *, ws: SpectralWorkspace | None = None) -> Trajectory
     grid = cfg.make_grid()
     if ws is None:
         ws = SpectralWorkspace(grid, cfg.alpha)
-    eps = cfg.effective_epsilon(grid.spacing)
+    h = grid.spacing
+    eps = cfg.effective_epsilon(h)
     state, report = make_initial_state(
         cfg.initial, grid, cfg.alpha, ws=ws, image_correction=cfg.image_correction
     )
-    peak0 = float(np.abs(state.rho.values).max())
-    margin_zone = np.abs(grid.x) >= 0.75 * grid.half_width
+    y = np.stack((state.rho.values, state.g.values))
+    u = state.u.values
+    peak0 = float(np.abs(y[0]).max())
+    # The margin zone |x| >= 3L/4 is a prefix and a suffix of the grid.
+    inner = np.flatnonzero(np.abs(grid.x) < 0.75 * grid.half_width)
+    lo, hi = int(inner[0]), int(inner[-1]) + 1
     outputs = cfg.output_times if cfg.output_times is not None else (cfg.t_end,)
     time_tol = 1e-9 * max(1.0, cfg.t_end)
 
-    h = grid.spacing
-    u_inf = float(np.abs(state.u.values).max())
+    u_inf = float(np.abs(u).max())
     states: list[State] = []
-    rows = [_summary_row(state.t, state.rho.values, state.g.values, u_inf, report, h)]
+    rows = [_summary_row(0.0, y, u_inf, report, h)]
     next_idx = 0
     while next_idx < len(outputs) and outputs[next_idx] <= time_tol:
         states.append(state)
         next_idx += 1
 
     steps = 0
-    t = 0.0
-    while t < cfg.t_end - time_tol:
+    t = t_clock = 0.0  # t snaps to each output time it reaches; t_clock, which sets dt, does not
+    while t_clock < cfg.t_end - time_tol:
         dt = _stable_dt(cfg, eps, h, u_inf)
         if next_idx < len(outputs):
-            dt = min(dt, outputs[next_idx] - t)
-        dt = min(dt, cfg.t_end - t)
+            dt = min(dt, outputs[next_idx] - t_clock)
+        dt = min(dt, cfg.t_end - t_clock)
         if dt < 1e-13 * max(1.0, cfg.t_end):
-            raise SolverError(f"time step collapsed to {dt:.3g} at t = {t:.6g}")
-        state = step(state, dt, cfg, ws)
+            raise SolverError(f"time step collapsed to {dt:.3g} at t = {t_clock:.6g}")
+        y, u = _advance(y[0], y[1], u, t, dt, ws, cfg, eps)
         steps += 1
-        t = state.t
-        u_inf = float(np.abs(state.u.values).max())
-        rows.append(_summary_row(t, state.rho.values, state.g.values, u_inf, report, h))
+        t = t_clock = t + dt
+        u_inf = float(np.abs(u).max())
+        rows.append(_summary_row(t, y, u_inf, report, h))
         if peak0 > 0:
-            margin_peak = max(
-                float(np.abs(state.rho.values[margin_zone]).max()),
-                float(np.abs(state.g.values[margin_zone]).max()),
-            )
+            margin_peak = max(float(np.abs(y[:, :lo]).max()), float(np.abs(y[:, hi:]).max()))
             if margin_peak > MARGIN_ABORT_LEVEL * peak0:
                 raise SolverError(
                     f"support reached the boundary margin |x| >= {0.75 * grid.half_width:.6g} "
                     f"at t = {t:.6g}; enlarge the domain"
                 )
-        while next_idx < len(outputs) and t >= outputs[next_idx] - time_tol:
-            state = replace(state, t=float(outputs[next_idx]))
-            states.append(state)
+        while next_idx < len(outputs) and t_clock >= outputs[next_idx] - time_tol:
+            t = float(outputs[next_idx])
+            states.append(_state(grid, y, t, u))
             next_idx += 1
 
     table = np.asarray(rows, dtype=float)
@@ -744,6 +774,14 @@ def load_trajectory(directory: str | Path) -> Trajectory:
     )
 
 
+def _write_csv(path: Path, header: str, table: np.ndarray) -> None:
+    """The bytes of ``np.savetxt(path, table, fmt="%.17g", delimiter=",",
+    header=header, comments="# ")`` for a 2-d table, formatted in one call."""
+    rows, cols = table.shape
+    row_fmt = ",".join(["%.17g"] * cols) + "\n"
+    path.write_text(f"# {header}\n" + (row_fmt * rows) % tuple(table.ravel().tolist()))
+
+
 def save_trajectory(traj: Trajectory, outdir: str | Path) -> dict:
     """Write one CSV per output state, the summary series, and a manifest.
 
@@ -759,17 +797,10 @@ def save_trajectory(traj: Trajectory, outdir: str | Path) -> dict:
         data = np.column_stack(
             [state.rho.grid.x, state.rho.values, state.g.values, state.u.values]
         )
-        np.savetxt(outdir / name, data, fmt="%.17g", delimiter=",", header="x,rho,G,u", comments="# ")
+        _write_csv(outdir / name, "x,rho,G,u", data)
         state_files.append({"file": name, "t": state.t})
     table = np.column_stack([traj.summary[name] for name in SUMMARY_COLUMNS])
-    np.savetxt(
-        outdir / "summary.csv",
-        table,
-        fmt="%.17g",
-        delimiter=",",
-        header=",".join(SUMMARY_COLUMNS),
-        comments="# ",
-    )
+    _write_csv(outdir / "summary.csv", ",".join(SUMMARY_COLUMNS), table)
     manifest = {
         "version": __version__,
         "config": _jsonable(asdict(traj.config)),

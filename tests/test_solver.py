@@ -9,6 +9,7 @@ import math
 from pathlib import Path
 import pickle
 import sys
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -30,6 +31,7 @@ from euler_align import (
     evolved_profile_density,
     integrate,
     load_trajectory,
+    lp_norm,
     make_initial_state,
     run,
     save_trajectory,
@@ -37,6 +39,7 @@ from euler_align import (
     write_field_csv,
 )
 from euler_align import cli, solver
+from euler_align.grid import Field
 from euler_align.solver import SUMMARY_COLUMNS
 
 
@@ -418,6 +421,28 @@ class TestStep:
         assert np.array_equal(state.rho.values, rho)
         assert np.array_equal(state.g.values, g)
 
+    def test_upwind_step_peak_memory_under_768_kib(self):
+        """Warm upwind steps at n = 8192 keep their temporaries in work arrays.
+
+        Left per step: the new (rho, G), the stage and final velocities and
+        the new State's 3 Fields, 64 KiB each.
+        """
+        cfg = _gaussian_proportional(n=8192, flux_scheme="upwind")
+        grid = cfg.make_grid()
+        ws = SpectralWorkspace(grid, cfg.alpha)
+        state, _ = make_initial_state(cfg.initial, grid, cfg.alpha, ws=ws)
+        eps = cfg.effective_epsilon(grid.spacing)
+        dt = 0.5 * solver._stable_dt(cfg, eps, grid.spacing, float(np.abs(state.u.values).max()))
+        state = step(state, dt, cfg, ws)
+        tracemalloc.start()
+        try:
+            for _ in range(5):
+                state = step(state, dt, cfg, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 768 << 10
+
     @pytest.mark.parametrize("image_correction", [True, False])
     def test_spectral_step_agrees_with_strang_reference_to_third_order(self, image_correction):
         """Both steps are second order, so their one-step difference is O(dt^3)."""
@@ -536,6 +561,72 @@ class TestRun:
         assert traj.summary["t"][-1] == pytest.approx(0.2, abs=1e-9)
         assert np.all(np.diff(traj.summary["t"]) > 0)
 
+    @pytest.mark.parametrize("scheme", ["spectral", "upwind"])
+    def test_run_equals_repeated_step(self, scheme):
+        """run()'s raw-array loop and a loop of public step() calls agree bit for bit.
+
+        Every output time cuts a step short.  0.0003 + (0.0008 - 0.0003) is not
+        0.0008, so the snap of a recorded state's t to its output time moves it;
+        the next step starts from the snapped t and takes its dt, cut short by
+        0.0016, from the unsnapped one.
+        """
+        times = (0.0003, 0.0008, 0.0016, 0.05, 0.1)
+        cfg = _gaussian_proportional(flux_scheme=scheme, t_end=0.1, output_times=times)
+        traj = run(cfg)
+        grid = cfg.make_grid()
+        h = grid.spacing
+        ws = SpectralWorkspace(grid, cfg.alpha)
+        state, report = make_initial_state(cfg.initial, grid, cfg.alpha, ws=ws)
+        eps = cfg.effective_epsilon(h)
+
+        def row(s):
+            rho, g = s.rho, s.g
+            norms = [lp_norm(f, p) for f in (rho, g) for p in (1, 2, 4, math.inf)]
+            return [s.t, integrate(rho), integrate(g), *norms, lp_norm(s.u, math.inf),
+                    g.values.min(), (report.a * rho.values - g.values).min(),
+                    (report.b * rho.values - g.values).max()]
+
+        rows, states, pending, shortened, moved = [row(state)], [], list(times), 0, 0
+        t_clock = 0.0
+        while t_clock < cfg.t_end - 1e-9:
+            dt_cap = solver._stable_dt(cfg, eps, h, float(np.abs(state.u.values).max()))
+            dt = min(dt_cap, pending[0] - t_clock)
+            shortened += dt < dt_cap
+            state = step(state, dt, cfg, ws)
+            t_clock = state.t
+            rows.append(row(state))
+            if t_clock >= pending[0] - 1e-9:
+                state = replace(state, t=pending.pop(0))
+                moved += state.t != t_clock
+                states.append(state)
+        assert shortened == len(times) and moved >= 1 and not pending
+        assert traj.steps == len(rows) - 1
+        assert tuple(s.t for s in traj.states) == times
+        for ours, ref in zip(traj.states, states):
+            assert np.array_equal(ours.rho.values, ref.rho.values)
+            assert np.array_equal(ours.g.values, ref.g.values)
+            assert np.array_equal(ours.u.values, ref.u.values)
+        table = np.column_stack([traj.summary[c] for c in SUMMARY_COLUMNS])
+        assert np.array_equal(table, np.array(rows))
+
+    def test_run_builds_fields_only_at_output_times(self, monkeypatch):
+        """3 Fields per recorded state plus the initial state's, however many steps."""
+        calls = [0]
+        original = Field.__post_init__
+
+        def counted(self):
+            calls[0] += 1
+            original(self)
+
+        monkeypatch.setattr(Field, "__post_init__", counted)
+        extra = set()
+        for times in ((0.3,), (0.1, 0.2, 0.3), (0.05, 0.1, 0.15, 0.2, 0.25, 0.3)):
+            calls[0] = 0
+            traj = run(_gaussian_proportional(t_end=0.3, output_times=times))
+            assert traj.steps > calls[0]
+            extra.add(calls[0] - 3 * len(traj.states))
+        assert extra == {3}
+
     def test_margin_abort_when_support_reaches_boundary(self):
         cfg = SolverConfig(
             alpha=0.5,
@@ -595,6 +686,24 @@ class TestPersistence:
             npt.assert_array_equal(a.u.values, b.u.values)
         for key in SUMMARY_COLUMNS:
             npt.assert_array_equal(loaded.summary[key], traj.summary[key])
+
+    @pytest.mark.parametrize("shape", ["special", "one_row", "one_column", "random"])
+    def test_csv_writer_matches_savetxt_bytes(self, tmp_path, shape):
+        special = np.array([
+            [math.nan, math.inf, -math.inf, -0.0],
+            [5e-324, 1.5e-310, -2.2250738585072014e-308, 0.1],
+            [1.0 / 3.0, -1e300, 0.0, 123456789.0],
+        ])
+        table = {
+            "special": special,
+            "one_row": special[:1],
+            "one_column": special[:, :1],
+            "random": np.random.default_rng(0).standard_normal((257, 15)),
+        }[shape]
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        solver._write_csv(ours, "x,rho,G,u", table)
+        np.savetxt(ref, table, fmt="%.17g", delimiter=",", header="x,rho,G,u", comments="# ")
+        assert ours.read_bytes() == ref.read_bytes()
 
     def test_load_rejects_missing_manifest(self, tmp_path):
         with pytest.raises(SolverError):
