@@ -128,13 +128,19 @@ def integrate(f: Field) -> float:
 
 
 def lp_norm(f: Field, p: float) -> float:
-    """Discrete L^p norm over the domain; p = inf gives max |f|."""
+    """Discrete L^p norm over the domain; p = inf gives max |f|.
+
+    p = 4 takes |f|^4 as (f*f)^2, two multiplies in place of pow, as the
+    solver's summary row does.
+    """
     if p == np.inf or p == math.inf:
         return float(np.abs(f.values).max())
     if not p >= 1:
         raise ValueError(f"lp_norm requires p >= 1 or p = inf, got {p}")
     h = f.grid.spacing
-    return float((h * (np.abs(f.values) ** p).sum()) ** (1.0 / p))
+    a = np.abs(f.values)
+    terms = (a**2) ** 2 if p == 4 else a**p
+    return float((h * terms.sum()) ** (1.0 / p))
 
 
 def antiderivative(f: Field) -> Field:

@@ -29,6 +29,13 @@ diffusion operators are periodic.
 Both schemes run through one raw-array core, ``_advance``, that ``run`` loops
 on and ``step`` wraps; ``Field``s are built only at those API boundaries, for
 each ``step`` result and each state ``run`` records.
+
+G solves rho's equation with the same u and eps, so G/rho is carried by the
+flow.  Only ``independent`` initial data evolve G, as a second row stacked
+under rho.  With G0 = g_coef*rho0 (``proportional``) or G0 = 0 (``zero_G``)
+the core evolves rho alone, and ``_g_row`` forms G = g_coef*rho (or +0.0)
+wherever G is read: the velocity, the summary row, the margin check and the
+recorded states.
 """
 from __future__ import annotations
 
@@ -401,18 +408,39 @@ def _velocity(rho: np.ndarray, g: np.ndarray, ws: SpectralWorkspace, cfg: Solver
     return _velocity_values(rho, g, ws, cfg.image_correction, "real_line")
 
 
+def _evolved_rows(cfg: SolverConfig) -> int:
+    """Rows the time loop advances: (rho, G) in independent mode, (rho,) otherwise."""
+    return 2 if cfg.initial.mode == "independent" else 1
+
+
+def _g_row(y: np.ndarray, cfg: SolverConfig, out: np.ndarray) -> np.ndarray:
+    """G of the stacked evolved rows y: y[1] when G is evolved, else formed into out.
+
+    The formed G is g_coef*rho, or +0.0 throughout when the coefficient is 0
+    (zero_G mode included): 0*rho would give -0.0 wherever rho < 0.
+    """
+    if len(y) == 2:
+        return y[1]
+    c = cfg.initial.g_coef if cfg.initial.mode == "proportional" else 0.0
+    if c == 0.0:
+        out.fill(0.0)
+        return out
+    return np.multiply(c, y[0], out=out)
+
+
 def _spectral_step(
-    rho: np.ndarray, g: np.ndarray, u: np.ndarray, dt: float,
-    ws: SpectralWorkspace, cfg: SolverConfig, eps: float,
+    y0: np.ndarray, u: np.ndarray, dt: float,
+    ws: SpectralWorkspace, cfg: SolverConfig, eps: float, out: np.ndarray,
 ) -> np.ndarray:
-    """Integrating-factor SSP-RK2 (Lawson-Heun) on the stacked (rho, G) array.
+    """Integrating-factor SSP-RK2 (Lawson-Heun) on the stacked evolved rows y0, into out.
 
     With E = exp(-eps xi^2 dt) and the flux F(Y) = i xi (Y u(Y))^:
     S1 = E (Y^ - dt F(Y)), Y1 = irfft(S1), Y_new = irfft((E Y^ + S1 - dt F(Y1)) / 2).
-    u is the velocity of (rho, G), so only the second stage reconstructs one.
+    u is the velocity of y0, so only the second stage reconstructs one.
     """
     n = ws.grid.n
     m = n // 2 + 1
+    k = len(y0)
     xi_sq, ik = ws.transport_multipliers()
     # Work arrays in place of temporaries, with the operations in the same
     # order, so the floats are those of the plain expressions in the docstring.
@@ -420,24 +448,25 @@ def _spectral_step(
     decay *= dt
     np.exp(decay, out=decay)
     dt_ik = np.multiply(dt, ik, out=_work_array("step_dt_ik", (m,), complex))
-    y = np.stack((rho, g), out=_work_array("step_y", (2, n)))
-    y_hat = np.fft.rfft(y, out=_work_array("step_y_hat", (2, m), complex))
+    y = _work_array("step_y", (k, n))
+    y[...] = y0
+    y_hat = np.fft.rfft(y, out=_work_array("step_y_hat", (k, m), complex))
     y *= u
-    s1 = np.fft.rfft(y, out=_work_array("step_s1", (2, m), complex))
+    s1 = np.fft.rfft(y, out=_work_array("step_s1", (k, m), complex))
     np.multiply(dt_ik, s1, out=s1)
     np.subtract(y_hat, s1, out=s1)
     np.multiply(decay, s1, out=s1)
     y1 = np.fft.irfft(s1, n, out=y)
-    u1 = _velocity(y1[0], y1[1], ws, cfg)
+    u1 = _velocity(y1[0], _g_row(y1, cfg, _work_array("stage_g", (n,))), ws, cfg)
     y1 *= u1
-    f2 = np.fft.rfft(y1, out=_work_array("step_f2", (2, m), complex))
+    f2 = np.fft.rfft(y1, out=_work_array("step_f2", (k, m), complex))
     np.multiply(ik, f2, out=f2)
     y_hat *= decay
     y_hat += s1
     f2 *= dt
     y_hat -= f2
     y_hat *= 0.5
-    return np.fft.irfft(y_hat, n)
+    return np.fft.irfft(y_hat, n, out=out)
 
 
 def _upwind_tendency(y: np.ndarray, u: np.ndarray, eps: float, h: float, out: np.ndarray) -> np.ndarray:
@@ -470,39 +499,45 @@ def _upwind_tendency(y: np.ndarray, u: np.ndarray, eps: float, h: float, out: np
 
 
 def _upwind_step(
-    rho: np.ndarray, g: np.ndarray, u: np.ndarray, dt: float,
-    ws: SpectralWorkspace, cfg: SolverConfig, eps: float,
+    y: np.ndarray, u: np.ndarray, dt: float,
+    ws: SpectralWorkspace, cfg: SolverConfig, eps: float, out: np.ndarray,
 ) -> np.ndarray:
-    """SSP-RK2 (Heun): y1 = y + dt D(y, u), y_new = (y + y1 + dt D(y1, u(y1))) / 2.
+    """SSP-RK2 (Heun): y1 = y + dt D(y, u), y_new = (y + y1 + dt D(y1, u(y1))) / 2, into out.
 
-    D is ``_upwind_tendency`` on the stacked (rho, G) array.  u is the velocity
-    of (rho, G), so only the second substep reconstructs one.  y_new is fresh.
+    D is ``_upwind_tendency`` on the stacked evolved rows y.  u is the velocity
+    of y, so only the second substep reconstructs one.
     """
     h = ws.grid.spacing
-    y = np.stack((rho, g), out=_work_array("upwind_y", (2, ws.grid.n)))
     dy = _upwind_tendency(y, u, eps, h, _work_array("upwind_dy", y.shape))
     dy *= dt
     y1 = np.add(y, dy, out=_work_array("upwind_y1", y.shape))
-    _upwind_tendency(y1, _velocity(y1[0], y1[1], ws, cfg), eps, h, dy)
+    g1 = _g_row(y1, cfg, _work_array("stage_g", (ws.grid.n,)))
+    _upwind_tendency(y1, _velocity(y1[0], g1, ws, cfg), eps, h, dy)
     dy *= dt
     y1 += y
     y1 += dy
-    return np.multiply(0.5, y1)
+    return np.multiply(0.5, y1, out=out)
 
 
 def _advance(
-    rho: np.ndarray, g: np.ndarray, u: np.ndarray, t: float, dt: float,
+    y: np.ndarray, u: np.ndarray, t: float, dt: float,
     ws: SpectralWorkspace, cfg: SolverConfig, eps: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The raw-array step ``step`` and ``run`` share: fresh stacked (rho, G) at t + dt and its u.
+    """The raw-array step ``step`` and ``run`` share.
 
-    Raises SolverError on non-finite values; the caller has checked dt.
+    y stacks the ``_evolved_rows`` at t and u is their velocity.  Returns a
+    fresh stacked (rho, G) at t + dt, G formed by ``_g_row`` unless evolved,
+    and its u.  Raises SolverError on non-finite values; the caller has
+    checked dt.
     """
     scheme = _upwind_step if cfg.flux_scheme == "upwind" else _spectral_step
-    y = scheme(rho, g, u, dt, ws, cfg, eps)
-    if not np.isfinite(y).all():
+    k = len(y)
+    new = np.empty((2, ws.grid.n))
+    scheme(y, u, dt, ws, cfg, eps, new[:k])
+    _g_row(new[:k], cfg, new[1])
+    if not np.isfinite(new).all():
         raise SolverError(f"non-finite values produced at t = {t + dt:.6g}; aborting")
-    return y, _velocity(y[0], y[1], ws, cfg)
+    return new, _velocity(new[0], new[1], ws, cfg)
 
 
 def _state(grid: Grid1D, y: np.ndarray, t: float, u: np.ndarray) -> State:
@@ -516,7 +551,8 @@ def step(state: State, dt: float, cfg: SolverConfig, ws: SpectralWorkspace) -> S
     their first-stage velocity.  Raises SolverError on a CFL violation (dt
     beyond the scheme's stability cap) or if the update produces non-finite
     values.  It wraps the raw-array core ``run`` loops on, adding these checks
-    and the new State's 3 ``Field``s.
+    and the new State's 3 ``Field``s.  In proportional and zero_G modes
+    state.g is not read: the new G is formed from the new rho.
     """
     if dt <= 0 or not math.isfinite(dt):
         raise SolverError(f"dt must be positive and finite, got {dt}")
@@ -532,7 +568,8 @@ def step(state: State, dt: float, cfg: SolverConfig, ws: SpectralWorkspace) -> S
             f"CFL violation: dt = {dt:.6g} exceeds the {cfg.flux_scheme} cap {dt_cap:.6g} "
             f"(||u||_inf = {u_inf:.6g}, h = {h:.6g}, eps = {eps:.6g})"
         )
-    y, u = _advance(state.rho.values, state.g.values, state.u.values, state.t, dt, ws, cfg, eps)
+    y = np.stack((state.rho.values, state.g.values)[: _evolved_rows(cfg)])
+    y, u = _advance(y, state.u.values, state.t, dt, ws, cfg, eps)
     return _state(grid, y, state.t + dt, u)
 
 
@@ -558,21 +595,18 @@ class Trajectory:
     wall_time: float
 
 
-#: |x| below this has x**4 < 2**-1120, which rounds to +0; writing those
-#: terms as 0 skips the slow underflow path of pow and changes no value.
-_L4_FLUSH = 2.0**-280
-
-
 def _summary_row(t: float, y: np.ndarray, u_inf: float, report: InitialReport, h: float) -> list[float]:
     """One SUMMARY_COLUMNS row, in one pass over the stacked (rho, G) array y.
 
-    Each value is the float ``integrate``/``lp_norm`` give on the fields.
+    Each value is the float ``integrate``/``lp_norm`` give on the fields;
+    both take |f|^4 as (f*f)^2 from the squares of the L^2 column.
     """
     ay = np.abs(y)
+    sq = np.square(y)
     mass = h * y.sum(axis=1)
     l1 = h * ay.sum(axis=1)
-    l2 = h * (ay**2).sum(axis=1)
-    l4 = h * (np.where(ay < _L4_FLUSH, 0.0, ay) ** 4).sum(axis=1)
+    l2 = h * sq.sum(axis=1)
+    l4 = h * np.square(sq, out=sq).sum(axis=1)
     linf = ay.max(axis=1)
     rho, g = y
     b, a = report.b, report.a
@@ -607,6 +641,7 @@ def run(cfg: SolverConfig, *, ws: SpectralWorkspace | None = None) -> Trajectory
     )
     y = np.stack((state.rho.values, state.g.values))
     u = state.u.values
+    k = _evolved_rows(cfg)
     peak0 = float(np.abs(y[0]).max())
     # The margin zone |x| >= 3L/4 is a prefix and a suffix of the grid.
     inner = np.flatnonzero(np.abs(grid.x) < 0.75 * grid.half_width)
@@ -631,7 +666,7 @@ def run(cfg: SolverConfig, *, ws: SpectralWorkspace | None = None) -> Trajectory
         dt = min(dt, cfg.t_end - t_clock)
         if dt < 1e-13 * max(1.0, cfg.t_end):
             raise SolverError(f"time step collapsed to {dt:.3g} at t = {t_clock:.6g}")
-        y, u = _advance(y[0], y[1], u, t, dt, ws, cfg, eps)
+        y, u = _advance(y[:k], u, t, dt, ws, cfg, eps)
         steps += 1
         t = t_clock = t + dt
         u_inf = float(np.abs(u).max())

@@ -173,7 +173,7 @@ gaussian_spectral.ini 3 u b55f24f64a0dce51f5c376030d40bca15e31272bd845698d4e201b
 gaussian_spectral.ini 4 rho f9c76851ce282e2850a826b014e909c411c3d7807d1011aeae6c29937f447b7b
 gaussian_spectral.ini 4 G f9c76851ce282e2850a826b014e909c411c3d7807d1011aeae6c29937f447b7b
 gaussian_spectral.ini 4 u b97b024cd12cc8221781cdac62efcf9f7c7c9d8651e7af0dbc7c798035734d7e
-gaussian_spectral.ini summary a8541cc6f2cb4206259d99643e4a692cc9a9f2c72bd3c886bfa98ce1126b65c7
+gaussian_spectral.ini summary 421d197cdd7c7eebb6f695702d674627faca62e030870e9c19a7468965684986
 gaussian_upwind.ini 0 rho 5fb8336df52b3a1c3d5f062ccf68d2a4affa29071e2e167e890a3c88febf031a
 gaussian_upwind.ini 0 G 5fb8336df52b3a1c3d5f062ccf68d2a4affa29071e2e167e890a3c88febf031a
 gaussian_upwind.ini 0 u f31594905ead5d9ef146bf3bd8c50abf3125e67bf3980647b0047a31e499cb90
@@ -186,7 +186,7 @@ gaussian_upwind.ini 2 u 176cbd3b32334d7b1744a6c8cd8b8fc8f27869ee7c3c7df974fdb52c
 gaussian_upwind.ini 3 rho 1730de872fe6fd9953896520d2277253c8e471c7515e9be4bc77959356410a83
 gaussian_upwind.ini 3 G 1730de872fe6fd9953896520d2277253c8e471c7515e9be4bc77959356410a83
 gaussian_upwind.ini 3 u 6bf0251d93892d23e4e77a352f17e953701be454d01f13a1620d44427606695d
-gaussian_upwind.ini summary e0d1f63291fddb6b6c112e27a57d09dba25118595135e2b6a3c2a779e61013a8
+gaussian_upwind.ini summary a03e9d5af40b601525c6c53b707fd08145f576508077f3b888f98693334bdd03
 gaussian_zero_g.ini 0 rho cafd3f70886b2f4493a3459cb1aaa7b2749f3c678911360e231f7bc0d163224e
 gaussian_zero_g.ini 0 G 9f1dcbc35c350d6027f98be0f5c8b43b42ca52b7604459c0c42be3aa88913d47
 gaussian_zero_g.ini 0 u e9a2f5718418b23dac629fd28e735997b2a738ecee297dcc45f381793fd1da12
@@ -209,7 +209,7 @@ getoor_zero_g.ini 2 u 0d6543cdc60da9e2875a7fb0442234150dca36f4cb7d6f87907e3bf876
 getoor_zero_g.ini 3 rho f27c7ade0d3eef64bbd6edee6160178b6f276d2ddb282a1f64f0963cdc0b5275
 getoor_zero_g.ini 3 G 9f1dcbc35c350d6027f98be0f5c8b43b42ca52b7604459c0c42be3aa88913d47
 getoor_zero_g.ini 3 u fd58f00bf5e16cbb5ad3fd54796227e137398b98c8d31aa525d907127ae82a67
-getoor_zero_g.ini summary b2937a813c94d5f3f73228630c8d282a70452de803295848fc33d949508d7837
+getoor_zero_g.ini summary 4114065e88a683a105d49bad6b4483f0b3d3afad66e4d1c942e546bde6589109
 """.strip().splitlines()
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import tracemalloc
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -88,6 +90,60 @@ class TestSpectralOperator:
         f = as_field(build_grid(64, 5.0), np.zeros(64))
         with pytest.raises(Exception):
             fractional_laplacian_spectral(f, ws)
+
+
+_PROPERTY_GRID = build_grid(256, 12.0)
+_property_settings = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+_orders = st.floats(0.05, 0.95)
+
+
+@st.composite
+def _smooth_fields(draw):
+    """Sums of one to three Gaussian bumps of either sign, centred in the middle quarter of the domain.
+
+    Each bump is below 1e-17 of its peak at the domain edges, so the fields are smooth as periodic fields.
+    """
+    grid = _PROPERTY_GRID
+    bumps = draw(st.lists(
+        st.tuples(st.floats(-0.25, 0.25), st.floats(0.3, 1.0), st.floats(-2.0, 2.0)),
+        min_size=1, max_size=3,
+    ))
+    values = sum(a * np.exp(-0.5 * ((grid.x - c * grid.half_width) / w) ** 2) for c, w, a in bumps)
+    return as_field(grid, values)
+
+
+class TestOperatorIdentityProperties:
+    """Fourier-multiplier identities on random smooth fields, to round-off."""
+
+    @_property_settings
+    @given(f=_smooth_fields(), s=_orders, t=_orders)
+    def test_semigroup(self, f, s, t):
+        ws = SpectralWorkspace(f.grid, 0.5)
+        one = apply_multiplier(apply_multiplier(f, ws.abs_power_multiplier(s)), ws.abs_power_multiplier(t))
+        two = apply_multiplier(f, ws.abs_power_multiplier(s + t))
+        npt.assert_allclose(one.values, two.values, rtol=0, atol=1e-12 * max(1.0, np.abs(two.values).max()))
+
+    @_property_settings
+    @given(f=_smooth_fields(), s=_orders)
+    def test_riesz_potential_inverts_the_fractional_laplacian(self, f, s):
+        ws = SpectralWorkspace(f.grid, s)
+        back = fractional_laplacian_spectral(riesz_potential(f, s, ws), ws)
+        npt.assert_allclose(back.values, f.values - f.values.mean(), rtol=0,
+                            atol=1e-12 * max(1.0, np.abs(f.values).max()))
+
+    @_property_settings
+    @given(f=_smooth_fields())
+    def test_hilbert_squares_to_minus_identity_on_mean_zero_fields(self, f):
+        ws = SpectralWorkspace(f.grid, 0.5)
+        f = as_field(f.grid, f.values - f.values.mean())
+        twice = hilbert_transform(hilbert_transform(f, ws), ws)
+        npt.assert_allclose(twice.values, -f.values, rtol=0, atol=1e-13 * max(1.0, np.abs(f.values).max()))
+
+    @_property_settings
+    @given(f=_smooth_fields(), alpha=_orders)
+    def test_periodic_fractional_laplacian_has_zero_mean(self, f, alpha):
+        out = fractional_laplacian_spectral(f, SpectralWorkspace(f.grid, alpha))
+        assert abs(float(out.values.mean())) <= 1e-15 * max(1.0, float(np.abs(out.values).max()))
 
 
 def _reference_image_kernel(ws):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 import json
@@ -77,12 +78,20 @@ def _rolled_upwind_rhs(rho, g, ws, cfg, eps):
     return tendency(rho), tendency(g)
 
 
-def _rolled_upwind_step(rho, g, dt, ws, cfg, eps):
-    """Heun step on separate rho and G arrays that rebuilds its stage-1 velocity: the stepper's reference."""
+def _rolled_upwind_step(rho, g, dt, ws, cfg, eps, g_coef=None):
+    """Heun step on separate rho and G arrays that rebuilds its stage-1 velocity: the stepper's reference.
+
+    With g_coef given, G is not evolved but set to g_coef * rho at each stage.
+    """
     d1r, d1g = _rolled_upwind_rhs(rho, g, ws, cfg, eps)
     r1, g1 = rho + dt * d1r, g + dt * d1g
+    if g_coef is not None:
+        g1 = g_coef * r1
     d2r, d2g = _rolled_upwind_rhs(r1, g1, ws, cfg, eps)
-    return 0.5 * (rho + r1 + dt * d2r), 0.5 * (g + g1 + dt * d2g)
+    rho_new, g_new = 0.5 * (rho + r1 + dt * d2r), 0.5 * (g + g1 + dt * d2g)
+    if g_coef is not None:
+        g_new = g_coef * rho_new
+    return rho_new, g_new
 
 
 def _reference_strang_step(rho, g, dt, ws, cfg, eps):
@@ -395,31 +404,30 @@ class TestStep:
     @pytest.mark.parametrize("image_correction", [True, False])
     @pytest.mark.parametrize("n", [256, 1000])
     def test_upwind_step_bit_identical_to_rolled_reference(self, n, image_correction):
-        cfg = _gaussian_proportional(
-            n=n,
-            flux_scheme="upwind",
-            image_correction=image_correction,
-            initial=InitialDataSpec(
-                rho0=ShapeSpec(kind="gaussian", mass=1.0, width=0.6),
-                mode="proportional",
-                g_coef=0.8,
-                b_coef=0.5,
-                a_coef=2.0,
-            ),
+        """Independent mode evolves (rho, G) as two rows; proportional mode evolves rho and forms G."""
+        rho0 = ShapeSpec(kind="gaussian", mass=1.0, width=0.6)
+        cases = (
+            (InitialDataSpec(rho0=rho0, mode="independent",
+                             g0=ShapeSpec(kind="gaussian", mass=0.8, width=0.45, center=0.2)), None),
+            (InitialDataSpec(rho0=rho0, mode="proportional", g_coef=0.8, b_coef=0.5, a_coef=2.0), 0.8),
         )
-        grid = cfg.make_grid()
-        ws = SpectralWorkspace(grid, cfg.alpha)
-        state, _ = make_initial_state(
-            cfg.initial, grid, cfg.alpha, ws=ws, image_correction=image_correction
-        )
-        eps = cfg.effective_epsilon(grid.spacing)
-        dt = 0.5 * solver._stable_dt(cfg, eps, grid.spacing, float(np.abs(state.u.values).max()))
-        rho, g = state.rho.values, state.g.values
-        for _ in range(5):
-            state = step(state, dt, cfg, ws)
-            rho, g = _rolled_upwind_step(rho, g, dt, ws, cfg, eps)
-        assert np.array_equal(state.rho.values, rho)
-        assert np.array_equal(state.g.values, g)
+        for initial, g_coef in cases:
+            cfg = _gaussian_proportional(
+                n=n, flux_scheme="upwind", image_correction=image_correction, initial=initial
+            )
+            grid = cfg.make_grid()
+            ws = SpectralWorkspace(grid, cfg.alpha)
+            state, _ = make_initial_state(
+                cfg.initial, grid, cfg.alpha, ws=ws, image_correction=image_correction
+            )
+            eps = cfg.effective_epsilon(grid.spacing)
+            dt = 0.5 * solver._stable_dt(cfg, eps, grid.spacing, float(np.abs(state.u.values).max()))
+            rho, g = state.rho.values, state.g.values
+            for _ in range(5):
+                state = step(state, dt, cfg, ws)
+                rho, g = _rolled_upwind_step(rho, g, dt, ws, cfg, eps, g_coef)
+            assert np.array_equal(state.rho.values, rho)
+            assert np.array_equal(state.g.values, g)
 
     def test_upwind_step_peak_memory_under_768_kib(self):
         """Warm upwind steps at n = 8192 keep their temporaries in work arrays.
@@ -518,19 +526,79 @@ class TestRun:
 
     @pytest.mark.parametrize("scheme", ["spectral", "upwind"])
     def test_proportional_structure_is_preserved(self, scheme):
-        c = 0.7
+        """G0 = c*rho0 keeps G = c*rho bit for bit, so with b = a = c both sandwich columns read 0."""
+        for c in (0.7, 4.0):
+            cfg = _gaussian_proportional(
+                flux_scheme=scheme,
+                t_end=0.5,
+                output_times=(0.0, 0.1, 0.25, 0.5),
+                initial=InitialDataSpec(
+                    rho0=ShapeSpec(kind="gaussian", mass=1.0, width=0.6),
+                    mode="proportional",
+                    g_coef=c,
+                ),
+            )
+            traj = run(cfg)
+            assert traj.initial_report.b == traj.initial_report.a == c
+            for state in traj.states:
+                assert np.array_equal(state.g.values, c * state.rho.values)
+            assert not traj.summary["min_arho_minus_G"].any()
+            assert not traj.summary["max_brho_minus_G"].any()
+
+    @pytest.mark.parametrize("scheme", ["spectral", "upwind"])
+    def test_zero_g_stays_positive_zero(self, scheme):
+        """G0 = 0 keeps G all +0.0, also where the spectral scheme's ringing makes rho < 0."""
         cfg = _gaussian_proportional(
             flux_scheme=scheme,
-            t_end=0.5,
-            initial=InitialDataSpec(
-                rho0=ShapeSpec(kind="gaussian", mass=1.0, width=0.6),
-                mode="proportional",
-                g_coef=c,
-            ),
+            output_times=(0.1, 0.3, 0.5),
+            initial=InitialDataSpec(rho0=ShapeSpec(kind="gaussian", mass=1.0, width=0.6), mode="zero_G"),
         )
-        final = run(cfg).states[-1]
-        peak = float(np.abs(final.rho.values).max())
-        assert np.abs(final.g.values - c * final.rho.values).max() <= 1e-13 * peak
+        traj = run(cfg)
+        for state in traj.states:
+            assert not state.g.values.any()
+            assert not np.signbit(state.g.values).any()
+        assert not traj.summary["mass_G"].any()
+        if scheme == "spectral":
+            assert (traj.states[-1].rho.values < 0).any()
+
+    @pytest.mark.parametrize("mode, rows", [("proportional", 1), ("zero_G", 1), ("independent", 2)])
+    def test_spectral_run_step_transforms(self, monkeypatch, mode, rows):
+        """Each run() step: 5 transforms stacked over the evolved rows, 4 velocity transforms of length 2n."""
+        n = 256
+        rho0 = ShapeSpec(kind="gaussian", mass=1.0, width=0.6)
+        g0 = ShapeSpec(kind="gaussian", mass=0.8, width=0.45, center=0.2) if mode == "independent" else None
+        cfg = _gaussian_proportional(n=n, t_end=0.2, initial=InitialDataSpec(rho0=rho0, mode=mode, g0=g0))
+        per_step: list[Counter] = []
+        active = [False]
+
+        def counted(name, fn):
+            def wrapper(a, length=None, *args, **kwargs):
+                if active[0]:
+                    size = length if length is not None else a.shape[-1]
+                    per_step[-1][(name, a.shape[:-1], size)] += 1
+                return fn(a, length, *args, **kwargs)
+            return wrapper
+
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+        advance = solver._advance
+
+        def spanned(*args, **kwargs):
+            per_step.append(Counter())
+            active[0] = True
+            try:
+                return advance(*args, **kwargs)
+            finally:
+                active[0] = False
+
+        monkeypatch.setattr(solver, "_advance", spanned)
+        traj = run(cfg)
+        expected = Counter({
+            ("rfft", (rows,), n): 3, ("irfft", (rows,), n): 2,
+            ("rfft", (), 2 * n): 2, ("irfft", (), 2 * n): 2,
+        })
+        assert traj.steps >= 2
+        assert per_step == [expected] * traj.steps
 
     def test_upwind_positivity_and_max_principle(self):
         cfg = _gaussian_proportional(flux_scheme="upwind", t_end=1.0)
