@@ -27,7 +27,9 @@ the periodic primitive, the cumulative integral of the periodic-image
 correction and, through the offset c - c[0], the left-edge pinning -- is one
 linear convolution of rho with a pre-integrated kernel that the workspace
 builds once and keeps (see ``SpectralWorkspace.velocity_kernel_spectrum``),
-evaluated as a single real-FFT product of length 2n.  The separate
+evaluated as a single real-FFT product of length 2n.  When G = g_coef * rho
+(the solver's proportional and zero-G data) the kernel carries G's integral
+too, so the whole velocity is that one product.  The separate
 ``periodic_image_correction`` (an ``fftconvolve`` with the raw image kernel)
 stays as the independent reference route the tests check that kernel
 against, and as the correction used by ``fractional_laplacian_spectral``.
@@ -185,7 +187,7 @@ class SpectralWorkspace:
 
         self._abs_power_cache: dict[float, np.ndarray] = {self.alpha: self.abs_xi_alpha}
         self._image_kernel: np.ndarray | None = None
-        self._velocity_kernels: dict[bool, np.ndarray] = {}
+        self._velocity_kernels: dict[tuple[bool, float], np.ndarray] = {}
         self._tail_anchor_weights: np.ndarray | None = None
         self._transport_multipliers: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -235,32 +237,37 @@ class SpectralWorkspace:
             self._image_kernel = q
         return self._image_kernel
 
-    def velocity_kernel_spectrum(self, image_correction: bool) -> np.ndarray:
-        """Length-2n rfft of the pre-integrated velocity kernel K.
+    def velocity_kernel_spectrum(self, image_correction: bool, g_coef: float = 0.0) -> np.ndarray:
+        """Length-2n rfft of the pre-integrated velocity kernel K_c, c = ``g_coef``.
 
         On the offsets d = -(n-1) .. n-1 (array index d + n - 1),
 
-            K[d] = p[d mod n] + h * (S[d] - h * Q[d] / 2),
+            K_c[d] = p[d mod n] + h * (S[d] - h * Q[d] / 2) + c * T[d],
 
         with p = ifft(pdinv_multiplier) the impulse response of the periodic
         primitive, Q = image_kernel() and S = cumsum(h * Q) its cumulative sum
-        from the left; the image part is left out when ``image_correction`` is
-        false.  For c[j] = sum_k rho_k K[j - k] the difference c - c[0] is the
-        periodic primitive pinned to 0 at the left edge plus the cumulative
-        trapezoid integral of ``periodic_image_correction(rho)``, because the
-        trapezoid sum of h * Q[i - k] over i = 0 .. j equals F[j-k] - F[-k]
-        with F = S - h * Q / 2.  Zero padding to 2n keeps the wrap-around of
+        from the left, and T[d] = h for d >= 1, h/2 at d = 0, 0 for d < 0; the
+        image part is left out when ``image_correction`` is false.  For
+        c[j] = sum_k rho_k K_c[j - k] the difference c - c[0] is the periodic
+        primitive pinned to 0 at the left edge plus the cumulative trapezoid
+        integrals of ``periodic_image_correction(rho)`` and of G = c * rho:
+        the trapezoid sum of h * Q[i - k] over i = 0 .. j equals F[j-k] - F[-k]
+        with F = S - h * Q / 2, and (rho * T)[j] - (rho * T)[0] is the
+        trapezoid integral of rho.  Zero padding to 2n keeps the wrap-around of
         the circular product out of the n samples that are used.
         """
-        key = bool(image_correction)
+        key = (bool(image_correction), float(g_coef))
         spectrum = self._velocity_kernels.get(key)
         if spectrum is None:
             n, h = self.grid.n, self.grid.spacing
             p = np.fft.irfft(self.pdinv_multiplier[: n // 2 + 1], n)
             kernel = p[np.arange(-(n - 1), n) % n]
-            if key:
+            if image_correction:
                 q = self.image_kernel()
                 kernel += h * (np.cumsum(h * q) - 0.5 * h * q)
+            if g_coef:
+                kernel[n - 1] += g_coef * (0.5 * h)
+                kernel[n:] += g_coef * h
             spectrum = np.fft.rfft(kernel, 2 * n)
             spectrum.setflags(write=False)
             self._velocity_kernels[key] = spectrum
@@ -455,22 +462,27 @@ def velocity_from_state(
     """
     _check_ws(rho, ws)
     _check_ws(g, ws)
-    if gauge not in ("left_zero", "real_line"):
-        raise ValueError(f"gauge must be 'left_zero' or 'real_line', got {gauge!r}")
     return Field(rho.grid, _velocity_values(rho.values, g.values, ws, image_correction, gauge))
 
 
 def _velocity_values(
-    rho: np.ndarray, g: np.ndarray, ws: SpectralWorkspace, image_correction: bool, gauge: str
+    rho: np.ndarray, g: np.ndarray | float, ws: SpectralWorkspace, image_correction: bool, gauge: str
 ) -> np.ndarray:
-    """Raw-array core of ``velocity_from_state``; the caller has checked its arguments."""
+    """Raw-array core of ``velocity_from_state``; the caller has checked the grids.
+
+    g is the G row, or the coefficient c of G = c * rho: that selects the
+    kernel K_c, which carries G's cumulative trapezoid, so G is never formed.
+    """
+    if gauge not in ("left_zero", "real_line"):
+        raise ValueError(f"gauge must be 'left_zero' or 'real_line', got {gauge!r}")
     n = ws.grid.n
+    row = isinstance(g, np.ndarray)
     spectrum = np.fft.rfft(rho, 2 * n, out=_work_array("velocity_hat", (n + 1,), complex))
-    spectrum *= ws.velocity_kernel_spectrum(image_correction)
+    spectrum *= ws.velocity_kernel_spectrum(image_correction, 0.0 if row else g)
     c = np.fft.irfft(spectrum, 2 * n, out=_work_array("velocity_conv", (2 * n,)))[n - 1 : 2 * n - 1]
-    c -= c[0]
-    u = cumulative_trapezoid(g, ws.grid.spacing)
-    u += c
+    u = c - c[0]
+    if row:
+        u += cumulative_trapezoid(g, ws.grid.spacing)
     if gauge == "real_line":
         u += ws.tail_anchor_weights() @ rho
     return u

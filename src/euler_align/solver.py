@@ -33,8 +33,9 @@ each ``step`` result and each state ``run`` records.
 G solves rho's equation with the same u and eps, so G/rho is carried by the
 flow.  Only ``independent`` initial data evolve G, as a second row stacked
 under rho.  With G0 = g_coef*rho0 (``proportional``) or G0 = 0 (``zero_G``)
-the core evolves rho alone, and ``_g_row`` forms G = g_coef*rho (or +0.0)
-wherever G is read: the velocity, the summary row, the margin check and the
+the core evolves rho alone, its velocity takes g_coef in place of a G row
+(the cached velocity kernel carries G's integral), and ``_g_row`` forms
+G = g_coef*rho (or +0.0) for the summary row, the margin check and the
 recorded states.
 """
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 
 from ._version import __version__
 from .closedform import getoor_profile
-from .fracops import FracOrder, SpectralWorkspace, _velocity_values, _work_array, velocity_from_state
+from .fracops import FracOrder, SpectralWorkspace, _velocity_values, _work_array
 from .grid import (
     Field,
     Grid1D,
@@ -279,8 +280,9 @@ def make_initial_state(
 
     Preconditions: rho0 >= 0 with support inside [-L/2, L/2] (samples beyond
     are compared against SUPPORT_LEVEL times the peak).  The velocity is
-    reconstructed with the same gauge/image options the solver will use, so
-    the cached u is consistent with the stepping.
+    reconstructed as the steps do it (same gauge/image options, and G as its
+    coefficient unless evolved), so the cached u is the one the stepping
+    computes and its velocity kernel is built before the first step.
     """
     a = float(FracOrder(alpha))
     if ws is None:
@@ -312,7 +314,8 @@ def make_initial_state(
         holds, b, a_c = _sandwich_constants(rho0, g0)
     rho_f = as_field(grid, rho0)
     g_f = as_field(grid, g0)
-    u_f = velocity_from_state(rho_f, g_f, ws, image_correction=image_correction, gauge=gauge)
+    g_arg = g0 if spec.mode == "independent" else _g_coef(spec)
+    u_f = Field(grid, _velocity_values(rho0, g_arg, ws, image_correction, gauge))
     report = InitialReport(
         sandwich_holds=holds,
         b=b,
@@ -404,7 +407,7 @@ def _stable_dt(cfg: SolverConfig, eps: float, h: float, u_inf: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _velocity(rho: np.ndarray, g: np.ndarray, ws: SpectralWorkspace, cfg: SolverConfig) -> np.ndarray:
+def _velocity(rho: np.ndarray, g: np.ndarray | float, ws: SpectralWorkspace, cfg: SolverConfig) -> np.ndarray:
     return _velocity_values(rho, g, ws, cfg.image_correction, "real_line")
 
 
@@ -413,19 +416,24 @@ def _evolved_rows(cfg: SolverConfig) -> int:
     return 2 if cfg.initial.mode == "independent" else 1
 
 
-def _g_row(y: np.ndarray, cfg: SolverConfig, out: np.ndarray) -> np.ndarray:
-    """G of the stacked evolved rows y: y[1] when G is evolved, else formed into out.
+def _g_coef(spec: InitialDataSpec) -> float:
+    """c of G = c*rho for one-row data: g_coef in proportional mode, 0 in zero_G mode."""
+    return spec.g_coef if spec.mode == "proportional" else 0.0
 
-    The formed G is g_coef*rho, or +0.0 throughout when the coefficient is 0
-    (zero_G mode included): 0*rho would give -0.0 wherever rho < 0.
-    """
-    if len(y) == 2:
-        return y[1]
-    c = cfg.initial.g_coef if cfg.initial.mode == "proportional" else 0.0
+
+def _velocity_g(y: np.ndarray, cfg: SolverConfig) -> np.ndarray | float:
+    """The G argument of the velocity of the evolved rows y: the row y[1], or the coefficient."""
+    return y[1] if len(y) == 2 else _g_coef(cfg.initial)
+
+
+def _g_row(rho: np.ndarray, cfg: SolverConfig, out: np.ndarray) -> None:
+    """Form G = g_coef*rho of one-row data into out, as +0.0 throughout when the
+    coefficient is 0 (zero_G mode included): 0*rho would give -0.0 wherever rho < 0."""
+    c = _g_coef(cfg.initial)
     if c == 0.0:
         out.fill(0.0)
-        return out
-    return np.multiply(c, y[0], out=out)
+    else:
+        np.multiply(c, rho, out=out)
 
 
 def _spectral_step(
@@ -457,7 +465,7 @@ def _spectral_step(
     np.subtract(y_hat, s1, out=s1)
     np.multiply(decay, s1, out=s1)
     y1 = np.fft.irfft(s1, n, out=y)
-    u1 = _velocity(y1[0], _g_row(y1, cfg, _work_array("stage_g", (n,))), ws, cfg)
+    u1 = _velocity(y1[0], _velocity_g(y1, cfg), ws, cfg)
     y1 *= u1
     f2 = np.fft.rfft(y1, out=_work_array("step_f2", (k, m), complex))
     np.multiply(ik, f2, out=f2)
@@ -511,8 +519,7 @@ def _upwind_step(
     dy = _upwind_tendency(y, u, eps, h, _work_array("upwind_dy", y.shape))
     dy *= dt
     y1 = np.add(y, dy, out=_work_array("upwind_y1", y.shape))
-    g1 = _g_row(y1, cfg, _work_array("stage_g", (ws.grid.n,)))
-    _upwind_tendency(y1, _velocity(y1[0], g1, ws, cfg), eps, h, dy)
+    _upwind_tendency(y1, _velocity(y1[0], _velocity_g(y1, cfg), ws, cfg), eps, h, dy)
     dy *= dt
     y1 += y
     y1 += dy
@@ -534,10 +541,11 @@ def _advance(
     k = len(y)
     new = np.empty((2, ws.grid.n))
     scheme(y, u, dt, ws, cfg, eps, new[:k])
-    _g_row(new[:k], cfg, new[1])
+    if k == 1:
+        _g_row(new[0], cfg, new[1])
     if not np.isfinite(new).all():
         raise SolverError(f"non-finite values produced at t = {t + dt:.6g}; aborting")
-    return new, _velocity(new[0], new[1], ws, cfg)
+    return new, _velocity(new[0], _velocity_g(new[:k], cfg), ws, cfg)
 
 
 def _state(grid: Grid1D, y: np.ndarray, t: float, u: np.ndarray) -> State:

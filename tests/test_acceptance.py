@@ -160,33 +160,33 @@ def test_criterion_04_maximum_principle_on_examples(example_runs):
 SHIPPED_RUN_DIGESTS = """
 gaussian_spectral.ini 0 rho 5fb8336df52b3a1c3d5f062ccf68d2a4affa29071e2e167e890a3c88febf031a
 gaussian_spectral.ini 0 G 5fb8336df52b3a1c3d5f062ccf68d2a4affa29071e2e167e890a3c88febf031a
-gaussian_spectral.ini 0 u f31594905ead5d9ef146bf3bd8c50abf3125e67bf3980647b0047a31e499cb90
-gaussian_spectral.ini 1 rho 964004517b3cf587f0608a14d150ae2adcc96cd8d72fbf40ae6cbdb7d7ac5e56
-gaussian_spectral.ini 1 G 964004517b3cf587f0608a14d150ae2adcc96cd8d72fbf40ae6cbdb7d7ac5e56
-gaussian_spectral.ini 1 u 81b9ec06daca3b9442bb296f0f8a72a2e553fd2848722c749fdeff64af46b605
-gaussian_spectral.ini 2 rho c14f820495030fe5826d2ada835b3ea3ec22a9f48a1abb0d9f3195da0f6afe5a
-gaussian_spectral.ini 2 G c14f820495030fe5826d2ada835b3ea3ec22a9f48a1abb0d9f3195da0f6afe5a
-gaussian_spectral.ini 2 u bca7195461af4c5cd73b9c65cefd30f3a14ab49e372b4c1fe53370a41817fd28
-gaussian_spectral.ini 3 rho 9faa558b1593f51c3cb394d4c79495e99590bfedd186ab1fee2328f282aa45b2
-gaussian_spectral.ini 3 G 9faa558b1593f51c3cb394d4c79495e99590bfedd186ab1fee2328f282aa45b2
-gaussian_spectral.ini 3 u b55f24f64a0dce51f5c376030d40bca15e31272bd845698d4e201b634e57eb9b
-gaussian_spectral.ini 4 rho f9c76851ce282e2850a826b014e909c411c3d7807d1011aeae6c29937f447b7b
-gaussian_spectral.ini 4 G f9c76851ce282e2850a826b014e909c411c3d7807d1011aeae6c29937f447b7b
-gaussian_spectral.ini 4 u b97b024cd12cc8221781cdac62efcf9f7c7c9d8651e7af0dbc7c798035734d7e
-gaussian_spectral.ini summary 421d197cdd7c7eebb6f695702d674627faca62e030870e9c19a7468965684986
+gaussian_spectral.ini 0 u e795b826af55295514452a2724f0d68e647ec5ea9f0c9db2da4350eefec5925b
+gaussian_spectral.ini 1 rho 5156c175902c3d0ace19c1eab4d2ad1b0d0e9279cbd062cb22dc7ac6d5c25170
+gaussian_spectral.ini 1 G 5156c175902c3d0ace19c1eab4d2ad1b0d0e9279cbd062cb22dc7ac6d5c25170
+gaussian_spectral.ini 1 u e332d64a7177153e91d3d7eb80bee1bf0877160792935f9f1d521c790a609baa
+gaussian_spectral.ini 2 rho 2749d999fc3d9984d329eceebbf30e77997d3cbe4cf3d683473bb47877419b9c
+gaussian_spectral.ini 2 G 2749d999fc3d9984d329eceebbf30e77997d3cbe4cf3d683473bb47877419b9c
+gaussian_spectral.ini 2 u 0508071affbd245a58adbd2e4c5fd6dd6acead457c0fb64e029d24b5514a243c
+gaussian_spectral.ini 3 rho ec69c8d66dd0c40be2155d825b82f673e1a8407e7dd6163f0855d0f298d1bf9f
+gaussian_spectral.ini 3 G ec69c8d66dd0c40be2155d825b82f673e1a8407e7dd6163f0855d0f298d1bf9f
+gaussian_spectral.ini 3 u 00ae5ab71129c472f81658c149319ebc918d1867cef7fc182a1947fe2e3a4033
+gaussian_spectral.ini 4 rho 68845593d8cf74a6147f7fcf0a79b5cb94410fd6fae885ca7d1b071932cefe04
+gaussian_spectral.ini 4 G 68845593d8cf74a6147f7fcf0a79b5cb94410fd6fae885ca7d1b071932cefe04
+gaussian_spectral.ini 4 u 8032f67daf940fe910b1206ae81ce4c997fd7efcba3cdc8b0aa08b54f7d61b86
+gaussian_spectral.ini summary 3bbebc7cab78b62741cc0df2459e4a30b28fbaced215d9426ec2c0d0a048c699
 gaussian_upwind.ini 0 rho 5fb8336df52b3a1c3d5f062ccf68d2a4affa29071e2e167e890a3c88febf031a
 gaussian_upwind.ini 0 G 5fb8336df52b3a1c3d5f062ccf68d2a4affa29071e2e167e890a3c88febf031a
-gaussian_upwind.ini 0 u f31594905ead5d9ef146bf3bd8c50abf3125e67bf3980647b0047a31e499cb90
-gaussian_upwind.ini 1 rho c753fab2fd1c8b39ee3a23904dd8d5ae616912261b778b503351b360d39879f7
-gaussian_upwind.ini 1 G c753fab2fd1c8b39ee3a23904dd8d5ae616912261b778b503351b360d39879f7
-gaussian_upwind.ini 1 u cd06c95c8b8c842f63518e7eef428f73bf74585cd37b11749b5a46644231ae93
-gaussian_upwind.ini 2 rho 11617e67a0902a033c6bd3bc15145f2eb2d585a46088db8d44b676d3fa659f9b
-gaussian_upwind.ini 2 G 11617e67a0902a033c6bd3bc15145f2eb2d585a46088db8d44b676d3fa659f9b
-gaussian_upwind.ini 2 u 176cbd3b32334d7b1744a6c8cd8b8fc8f27869ee7c3c7df974fdb52c3dc219d6
-gaussian_upwind.ini 3 rho 1730de872fe6fd9953896520d2277253c8e471c7515e9be4bc77959356410a83
-gaussian_upwind.ini 3 G 1730de872fe6fd9953896520d2277253c8e471c7515e9be4bc77959356410a83
-gaussian_upwind.ini 3 u 6bf0251d93892d23e4e77a352f17e953701be454d01f13a1620d44427606695d
-gaussian_upwind.ini summary a03e9d5af40b601525c6c53b707fd08145f576508077f3b888f98693334bdd03
+gaussian_upwind.ini 0 u e795b826af55295514452a2724f0d68e647ec5ea9f0c9db2da4350eefec5925b
+gaussian_upwind.ini 1 rho 54c2466c78f7d92e60bc7cd3cdedb273ee8b5c4a7bd0054ebb4a6ce2d74dfe65
+gaussian_upwind.ini 1 G 54c2466c78f7d92e60bc7cd3cdedb273ee8b5c4a7bd0054ebb4a6ce2d74dfe65
+gaussian_upwind.ini 1 u 8faf5305eba8134bbdc6537e7ef2fbbf97cd76ff084046da6a93252992a50304
+gaussian_upwind.ini 2 rho c17a04cdd61bc2f7bbcac806fbeba846b41bed0d0580cbd44a9060395b00cf40
+gaussian_upwind.ini 2 G c17a04cdd61bc2f7bbcac806fbeba846b41bed0d0580cbd44a9060395b00cf40
+gaussian_upwind.ini 2 u 9840b52d8f86a17ffb53aca0bd37675578079fca719da03bd59c18a46adf9337
+gaussian_upwind.ini 3 rho 81d0d75ea53190462f3c703b3bdf27c3582d51ed783ff7ffebb6014920d4b828
+gaussian_upwind.ini 3 G 81d0d75ea53190462f3c703b3bdf27c3582d51ed783ff7ffebb6014920d4b828
+gaussian_upwind.ini 3 u ba501d03f7832541f9da25f37dedef93084df345842e7a68e6da66d3149b41aa
+gaussian_upwind.ini summary 3c240f15cf2980dee123e11aa2949852f842f6644515c1c326b9ee9c87098a28
 gaussian_zero_g.ini 0 rho cafd3f70886b2f4493a3459cb1aaa7b2749f3c678911360e231f7bc0d163224e
 gaussian_zero_g.ini 0 G 9f1dcbc35c350d6027f98be0f5c8b43b42ca52b7604459c0c42be3aa88913d47
 gaussian_zero_g.ini 0 u e9a2f5718418b23dac629fd28e735997b2a738ecee297dcc45f381793fd1da12

@@ -358,6 +358,24 @@ class TestVelocity:
         u = velocity_from_state(rho, g, ws, image_correction=image_correction, gauge=gauge)
         npt.assert_allclose(u.values, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
+    @pytest.mark.parametrize("n", [256, 1024])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_coefficient_form_matches_g_row(self, n, alpha, rng):
+        """G = c*rho passed as its coefficient gives the velocity of the formed G row."""
+        grid = build_grid(n, 8.0)
+        ws = SpectralWorkspace(grid, alpha)
+        rho = random_bump_field(grid, rng)
+        for c in (0.0, 0.7, 4.0):
+            g = as_field(grid, c * rho.values)
+            for image_correction in (False, True):
+                for gauge in ("left_zero", "real_line"):
+                    ref = velocity_from_state(rho, g, ws, image_correction=image_correction, gauge=gauge).values
+                    u = fracops._velocity_values(rho.values, c, ws, image_correction, gauge)
+                    if c == 0.0:
+                        assert np.array_equal(u, ref)
+                    else:
+                        npt.assert_allclose(u, ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max()))
+
     def test_left_zero_gauge_pins_left_edge(self, rng):
         grid = build_grid(1024, 8.0)
         ws = SpectralWorkspace(grid, 0.5)

@@ -61,10 +61,13 @@ def _gaussian_proportional(**overrides) -> SolverConfig:
     return SolverConfig(**base)
 
 
-def _rolled_upwind_rhs(rho, g, ws, cfg, eps):
-    """Upwind right-hand side with np.roll neighbours and its own stage velocity."""
+def _rolled_upwind_rhs(rho, g, ws, cfg, eps, g_coef=None):
+    """Upwind right-hand side with np.roll neighbours and its own stage velocity.
+
+    With g_coef given, the velocity takes G = g_coef * rho in coefficient form.
+    """
     h = ws.grid.spacing
-    u = solver._velocity(rho, g, ws, cfg)
+    u = solver._velocity(rho, g if g_coef is None else g_coef, ws, cfg)
     u_face = 0.5 * (u + np.roll(u, -1))
     u_plus = np.maximum(u_face, 0.0)
     u_minus = np.minimum(u_face, 0.0)
@@ -81,13 +84,14 @@ def _rolled_upwind_rhs(rho, g, ws, cfg, eps):
 def _rolled_upwind_step(rho, g, dt, ws, cfg, eps, g_coef=None):
     """Heun step on separate rho and G arrays that rebuilds its stage-1 velocity: the stepper's reference.
 
-    With g_coef given, G is not evolved but set to g_coef * rho at each stage.
+    With g_coef given, G is not evolved but set to g_coef * rho at each stage,
+    and the velocity takes it in coefficient form.
     """
-    d1r, d1g = _rolled_upwind_rhs(rho, g, ws, cfg, eps)
+    d1r, d1g = _rolled_upwind_rhs(rho, g, ws, cfg, eps, g_coef)
     r1, g1 = rho + dt * d1r, g + dt * d1g
     if g_coef is not None:
         g1 = g_coef * r1
-    d2r, d2g = _rolled_upwind_rhs(r1, g1, ws, cfg, eps)
+    d2r, d2g = _rolled_upwind_rhs(r1, g1, ws, cfg, eps, g_coef)
     rho_new, g_new = 0.5 * (rho + r1 + dt * d2r), 0.5 * (g + g1 + dt * d2g)
     if g_coef is not None:
         g_new = g_coef * rho_new
@@ -342,7 +346,8 @@ class TestStep:
         dt = 0.5 * cfg.cfl * grid.spacing / float(np.abs(state.u.values).max())
         state = step(state, dt, cfg, ws)
         loaded = pickle.loads(pickle.dumps(ws))
-        assert np.array_equal(loaded.velocity_kernel_spectrum(True), ws.velocity_kernel_spectrum(True))
+        used = (True, cfg.initial.g_coef)
+        assert np.array_equal(loaded.velocity_kernel_spectrum(*used), ws.velocity_kernel_spectrum(*used))
         ours, theirs = step(state, dt, cfg, ws), step(state, dt, cfg, loaded)
         assert np.array_equal(ours.rho.values, theirs.rho.values)
         assert np.array_equal(ours.u.values, theirs.u.values)
@@ -563,7 +568,11 @@ class TestRun:
 
     @pytest.mark.parametrize("mode, rows", [("proportional", 1), ("zero_G", 1), ("independent", 2)])
     def test_spectral_run_step_transforms(self, monkeypatch, mode, rows):
-        """Each run() step: 5 transforms stacked over the evolved rows, 4 velocity transforms of length 2n."""
+        """Each run() step: 5 transforms stacked over the evolved rows, 4 velocity transforms of length 2n.
+
+        Only an evolved G row is integrated, once per velocity; one-row data
+        take no antiderivative.
+        """
         n = 256
         rho0 = ShapeSpec(kind="gaussian", mass=1.0, width=0.6)
         g0 = ShapeSpec(kind="gaussian", mass=0.8, width=0.45, center=0.2) if mode == "independent" else None
@@ -581,6 +590,14 @@ class TestRun:
 
         for name in ("fft", "ifft", "rfft", "irfft"):
             monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+        trapezoid = fracops.cumulative_trapezoid
+
+        def counted_trapezoid(*args, **kwargs):
+            if active[0]:
+                per_step[-1]["cumulative_trapezoid"] += 1
+            return trapezoid(*args, **kwargs)
+
+        monkeypatch.setattr(fracops, "cumulative_trapezoid", counted_trapezoid)
         advance = solver._advance
 
         def spanned(*args, **kwargs):
@@ -596,6 +613,7 @@ class TestRun:
         expected = Counter({
             ("rfft", (rows,), n): 3, ("irfft", (rows,), n): 2,
             ("rfft", (), 2 * n): 2, ("irfft", (), 2 * n): 2,
+            "cumulative_trapezoid": 2 * (rows - 1),
         })
         assert traj.steps >= 2
         assert per_step == [expected] * traj.steps
