@@ -33,10 +33,10 @@ each ``step`` result and each state ``run`` records.
 G solves rho's equation with the same u and eps, so G/rho is carried by the
 flow.  Only ``independent`` initial data evolve G, as a second row stacked
 under rho.  With G0 = g_coef*rho0 (``proportional``) or G0 = 0 (``zero_G``)
-the core evolves rho alone, its velocity takes g_coef in place of a G row
-(the cached velocity kernel carries G's integral), and ``_g_row`` forms
-G = g_coef*rho (or +0.0) for the summary row, the margin check and the
-recorded states.
+the core evolves rho alone and its velocity takes g_coef in place of a G row
+(the cached velocity kernel carries G's integral).  ``run`` forms G = g_coef*rho
+(or +0.0) with ``_form_g`` once per block of steps; its margin and finiteness
+checks read rho alone, scaled by ``_peak_scale``.
 """
 from __future__ import annotations
 
@@ -426,14 +426,20 @@ def _velocity_g(y: np.ndarray, cfg: SolverConfig) -> np.ndarray | float:
     return y[1] if len(y) == 2 else _g_coef(cfg.initial)
 
 
-def _g_row(rho: np.ndarray, cfg: SolverConfig, out: np.ndarray) -> None:
-    """Form G = g_coef*rho of one-row data into out, as +0.0 throughout when the
-    coefficient is 0 (zero_G mode included): 0*rho would give -0.0 wherever rho < 0."""
+def _peak_scale(cfg: SolverConfig) -> float:
+    """s with max|(rho, G)| = s*max|rho| anywhere: G = c*rho (c >= 0) of one-row
+    data rounds monotonically, so max|c*rho| = c*max|rho|; an evolved G is read."""
+    return 1.0 if _evolved_rows(cfg) == 2 else max(1.0, _g_coef(cfg.initial))
+
+
+def _form_g(y: np.ndarray, cfg: SolverConfig) -> None:
+    """Form the G rows y[..., 1, :] of one-row data in place: g_coef*rho, or +0.0
+    throughout when the coefficient is 0 (0*rho would give -0.0 where rho < 0)."""
     c = _g_coef(cfg.initial)
-    if c == 0.0:
-        out.fill(0.0)
-    else:
-        np.multiply(c, rho, out=out)
+    if _evolved_rows(cfg) == 1 and c == 0.0:
+        y[..., 1, :].fill(0.0)
+    elif _evolved_rows(cfg) == 1:
+        np.multiply(c, y[..., 0, :], out=y[..., 1, :])
 
 
 def _spectral_step(
@@ -456,15 +462,16 @@ def _spectral_step(
     decay *= dt
     np.exp(decay, out=decay)
     dt_ik = np.multiply(dt, ik, out=_work_array("step_dt_ik", (m,), complex))
-    y = _work_array("step_y", (k, n))
-    y[...] = y0
-    y_hat = np.fft.rfft(y, out=_work_array("step_y_hat", (k, m), complex))
-    y *= u
-    s1 = np.fft.rfft(y, out=_work_array("step_s1", (k, m), complex))
+    # Y over Y u, so one stacked rfft gives Y^ and (Y u)^: the floats of two rffts.
+    y = _work_array("step_y", (2 * k, n))
+    y[:k] = y0
+    np.multiply(y0, u, out=y[k:])
+    hats = np.fft.rfft(y, out=_work_array("step_hats", (2 * k, m), complex))
+    y_hat, s1 = hats[:k], hats[k:]
     np.multiply(dt_ik, s1, out=s1)
     np.subtract(y_hat, s1, out=s1)
     np.multiply(decay, s1, out=s1)
-    y1 = np.fft.irfft(s1, n, out=y)
+    y1 = np.fft.irfft(s1, n, out=y[:k])
     u1 = _velocity(y1[0], _velocity_g(y1, cfg), ws, cfg)
     y1 *= u1
     f2 = np.fft.rfft(y1, out=_work_array("step_f2", (k, m), complex))
@@ -528,24 +535,21 @@ def _upwind_step(
 
 def _advance(
     y: np.ndarray, u: np.ndarray, t: float, dt: float,
-    ws: SpectralWorkspace, cfg: SolverConfig, eps: float,
-) -> tuple[np.ndarray, np.ndarray]:
+    ws: SpectralWorkspace, cfg: SolverConfig, eps: float, out: np.ndarray,
+) -> np.ndarray:
     """The raw-array step ``step`` and ``run`` share.
 
-    y stacks the ``_evolved_rows`` at t and u is their velocity.  Returns a
-    fresh stacked (rho, G) at t + dt, G formed by ``_g_row`` unless evolved,
-    and its u.  Raises SolverError on non-finite values; the caller has
+    y stacks the ``_evolved_rows`` at t and u is their velocity.  Writes the
+    evolved rows at t + dt into out, of y's shape, and returns their u; a G
+    row that is not evolved is the caller's to form (``_form_g``).  Raises
+    SolverError on non-finite values, in that G row too; the caller has
     checked dt.
     """
     scheme = _upwind_step if cfg.flux_scheme == "upwind" else _spectral_step
-    k = len(y)
-    new = np.empty((2, ws.grid.n))
-    scheme(y, u, dt, ws, cfg, eps, new[:k])
-    if k == 1:
-        _g_row(new[0], cfg, new[1])
-    if not np.isfinite(new).all():
+    scheme(y, u, dt, ws, cfg, eps, out)
+    if not math.isfinite(float(np.abs(out).max()) * _peak_scale(cfg)):
         raise SolverError(f"non-finite values produced at t = {t + dt:.6g}; aborting")
-    return new, _velocity(new[0], _velocity_g(new[:k], cfg), ws, cfg)
+    return _velocity(out[0], _velocity_g(out, cfg), ws, cfg)
 
 
 def _state(grid: Grid1D, y: np.ndarray, t: float, u: np.ndarray) -> State:
@@ -576,9 +580,12 @@ def step(state: State, dt: float, cfg: SolverConfig, ws: SpectralWorkspace) -> S
             f"CFL violation: dt = {dt:.6g} exceeds the {cfg.flux_scheme} cap {dt_cap:.6g} "
             f"(||u||_inf = {u_inf:.6g}, h = {h:.6g}, eps = {eps:.6g})"
         )
-    y = np.stack((state.rho.values, state.g.values)[: _evolved_rows(cfg)])
-    y, u = _advance(y, state.u.values, state.t, dt, ws, cfg, eps)
-    return _state(grid, y, state.t + dt, u)
+    k = _evolved_rows(cfg)
+    new = np.empty((2, grid.n))
+    u = _advance(np.stack((state.rho.values, state.g.values)[:k]), state.u.values,
+                 state.t, dt, ws, cfg, eps, new[:k])
+    _form_g(new, cfg)
+    return _state(grid, new, state.t + dt, u)
 
 
 # ---------------------------------------------------------------------------
@@ -603,30 +610,38 @@ class Trajectory:
     wall_time: float
 
 
-def _summary_row(t: float, y: np.ndarray, u_inf: float, report: InitialReport, h: float) -> list[float]:
-    """One SUMMARY_COLUMNS row, in one pass over the stacked (rho, G) array y.
+def _summary_rows(tu: np.ndarray, y: np.ndarray, h: float, sandwich: tuple[float, float] | None) -> np.ndarray:
+    """SUMMARY_COLUMNS rows of m stacked (rho, G) pairs y, shape (m, 2, n), in one vectorised pass.
 
-    Each value is the float ``integrate``/``lp_norm`` give on the fields;
-    both take |f|^4 as (f*f)^2 from the squares of the L^2 column.
+    tu holds the m pairs (t, u_inf); sandwich is the report's (b, a), or None
+    where G is the multiply a*rho itself, which makes both sandwich columns
+    +0.0.  Each value is the float ``integrate``/``lp_norm`` give on the
+    fields; both take |f|^4 as (f*f)^2 from the squares of the L^2 column.
     """
+    rows = np.zeros((len(y), len(SUMMARY_COLUMNS)))
+    rows[:, [0, 11]] = tu  # the t and u_linf columns
+    rows[:, 1:3] = h * y.sum(axis=2)
+    norms = rows[:, 3:11].reshape(len(y), 2, 4)  # a view: (L1, L2, L4, Linf) of rho, then of G
     ay = np.abs(y)
-    sq = np.square(y)
-    mass = h * y.sum(axis=1)
-    l1 = h * ay.sum(axis=1)
-    l2 = h * sq.sum(axis=1)
-    l4 = h * np.square(sq, out=sq).sum(axis=1)
-    linf = ay.max(axis=1)
-    rho, g = y
-    b, a = report.b, report.a
-    if math.isfinite(a) and math.isfinite(b):
-        min_arho_g = float((a * rho - g).min())
-        max_brho_g = float((b * rho - g).max())
-    else:
-        min_arho_g = math.nan
-        max_brho_g = math.nan
+    norms[..., 0] = h * ay.sum(axis=2)
+    norms[..., 3] = ay.max(axis=2)
+    sq = np.square(ay, out=ay)
+    l2 = h * sq.sum(axis=2)
+    l4 = h * np.square(sq, out=sq).sum(axis=2)
     # Scalar roots: numpy's vectorized pow may differ from the scalar one by an ulp.
-    norms = [[l1[i], l2[i] ** 0.5, l4[i] ** 0.25, linf[i]] for i in (0, 1)]
-    return [t, *mass, *norms[0], *norms[1], u_inf, g.min(), min_arho_g, max_brho_g]
+    norms[..., 1].flat = [v ** 0.5 for v in l2.flat]
+    norms[..., 2].flat = [v ** 0.25 for v in l4.flat]
+    rho, g = y[:, 0], y[:, 1]
+    rows[:, 12] = g.min(axis=1)
+    if sandwich is not None:  # NaN constants give NaN columns
+        # The squares are summed, so their storage takes a*rho - G, then b*rho - G.
+        d = np.multiply(sandwich[1], rho, out=sq.reshape(-1, y.shape[2])[: len(y)])
+        d -= g
+        rows[:, 13] = d.min(axis=1)
+        np.multiply(sandwich[0], rho, out=d)
+        d -= g
+        rows[:, 14] = d.max(axis=1)
+    return rows
 
 
 def run(cfg: SolverConfig, *, ws: SpectralWorkspace | None = None) -> Trajectory:
@@ -634,6 +649,8 @@ def run(cfg: SolverConfig, *, ws: SpectralWorkspace | None = None) -> Trajectory
 
     The loop advances raw arrays through the core ``step`` wraps and builds
     ``Field``s only for recorded states, whose t is the output time itself.
+    Steps fill blocks of max(1, 8192 // n) steps (128 KiB of new rows), whose
+    G and summary rows are formed in one pass when full and at output times.
     The run aborts with SolverError if the state develops non-finite values
     or if the density/G support reaches the outer quarter of the domain
     (|x| >= 3L/4), where the periodic truncation stops being meaningful.
@@ -647,10 +664,17 @@ def run(cfg: SolverConfig, *, ws: SpectralWorkspace | None = None) -> Trajectory
     state, report = make_initial_state(
         cfg.initial, grid, cfg.alpha, ws=ws, image_correction=cfg.image_correction
     )
-    y = np.stack((state.rho.values, state.g.values))
+    # Slot 0 holds the state a block starts from; slots 1..B of blk and tu its steps.
+    block_steps = max(1, 8192 // grid.n)
+    blk = np.empty((block_steps + 1, 2, grid.n))
+    tu = np.empty((block_steps + 1, 2))  # (t, u_inf)
+    blk[0, 0], blk[0, 1] = state.rho.values, state.g.values
     u = state.u.values
-    k = _evolved_rows(cfg)
-    peak0 = float(np.abs(y[0]).max())
+    k, scale, spec = _evolved_rows(cfg), _peak_scale(cfg), cfg.initial
+    # G = g_coef*rho is the multiply a*rho itself when b = a = g_coef != 0.
+    exact = spec.mode == "proportional" and 0.0 != spec.b_coef == spec.a_coef
+    sandwich = None if exact else (report.b, report.a)
+    peak0 = float(np.abs(blk[0, 0]).max())
     # The margin zone |x| >= 3L/4 is a prefix and a suffix of the grid.
     inner = np.flatnonzero(np.abs(grid.x) < 0.75 * grid.half_width)
     lo, hi = int(inner[0]), int(inner[-1]) + 1
@@ -659,13 +683,13 @@ def run(cfg: SolverConfig, *, ws: SpectralWorkspace | None = None) -> Trajectory
 
     u_inf = float(np.abs(u).max())
     states: list[State] = []
-    rows = [_summary_row(0.0, y, u_inf, report, h)]
+    rows = [_summary_rows(np.array([[0.0, u_inf]]), blk[:1], h, sandwich)]
     next_idx = 0
     while next_idx < len(outputs) and outputs[next_idx] <= time_tol:
         states.append(state)
         next_idx += 1
 
-    steps = 0
+    j = 0
     t = t_clock = 0.0  # t snaps to each output time it reaches; t_clock, which sets dt, does not
     while t_clock < cfg.t_end - time_tol:
         dt = _stable_dt(cfg, eps, h, u_inf)
@@ -674,24 +698,30 @@ def run(cfg: SolverConfig, *, ws: SpectralWorkspace | None = None) -> Trajectory
         dt = min(dt, cfg.t_end - t_clock)
         if dt < 1e-13 * max(1.0, cfg.t_end):
             raise SolverError(f"time step collapsed to {dt:.3g} at t = {t_clock:.6g}")
-        y, u = _advance(y[:k], u, t, dt, ws, cfg, eps)
-        steps += 1
+        u = _advance(blk[j, :k], u, t, dt, ws, cfg, eps, blk[j + 1, :k])
+        j += 1
         t = t_clock = t + dt
         u_inf = float(np.abs(u).max())
-        rows.append(_summary_row(t, y, u_inf, report, h))
+        tu[j] = t, u_inf
         if peak0 > 0:
-            margin_peak = max(float(np.abs(y[:, :lo]).max()), float(np.abs(y[:, hi:]).max()))
+            margin_peak = max(float(np.abs(blk[j, :k, :lo]).max()), float(np.abs(blk[j, :k, hi:]).max())) * scale
             if margin_peak > MARGIN_ABORT_LEVEL * peak0:
                 raise SolverError(
                     f"support reached the boundary margin |x| >= {0.75 * grid.half_width:.6g} "
                     f"at t = {t:.6g}; enlarge the domain"
                 )
+        reached = next_idx < len(outputs) and t_clock >= outputs[next_idx] - time_tol
+        if reached or j == block_steps or t_clock >= cfg.t_end - time_tol:
+            _form_g(blk[1 : j + 1], cfg)
+            rows.append(_summary_rows(tu[1 : j + 1], blk[1 : j + 1], h, sandwich))
+            blk[0] = blk[j]
+            j = 0
         while next_idx < len(outputs) and t_clock >= outputs[next_idx] - time_tol:
             t = float(outputs[next_idx])
-            states.append(_state(grid, y, t, u))
+            states.append(_state(grid, blk[0], t, u))
             next_idx += 1
 
-    table = np.asarray(rows, dtype=float)
+    table = np.concatenate(rows)
     summary = {name: table[:, i].copy() for i, name in enumerate(SUMMARY_COLUMNS)}
     for arr in summary.values():
         arr.setflags(write=False)
@@ -701,7 +731,7 @@ def run(cfg: SolverConfig, *, ws: SpectralWorkspace | None = None) -> Trajectory
         output_times=tuple(outputs),
         summary=summary,
         initial_report=report,
-        steps=steps,
+        steps=len(table) - 1,
         wall_time=_time.perf_counter() - t_start,
     )
 

@@ -285,6 +285,61 @@ class TestConfig:
         assert cfg2.effective_epsilon(0.03) == 1e-3
 
 
+def _initial_of_mode(mode: str, g_coef: float = 1.0) -> InitialDataSpec:
+    """Gaussian data of one of the three modes; independent G is its own, shifted Gaussian."""
+    g0 = ShapeSpec(kind="gaussian", mass=0.8, width=0.45, center=0.2) if mode == "independent" else None
+    return InitialDataSpec(rho0=ShapeSpec(kind="gaussian", mass=1.0, width=0.6), mode=mode, g_coef=g_coef, g0=g0)
+
+
+def _stepped_reference(cfg: SolverConfig):
+    """run()'s outputs rebuilt from a loop of public step() calls.
+
+    Returns the recorded states, the summary table (each value from
+    ``integrate``/``lp_norm`` on the fields), and how many steps an output
+    time cut short and how many recorded t its snap moved.
+    """
+    grid = cfg.make_grid()
+    h = grid.spacing
+    ws = SpectralWorkspace(grid, cfg.alpha)
+    state, report = make_initial_state(cfg.initial, grid, cfg.alpha, ws=ws)
+    eps = cfg.effective_epsilon(h)
+
+    def row(s):
+        rho, g = s.rho, s.g
+        norms = [lp_norm(f, p) for f in (rho, g) for p in (1, 2, 4, math.inf)]
+        return [s.t, integrate(rho), integrate(g), *norms, lp_norm(s.u, math.inf),
+                g.values.min(), (report.a * rho.values - g.values).min(),
+                (report.b * rho.values - g.values).max()]
+
+    rows, states, pending, shortened, moved = [row(state)], [], list(cfg.output_times), 0, 0
+    t_clock = 0.0
+    while t_clock < cfg.t_end - 1e-9:
+        dt_cap = solver._stable_dt(cfg, eps, h, float(np.abs(state.u.values).max()))
+        dt = min(dt_cap, pending[0] - t_clock)
+        shortened += dt < dt_cap
+        state = step(state, dt, cfg, ws)
+        t_clock = state.t
+        rows.append(row(state))
+        if t_clock >= pending[0] - 1e-9:
+            state = replace(state, t=pending.pop(0))
+            moved += state.t != t_clock
+            states.append(state)
+    assert not pending
+    return states, np.array(rows), shortened, moved
+
+
+def _assert_run_matches(traj, states, table) -> None:
+    """States and summary equal bit for bit; int64 views tell -0.0 from +0.0."""
+    assert traj.steps == len(table) - 1
+    assert tuple(s.t for s in traj.states) == tuple(s.t for s in states)
+    for ours, ref in zip(traj.states, states):
+        for name in ("rho", "g", "u"):
+            assert np.array_equal(getattr(ours, name).values.view(np.int64),
+                                  getattr(ref, name).values.view(np.int64))
+    ours = np.column_stack([traj.summary[c] for c in SUMMARY_COLUMNS])
+    assert np.array_equal(ours.view(np.int64), table.view(np.int64))
+
+
 class TestStep:
     def test_dt_validation(self):
         cfg = _gaussian_proportional()
@@ -315,7 +370,7 @@ class TestStep:
             step(state, 10.0, cfg, ws)
 
     def test_spectral_step_transform_count(self, monkeypatch):
-        """One spectral step: 2 velocities x 2 + 2 fluxes + 1 state rfft + 2 stage irffts, all on numpy.fft."""
+        """One spectral step: 2 velocities x 2 + 1 stacked (state, flux) rfft + 1 flux rfft + 2 stage irffts, all on numpy.fft."""
         cfg = _gaussian_proportional(n=256)
         grid = cfg.make_grid()
         ws = SpectralWorkspace(grid, cfg.alpha)
@@ -335,7 +390,22 @@ class TestStep:
         monkeypatch.setattr(fracops, "fftconvolve", counted("fftconvolve", fracops.fftconvolve))
         dt = 0.5 * cfg.cfl * grid.spacing / float(np.abs(state.u.values).max())
         step(state, dt, cfg, ws)
-        assert counts == {"scipy": 0, "numpy": 9, "fftconvolve": 0}
+        assert counts == {"scipy": 0, "numpy": 8, "fftconvolve": 0}
+
+    def test_overflow_of_formed_g_aborts_the_step(self, monkeypatch):
+        """Finite rho whose G = g_coef*rho overflows is rejected as a non-finite G row would be."""
+        cfg = _gaussian_proportional(n=256, initial=_initial_of_mode("proportional", 4.0))
+        grid = cfg.make_grid()
+        ws = SpectralWorkspace(grid, cfg.alpha)
+        state, _ = make_initial_state(cfg.initial, grid, cfg.alpha, ws=ws)
+
+        def overflowing(y, u, dt, ws, cfg, eps, out):
+            out[...] = y
+            out[0, grid.n // 2] = 1e308
+
+        monkeypatch.setattr(solver, "_spectral_step", overflowing)
+        with pytest.raises(SolverError, match="non-finite values"):
+            step(state, 1e-4, cfg, ws)
 
     def test_used_workspace_survives_pickle(self):
         """The per-thread work arrays live outside the workspace, so it pickles."""
@@ -531,7 +601,7 @@ class TestRun:
 
     @pytest.mark.parametrize("scheme", ["spectral", "upwind"])
     def test_proportional_structure_is_preserved(self, scheme):
-        """G0 = c*rho0 keeps G = c*rho bit for bit, so with b = a = c both sandwich columns read 0."""
+        """G0 = c*rho0 keeps G = c*rho bit for bit, so with b = a = c both sandwich columns read +0.0."""
         for c in (0.7, 4.0):
             cfg = _gaussian_proportional(
                 flux_scheme=scheme,
@@ -547,8 +617,9 @@ class TestRun:
             assert traj.initial_report.b == traj.initial_report.a == c
             for state in traj.states:
                 assert np.array_equal(state.g.values, c * state.rho.values)
-            assert not traj.summary["min_arho_minus_G"].any()
-            assert not traj.summary["max_brho_minus_G"].any()
+            for column in ("min_arho_minus_G", "max_brho_minus_G"):
+                assert not traj.summary[column].any()
+                assert not np.signbit(traj.summary[column]).any()
 
     @pytest.mark.parametrize("scheme", ["spectral", "upwind"])
     def test_zero_g_stays_positive_zero(self, scheme):
@@ -568,7 +639,9 @@ class TestRun:
 
     @pytest.mark.parametrize("mode, rows", [("proportional", 1), ("zero_G", 1), ("independent", 2)])
     def test_spectral_run_step_transforms(self, monkeypatch, mode, rows):
-        """Each run() step: 5 transforms stacked over the evolved rows, 4 velocity transforms of length 2n.
+        """Each run() step: 4 transforms stacked over the evolved rows, 4 velocity transforms of length 2n.
+
+        The first stage transforms the rows and their fluxes as one (2k, n) rfft.
 
         Only an evolved G row is integrated, once per velocity; one-row data
         take no antiderivative.
@@ -611,12 +684,47 @@ class TestRun:
         monkeypatch.setattr(solver, "_advance", spanned)
         traj = run(cfg)
         expected = Counter({
-            ("rfft", (rows,), n): 3, ("irfft", (rows,), n): 2,
+            ("rfft", (2 * rows,), n): 1, ("rfft", (rows,), n): 1, ("irfft", (rows,), n): 2,
             ("rfft", (), 2 * n): 2, ("irfft", (), 2 * n): 2,
             "cumulative_trapezoid": 2 * (rows - 1),
         })
         assert traj.steps >= 2
         assert per_step == [expected] * traj.steps
+
+    @pytest.mark.parametrize("n, per_row_peak_kib", [(1024, 127), (2048, 249), (8192, 987)])
+    def test_warm_run_peak_memory(self, monkeypatch, n, per_row_peak_kib):
+        """A warm short run() keeps its peak near that of one summary row per step.
+
+        per_row_peak_kib is the peak of the same run when run() formed one
+        summary row per step (numpy 2.4).  A block's new rows take at most
+        128 KiB.  At n <= 2048 the peak may grow by twice the block, slot 0
+        included: the block itself and the summary's |y| of it.  At n = 8192
+        a block is one step, and the peak stays at or below the per-row one.
+        """
+        cfg = _gaussian_proportional(
+            n=n, flux_scheme="upwind", t_end=0.02, initial=_initial_of_mode("independent")
+        )
+        ws = SpectralWorkspace(cfg.make_grid(), cfg.alpha)
+        run(cfg, ws=ws)
+        blocks = []
+        summary_rows = solver._summary_rows
+
+        def recorded(tu, y, *args):
+            blocks.append(y.nbytes)
+            return summary_rows(tu, y, *args)
+
+        monkeypatch.setattr(solver, "_summary_rows", recorded)
+        tracemalloc.start()
+        try:
+            run(cfg, ws=ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(blocks) == 128 << 10
+        if n == 8192:
+            assert peak <= per_row_peak_kib << 10
+        else:
+            assert peak <= (per_row_peak_kib << 10) + 2 * (max(blocks) + 2 * n * 8)
 
     def test_upwind_positivity_and_max_principle(self):
         cfg = _gaussian_proportional(flux_scheme="upwind", t_end=1.0)
@@ -649,7 +757,7 @@ class TestRun:
 
     @pytest.mark.parametrize("scheme", ["spectral", "upwind"])
     def test_run_equals_repeated_step(self, scheme):
-        """run()'s raw-array loop and a loop of public step() calls agree bit for bit.
+        """run()'s raw-array loop and a loop of public step() calls agree bit for bit, in every mode.
 
         Every output time cuts a step short.  0.0003 + (0.0008 - 0.0003) is not
         0.0008, so the snap of a recorded state's t to its output time moves it;
@@ -657,43 +765,48 @@ class TestRun:
         0.0016, from the unsnapped one.
         """
         times = (0.0003, 0.0008, 0.0016, 0.05, 0.1)
-        cfg = _gaussian_proportional(flux_scheme=scheme, t_end=0.1, output_times=times)
+        for mode in ("proportional", "zero_G", "independent"):
+            cfg = _gaussian_proportional(
+                flux_scheme=scheme, t_end=0.1, output_times=times, initial=_initial_of_mode(mode)
+            )
+            traj = run(cfg)
+            states, table, shortened, moved = _stepped_reference(cfg)
+            assert shortened == len(times) and moved >= 1
+            _assert_run_matches(traj, states, table)
+
+    @pytest.mark.parametrize("mode, g_coef", [
+        ("proportional", 1.0), ("proportional", 0.0), ("zero_G", 0.0), ("independent", 1.0),
+    ])
+    @pytest.mark.parametrize("scheme", ["spectral", "upwind"])
+    def test_blocked_run_equals_repeated_step(self, monkeypatch, scheme, mode, g_coef):
+        """Across blocks of steps, run() and a loop of step() calls agree bit for bit.
+
+        At n = 512 a block holds 16 steps.  The output times sit on the clock
+        of the free run's 5th, 21st and 30th steps and at t_end, so blocks
+        close at an output time mid-block (5, 9 steps), at an output time on
+        their last step (16 steps), and when full.  With g_coef = 0, b = a = 0
+        and the spectral scheme's rho < 0 gives sandwich columns of -0.0.
+        """
+        cfg = _gaussian_proportional(flux_scheme=scheme, t_end=2.5, initial=_initial_of_mode(mode, g_coef))
+        clock = run(cfg).summary["t"]
+        assert len(clock) > 48
+        times = (float(clock[5]), float(clock[21]), float(clock[30]), cfg.t_end)
+        cfg = replace(cfg, output_times=times)
+        blocks = []
+        summary_rows = solver._summary_rows
+
+        def recorded(tu, y, *args):
+            blocks.append((len(y), float(tu[-1, 0])))
+            return summary_rows(tu, y, *args)
+
+        monkeypatch.setattr(solver, "_summary_rows", recorded)
         traj = run(cfg)
-        grid = cfg.make_grid()
-        h = grid.spacing
-        ws = SpectralWorkspace(grid, cfg.alpha)
-        state, report = make_initial_state(cfg.initial, grid, cfg.alpha, ws=ws)
-        eps = cfg.effective_epsilon(h)
-
-        def row(s):
-            rho, g = s.rho, s.g
-            norms = [lp_norm(f, p) for f in (rho, g) for p in (1, 2, 4, math.inf)]
-            return [s.t, integrate(rho), integrate(g), *norms, lp_norm(s.u, math.inf),
-                    g.values.min(), (report.a * rho.values - g.values).min(),
-                    (report.b * rho.values - g.values).max()]
-
-        rows, states, pending, shortened, moved = [row(state)], [], list(times), 0, 0
-        t_clock = 0.0
-        while t_clock < cfg.t_end - 1e-9:
-            dt_cap = solver._stable_dt(cfg, eps, h, float(np.abs(state.u.values).max()))
-            dt = min(dt_cap, pending[0] - t_clock)
-            shortened += dt < dt_cap
-            state = step(state, dt, cfg, ws)
-            t_clock = state.t
-            rows.append(row(state))
-            if t_clock >= pending[0] - 1e-9:
-                state = replace(state, t=pending.pop(0))
-                moved += state.t != t_clock
-                states.append(state)
-        assert shortened == len(times) and moved >= 1 and not pending
-        assert traj.steps == len(rows) - 1
-        assert tuple(s.t for s in traj.states) == times
-        for ours, ref in zip(traj.states, states):
-            assert np.array_equal(ours.rho.values, ref.rho.values)
-            assert np.array_equal(ours.g.values, ref.g.values)
-            assert np.array_equal(ours.u.values, ref.u.values)
-        table = np.column_stack([traj.summary[c] for c in SUMMARY_COLUMNS])
-        assert np.array_equal(table, np.array(rows))
+        assert blocks[:5] == [(1, 0.0), (5, pytest.approx(times[0], abs=1e-12)),
+                              (16, pytest.approx(times[1], abs=1e-12)),
+                              (9, pytest.approx(times[2], abs=1e-12)), (16, blocks[4][1])]
+        assert sum(size for size, _ in blocks) == traj.steps + 1
+        states, table, _, _ = _stepped_reference(cfg)
+        _assert_run_matches(traj, states, table)
 
     def test_run_builds_fields_only_at_output_times(self, monkeypatch):
         """3 Fields per recorded state plus the initial state's, however many steps."""
@@ -714,6 +827,17 @@ class TestRun:
         assert extra == {3}
 
     def test_margin_abort_when_support_reaches_boundary(self):
+        """At g_coef = 4, G = 4*rho is the first to pass the threshold in the margin."""
+        self._check_margin_abort(4.0)
+
+    def test_margin_abort_by_density_below_unit_coefficient(self):
+        """At g_coef = 0.5, rho is the first to pass the threshold in the margin."""
+        self._check_margin_abort(0.5)
+
+    @staticmethod
+    def _check_margin_abort(g_coef: float) -> None:
+        """The run aborts at the first step whose max(|rho|, |G|) in the margin passes
+        the threshold, at the t a loop of step() calls finds."""
         cfg = SolverConfig(
             alpha=0.5,
             n=256,
@@ -722,12 +846,27 @@ class TestRun:
             initial=InitialDataSpec(
                 rho0=ShapeSpec(kind="gaussian", mass=1.0, width=0.2),
                 mode="proportional",
-                g_coef=4.0,
+                g_coef=g_coef,
             ),
             flux_scheme="upwind",
         )
-        with pytest.raises(SolverError, match="boundary margin"):
+        with pytest.raises(SolverError, match="boundary margin") as excinfo:
             run(cfg)
+        grid = cfg.make_grid()
+        ws = SpectralWorkspace(grid, cfg.alpha)
+        state, _ = make_initial_state(cfg.initial, grid, cfg.alpha, ws=ws)
+        eps = cfg.effective_epsilon(grid.spacing)
+        margin = np.abs(grid.x) >= 0.75 * grid.half_width
+        threshold = solver.MARGIN_ABORT_LEVEL * float(np.abs(state.rho.values).max())
+
+        def margin_peak(s):
+            return max(np.abs(s.rho.values[margin]).max(), np.abs(s.g.values[margin]).max())
+
+        while margin_peak(state) <= threshold:
+            u_inf = float(np.abs(state.u.values).max())
+            state = step(state, solver._stable_dt(cfg, eps, grid.spacing, u_inf), cfg, ws)
+        assert state.t < cfg.t_end
+        assert f"at t = {state.t:.6g};" in str(excinfo.value)
 
     def test_zero_g_evolution_tracks_exact_solution(self):
         errors = {}
