@@ -15,8 +15,10 @@ Exit codes: 0 success, 1 check failure, 2 bad input, 3 runtime abort.
 2, ``SolverError`` gives 3.  ``main`` also writes ``manifest.json`` into the
 output directory, once, on every path — on failure with the reason, and also
 when an unexpected exception ends the command (that exception then
-propagates) — so that partial artifacts are always identifiable.  CSV
-payloads use the %.17g format and contain no timestamps: rerunning the same
+propagates) — so that partial artifacts are always identifiable.  Its
+``wall_time_seconds`` times the whole command; ``simulate`` adds the keys of
+``save_trajectory``'s manifest (``config_ini``, ``run_wall_time_seconds``, ...).
+CSV payloads use the %.17g format and contain no timestamps: rerunning the same
 config with the same code version produces byte-identical CSV files.  The
 ``EULER_ALIGN_OUT`` environment variable overrides ``--out``.
 """
@@ -24,7 +26,6 @@ config with the same code version produces byte-identical CSV files.  The
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -47,9 +48,9 @@ from .diagnostics import (
     scaling_limit_experiment,
 )
 from .fracops import FracOrder
-from .grid import GridError
+from .grid import GridError, _write_csv
 from .selftest import TOLERANCE_PROFILES, run_selftest
-from .solver import SolverError, Trajectory, _jsonable, load_trajectory, run, save_trajectory
+from .solver import SolverError, Trajectory, _jsonable, _write_json, load_trajectory, run, save_trajectory
 
 __all__ = ["main"]
 
@@ -73,12 +74,6 @@ _SUMMARY_CHECKS = {"mass": ("mass_rho", "mass_G"), "maxprinciple": ("max_princip
 
 class _BadInput(Exception):
     """An argument or input the CLI itself rejects (exit 2)."""
-
-
-def _write_manifest(outdir: Path, manifest: dict) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
-    body = _jsonable({**manifest, "files": sorted(manifest["files"])})
-    (outdir / "manifest.json").write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
 
 
 def _check(value: float, tolerance: float, passed: bool | None = None) -> dict:
@@ -153,7 +148,7 @@ def cmd_selftest(args: argparse.Namespace, manifest: dict) -> int:
         inject_hilbert_sign_error=args.inject_hilbert_sign_error,
     )
     args.out.mkdir(parents=True, exist_ok=True)
-    (args.out / "selftest_report.json").write_text(json.dumps(report.to_jsonable(), indent=2, sort_keys=True) + "\n")
+    _write_json(args.out / "selftest_report.json", asdict(report))
     manifest.update(files=["selftest_report.json"], seed=args.seed, profile=args.tolerance_profile)
     checks = {
         f"{r.check}" + (f"_alpha{r.alpha:g}" if r.alpha is not None else ""): _check(
@@ -167,11 +162,8 @@ def cmd_selftest(args: argparse.Namespace, manifest: dict) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace, manifest: dict) -> int:
-    cfg = load_config(args.config)
-    manifest["config_ini"] = dump_config(cfg)
-    traj = run(cfg)
+    traj = run(load_config(args.config))
     manifest.update(save_trajectory(traj, args.out))
-    manifest["files"] = [entry["file"] for entry in manifest["states"]] + [manifest["summary_file"]]
     code = _gate(manifest, _trajectory_checks(traj), "a per-run invariant check failed")
     print(f"simulate: wrote {len(traj.states)} states to {args.out} ({traj.steps} steps)")
     return code
@@ -231,7 +223,7 @@ def _scaling_csv(out: Path, report: ScalingReport) -> list[str]:
     header = "lambda," + ",".join(name for name, _ in columns)
     table = np.column_stack([np.asarray(report.lambdas)] + [np.asarray(v) for _, v in columns])
     out.mkdir(parents=True, exist_ok=True)
-    np.savetxt(out / "scaling.csv", table, fmt="%.17g", delimiter=",", header=header, comments="# ")
+    _write_csv(out / "scaling.csv", header, table)
     gp = (
         "set logscale xy\n"
         'set xlabel "lambda"\n'
@@ -282,7 +274,7 @@ def cmd_profiles(args: argparse.Namespace, manifest: dict) -> int:
     vel = velocity_profile_U(alpha, x)
     args.out.mkdir(parents=True, exist_ok=True)
     table = np.column_stack([x, phi, frac, vel])
-    np.savetxt(args.out / "profile.csv", table, fmt="%.17g", delimiter=",", header="x,phi,fraclap,U", comments="# ")
+    _write_csv(args.out / "profile.csv", "x,phi,fraclap,U", table)
     (args.out / "profiles.gp").write_text(
         'set datafile separator ","\n'
         'set xlabel "x"\n'
@@ -381,7 +373,8 @@ def main(argv: list[str] | None = None) -> int:
         raise
     finally:
         manifest["wall_time_seconds"] = round(time.perf_counter() - start, 3)
-        _write_manifest(args.out, manifest)
+        args.out.mkdir(parents=True, exist_ok=True)
+        _write_json(args.out / "manifest.json", {**manifest, "files": sorted(manifest["files"])})
 
 
 if __name__ == "__main__":

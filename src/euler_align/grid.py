@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -179,12 +180,17 @@ def support_margin(f: Field, rel_tol: float = 1e-12) -> float:
     return float(min(left, right))
 
 
+def _write_csv(path, header: str, table: np.ndarray) -> None:
+    """The bytes of ``np.savetxt(path, table, fmt="%.17g", delimiter=",",
+    header=header, comments="# ")`` for a 2-d table, formatted in one call."""
+    rows, cols = table.shape
+    row_fmt = ",".join(["%.17g"] * cols) + "\n"
+    Path(path).write_text(f"# {header}\n" + (row_fmt * rows) % tuple(table.ravel().tolist()))
+
+
 def write_field_csv(path, f: Field) -> None:
     """Serialize a field as two-column CSV with header '# x,value'."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# x,value\n")
-        for x, v in zip(f.grid.x, f.values):
-            fh.write(f"{x:.17g},{v:.17g}\n")
+    _write_csv(path, "x,value", np.column_stack([f.grid.x, f.values]))
 
 
 def read_field_csv(path, grid: Grid1D | None = None) -> Field:

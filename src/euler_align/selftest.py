@@ -21,7 +21,7 @@ checks are direction-sensitive rather than magnitude-only.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,15 +107,6 @@ class SelfTestReport:
     profile: str
     records: tuple[CheckRecord, ...]
     wall_time: float
-
-    def to_jsonable(self) -> dict[str, object]:
-        return {
-            "passed": self.passed,
-            "seed": self.seed,
-            "profile": self.profile,
-            "wall_time": self.wall_time,
-            "records": [asdict(r) for r in self.records],
-        }
 
 
 # ---------------------------------------------------------------------------

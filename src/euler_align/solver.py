@@ -58,6 +58,7 @@ from .grid import (
     build_grid,
     integrate,
     read_field_csv,
+    _write_csv,
 )
 
 __all__ = [
@@ -274,15 +275,14 @@ def make_initial_state(
     *,
     ws: SpectralWorkspace | None = None,
     image_correction: bool = True,
-    gauge: str = "real_line",
 ) -> tuple[State, InitialReport]:
     """Build the t=0 State and a report on the (b, a) sandwich.
 
     Preconditions: rho0 >= 0 with support inside [-L/2, L/2] (samples beyond
     are compared against SUPPORT_LEVEL times the peak).  The velocity is
-    reconstructed as the steps do it (same gauge/image options, and G as its
-    coefficient unless evolved), so the cached u is the one the stepping
-    computes and its velocity kernel is built before the first step.
+    reconstructed as the steps do it (real-line gauge, same image option, G
+    as its coefficient unless evolved), so the cached u is the one the
+    stepping computes and its velocity kernel is built before the first step.
     """
     a = float(FracOrder(alpha))
     if ws is None:
@@ -315,7 +315,7 @@ def make_initial_state(
     rho_f = as_field(grid, rho0)
     g_f = as_field(grid, g0)
     g_arg = g0 if spec.mode == "independent" else _g_coef(spec)
-    u_f = Field(grid, _velocity_values(rho0, g_arg, ws, image_correction, gauge))
+    u_f = Field(grid, _velocity_values(rho0, g_arg, ws, image_correction, "real_line"))
     report = InitialReport(
         sandwich_holds=holds,
         b=b,
@@ -759,56 +759,30 @@ def _jsonable(obj):
     return obj
 
 
-def _json_float(value) -> float | None:
-    """Inverse of _jsonable for scalars: 'nan'/'inf' strings back to floats."""
-    if value is None:
-        return None
-    return float(value)
-
-
-def config_from_jsonable(data: dict) -> SolverConfig:
-    """Rebuild a SolverConfig from the dictionary stored in a run manifest."""
-    init = data["initial"]
-    rho0 = ShapeSpec(**init["rho0"])
-    g0 = ShapeSpec(**init["g0"]) if init.get("g0") else None
-    initial = InitialDataSpec(
-        rho0=rho0,
-        mode=init["mode"],
-        g_coef=_json_float(init["g_coef"]),
-        b_coef=_json_float(init["b_coef"]),
-        a_coef=_json_float(init["a_coef"]),
-        g0=g0,
-    )
-    times = data["output_times"]
-    return SolverConfig(
-        alpha=float(data["alpha"]),
-        n=int(data["n"]),
-        half_width=float(data["half_width"]),
-        t_end=float(data["t_end"]),
-        initial=initial,
-        epsilon=_json_float(data["epsilon"]),
-        cfl=float(data["cfl"]),
-        flux_scheme=data["flux_scheme"],
-        output_times=None if times is None else tuple(float(t) for t in times),
-        image_correction=bool(data["image_correction"]),
-    )
+def _write_json(path: Path, obj) -> None:
+    """Write ``_jsonable(obj)`` as indented JSON with sorted keys."""
+    path.write_text(json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
 
 
 def load_trajectory(directory: str | Path) -> Trajectory:
-    """Reload a saved run directory into a Trajectory.
+    """Reload a run directory written by ``save_trajectory`` into a Trajectory.
 
+    The config is parsed from the manifest's ``config_ini`` (a manifest without
+    it raises SolverError) and the wall time is its ``run_wall_time_seconds``.
     The %.17g CSV format round-trips float64 exactly, so the reloaded states
     (including the cached velocity) are bit-identical to the saved ones.
     """
+    from .config import parse_config
+
     d = Path(directory)
     manifest_path = d / "manifest.json"
     if not manifest_path.is_file():
         raise SolverError(f"{d} does not contain a run manifest (manifest.json)")
     manifest = json.loads(manifest_path.read_text())
-    for key in ("config", "initial_report", "states", "summary_file"):
+    for key in ("config_ini", "initial_report", "states", "summary_file"):
         if key not in manifest:
             raise SolverError(f"run manifest {manifest_path} lacks the {key!r} entry")
-    cfg = config_from_jsonable(manifest["config"])
+    cfg = parse_config(manifest["config_ini"])
     grid = cfg.make_grid()
     states = []
     for entry in manifest["states"]:
@@ -829,12 +803,7 @@ def load_trajectory(directory: str | Path) -> Trajectory:
     summary = {name: table[:, j] for j, name in enumerate(SUMMARY_COLUMNS)}
     rep = manifest["initial_report"]
     report = InitialReport(
-        sandwich_holds=bool(rep["sandwich_holds"]),
-        b=_json_float(rep["b"]),
-        a=_json_float(rep["a"]),
-        mass_rho=_json_float(rep["mass_rho"]),
-        mass_g=_json_float(rep["mass_g"]),
-        min_rho=_json_float(rep["min_rho"]),
+        bool(rep["sandwich_holds"]), *(float(rep[k]) for k in ("b", "a", "mass_rho", "mass_g", "min_rho"))
     )
     return Trajectory(
         config=cfg,
@@ -843,25 +812,20 @@ def load_trajectory(directory: str | Path) -> Trajectory:
         summary=summary,
         initial_report=report,
         steps=int(manifest["steps"]),
-        wall_time=float(manifest["wall_time_seconds"]),
+        wall_time=float(manifest["run_wall_time_seconds"]),
     )
-
-
-def _write_csv(path: Path, header: str, table: np.ndarray) -> None:
-    """The bytes of ``np.savetxt(path, table, fmt="%.17g", delimiter=",",
-    header=header, comments="# ")`` for a 2-d table, formatted in one call."""
-    rows, cols = table.shape
-    row_fmt = ",".join(["%.17g"] * cols) + "\n"
-    path.write_text(f"# {header}\n" + (row_fmt * rows) % tuple(table.ravel().tolist()))
 
 
 def save_trajectory(traj: Trajectory, outdir: str | Path) -> dict:
     """Write one CSV per output state, the summary series, and a manifest.
 
-    Returns the manifest dictionary (also written to manifest.json).  State
+    Returns the manifest dictionary (also written to manifest.json); it holds
+    the config once, as ``dump_config`` text under ``config_ini``.  State
     files carry columns x, rho, G, u; all values use the %.17g format so
     repeated runs produce byte-identical artifacts.
     """
+    from .config import dump_config
+
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     state_files = []
@@ -876,12 +840,13 @@ def save_trajectory(traj: Trajectory, outdir: str | Path) -> dict:
     _write_csv(outdir / "summary.csv", ",".join(SUMMARY_COLUMNS), table)
     manifest = {
         "version": __version__,
-        "config": _jsonable(asdict(traj.config)),
-        "initial_report": _jsonable(asdict(traj.initial_report)),
+        "config_ini": dump_config(traj.config),
+        "initial_report": asdict(traj.initial_report),
         "states": state_files,
         "summary_file": "summary.csv",
+        "files": [entry["file"] for entry in state_files] + ["summary.csv"],
         "steps": traj.steps,
-        "wall_time_seconds": round(traj.wall_time, 3),
+        "run_wall_time_seconds": round(traj.wall_time, 3),
     }
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    _write_json(outdir / "manifest.json", manifest)
     return manifest

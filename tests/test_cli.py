@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from euler_align import load_trajectory
 from euler_align.cli import VERIFY_CHECKS, main
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -116,6 +117,12 @@ class TestSimulateCommand:
         assert all(c["passed"] for c in manifest["checks"].values())
         names = {p.name for p in out.iterdir()}
         assert {"summary.csv", "state_000.csv", "state_001.csv"} <= names
+
+    def test_manifest_keeps_the_run_wall_time(self, tmp_path):
+        out = tmp_path / "gauss"
+        assert main(["simulate", "--config", str(CONFIG_DIR / "gaussian_spectral.ini"), "--out", str(out)]) == 0
+        manifest = _manifest(out)
+        assert load_trajectory(out).wall_time == manifest["run_wall_time_seconds"] < manifest["wall_time_seconds"]
 
     def test_zero_horizon_writes_single_state(self, tmp_path):
         cfg = _write(tmp_path, "zero.ini", SMALL_RUN.replace(
@@ -228,11 +235,22 @@ class TestVerifyCommand:
         broken = tmp_path / "broken"
         shutil.copytree(rundir, broken)
         manifest = _manifest(broken)
-        manifest["config"]["initial"]["rho0"]["bogus"] = 1.0
+        manifest["config_ini"] += "rho0_bogus = 1.0\n"
         (broken / "manifest.json").write_text(json.dumps(manifest))
         out = tmp_path / "vbroken"
         assert main(["verify", str(broken), "--out", str(out)]) == 2
         assert "cannot load run directory" in _manifest(out)["failure"]
+
+    def test_manifest_without_config_ini_exits_two(self, rundir, tmp_path):
+        old = tmp_path / "old"
+        shutil.copytree(rundir, old)
+        manifest = _manifest(old)
+        del manifest["config_ini"]
+        (old / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "vold"
+        assert main(["verify", str(old), "--out", str(out)]) == 2
+        failure = _manifest(out)["failure"]
+        assert "cannot load run directory" in failure and "'config_ini'" in failure
 
     def test_decay_and_oleinik_on_long_run(self, tmp_path):
         cfg = _write(tmp_path, "decay.ini", DECAY_RUN)

@@ -36,13 +36,19 @@ class TestRunSelftest:
             assert record.tolerance > 0.0
             assert record.passed == (record.max_error <= record.tolerance)
 
-    def test_jsonable_round_trip(self):
+    def test_jsonable_round_trip(self, tmp_path):
         import json
 
-        report = run_selftest(seed=0)
-        payload = json.loads(json.dumps(report.to_jsonable()))
+        from euler_align.cli import main
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        assert main(["selftest", "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "selftest_report.json").read_text(), parse_constant=reject)
+        manifest = json.loads((tmp_path / "manifest.json").read_text(), parse_constant=reject)
         assert payload["passed"] is True
-        assert len(payload["records"]) == len(report.records)
+        assert len(payload["records"]) == len(manifest["checks"]) > 0
 
     def test_negative_control_fails_exactly_one_check(self):
         report = run_selftest(seed=0, inject_hilbert_sign_error=True)

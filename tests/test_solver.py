@@ -888,12 +888,34 @@ class TestRun:
         assert errors[1024] < errors[512]
 
 
+def _round_trip_initial(case: str, tmp_path: Path) -> InitialDataSpec:
+    """Proportional Gaussian data, or the two cases below."""
+    if case == "independent_nan":
+        # G0 > 0 where rho0 = 0: no finite sandwich constants exist.
+        return InitialDataSpec(
+            rho0=ShapeSpec(kind="bump", mass=1.0, width=0.8),
+            mode="independent",
+            g0=ShapeSpec(kind="bump", mass=1.0, width=0.8, center=2.0),
+        )
+    if case == "csv_rho0":
+        grid = build_grid(512, 10.0)
+        path = tmp_path / "rho0.csv"
+        write_field_csv(path, as_field(grid, np.exp(-grid.x**2 / 0.72)))
+        return InitialDataSpec(rho0=ShapeSpec(kind="csv", path=str(path)), mode="zero_G")
+    return _initial_of_mode("proportional")
+
+
 class TestPersistence:
-    @pytest.mark.parametrize("scheme", ["spectral", "upwind"])
-    def test_save_load_round_trip_is_exact(self, tmp_path, scheme):
-        cfg = _gaussian_proportional(flux_scheme=scheme, t_end=0.3, output_times=(0.0, 0.15, 0.3))
+    @pytest.mark.parametrize("case", ["spectral", "upwind", "independent_nan", "csv_rho0"])
+    def test_save_load_round_trip_is_exact(self, tmp_path, case):
+        cfg = _gaussian_proportional(
+            flux_scheme="upwind" if case == "upwind" else "spectral",
+            initial=_round_trip_initial(case, tmp_path),
+            t_end=0.3,
+            output_times=(0.0, 0.15, 0.3),
+        )
         traj = run(cfg)
-        outdir = tmp_path / scheme
+        outdir = tmp_path / case
         manifest = save_trajectory(traj, outdir)
         assert (outdir / "manifest.json").exists()
         names = {p.name for p in outdir.iterdir()}
@@ -903,7 +925,14 @@ class TestPersistence:
         loaded = load_trajectory(outdir)
         assert loaded.config == traj.config
         assert loaded.output_times == traj.output_times
-        assert loaded.initial_report == traj.initial_report
+        assert loaded.steps == traj.steps
+        assert loaded.wall_time == manifest["run_wall_time_seconds"]
+        if case == "independent_nan":
+            assert not traj.initial_report.sandwich_holds
+            assert math.isnan(loaded.initial_report.b) and math.isnan(loaded.initial_report.a)
+            assert replace(loaded.initial_report, b=0.0, a=0.0) == replace(traj.initial_report, b=0.0, a=0.0)
+        else:
+            assert loaded.initial_report == traj.initial_report
         for a, b in zip(loaded.states, traj.states):
             assert a.t == b.t
             npt.assert_array_equal(a.rho.values, b.rho.values)
