@@ -162,7 +162,9 @@ def cmd_selftest(args: argparse.Namespace, manifest: dict) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace, manifest: dict) -> int:
-    traj = run(load_config(args.config))
+    cfg = load_config(args.config)
+    manifest["config_ini"] = dump_config(cfg)  # fails before the run if the run directory cannot store it
+    traj = run(cfg)
     manifest.update(save_trajectory(traj, args.out))
     code = _gate(manifest, _trajectory_checks(traj), "a per-run invariant check failed")
     print(f"simulate: wrote {len(traj.states)} states to {args.out} ({traj.steps} steps)")
@@ -247,7 +249,7 @@ def cmd_scaling(args: argparse.Namespace, manifest: dict) -> int:
             cfg, lambdas, q=args.q, R=args.radius, t1=args.t1, t2=args.t2, jobs=args.jobs
         )
     else:
-        report = barenblatt_limit_experiment(cfg, lambdas, p=args.p, jobs=args.jobs)
+        report = barenblatt_limit_experiment(cfg, lambdas, p=args.p)
     manifest["report"] = asdict(report)
     manifest["files"] = _scaling_csv(args.out, report)
     checks = _series_monotone_checks("primary_distance", report.lambdas, report.distances)
@@ -334,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=Path, required=True, help="INI base configuration")
     p.add_argument("--mode", choices=("rarefaction", "barenblatt"), required=True)
     p.add_argument("--lambdas", default="1,2,4,8", help="comma-separated dilation parameters")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="parallel workers for the sweep")
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="parallel workers for the sweep (rarefaction)")
     p.add_argument("--q", type=float, default=2.0, help="velocity distance exponent (rarefaction)")
     p.add_argument("--radius", type=float, default=1.5, help="half-width of the comparison window (rarefaction)")
     p.add_argument("--t1", type=float, default=1.0, help="start of the comparison time window (rarefaction)")

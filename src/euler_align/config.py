@@ -18,6 +18,7 @@ that round-trips through ``parse_config`` to an equal configuration.
 from __future__ import annotations
 
 import configparser
+import re
 from pathlib import Path
 
 from .fracops import FracOrderError
@@ -25,11 +26,10 @@ from .solver import InitialDataSpec, ShapeSpec, SolverConfig, SolverError
 
 __all__ = ["ConfigError", "dump_config", "load_config", "parse_config"]
 
-_BOOLEAN_STATES = {
-    "1": True, "yes": True, "true": True, "on": True,
-    "0": False, "no": False, "false": False, "off": False,
-}
-
+# parse_config strips a value, ends it at a "#" or ";" after whitespace (the
+# " = " before the value counts) and at a line break (a file read in text mode
+# turns "\r" into one), so such a path would come back changed.
+_UNSAFE_PATH = re.compile(r"\A\s|\s\Z|(\A|\s)[#;]|[\r\n]")
 _SHAPE_KEYS = ("kind", "mass", "width", "center", "amplitude", "path")
 _SECTION_KEYS: dict[str, tuple[str, ...]] = {
     "model": ("alpha", "epsilon"),
@@ -77,7 +77,7 @@ def _convert(section: str, key: str, raw: str, kind: type) -> float | int:
 
 
 def _convert_bool(section: str, key: str, raw: str) -> bool:
-    state = _BOOLEAN_STATES.get(raw.lower())
+    state = configparser.ConfigParser.BOOLEAN_STATES.get(raw.lower())
     if state is None:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a valid boolean")
     return state
@@ -206,6 +206,9 @@ def _shape_lines(prefix: str, shape: ShapeSpec) -> list[str]:
     lines = [f"{prefix}_kind = {shape.kind}"]
     lines += [f"{prefix}_{k} = {getattr(shape, k)!r}" for k in ("mass", "width", "center", "amplitude")]
     if shape.path is not None:
+        if _UNSAFE_PATH.search(shape.path):
+            raise ConfigError(f"{prefix}_path {shape.path!r} does not survive the INI round trip "
+                              "(whitespace at an end, '#' or ';' after whitespace, or a line break)")
         lines.append(f"{prefix}_path = {shape.path}")
     return lines
 

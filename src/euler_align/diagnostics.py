@@ -354,15 +354,6 @@ def _rarefaction_case(
     return du, dr / n_s, dg / n_s, du_x, dr_x / n_s, dg_x / n_s
 
 
-def _map_cases(case, args: list[tuple], jobs: int) -> list:
-    """[case(*a) for a in args], on min(jobs, len(args)) worker processes when that exceeds 1."""
-    workers = min(jobs, len(args))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(case, *zip(*args)))
-    return [case(*a) for a in args]
-
-
 def _scale_factors(lambdas) -> tuple[float, ...]:
     """The lambdas as floats; they must be finite, distinct, increasing and >= 1."""
     lams = tuple(float(v) for v in lambdas)
@@ -396,6 +387,10 @@ def scaling_limit_experiment(
     are compared with the rarefaction triple of the initial masses:
     sup over sampled s in [t1, t2] of the L^q([-R, R]) velocity distance,
     plus time-averaged L^q distances of the mollified density and G.
+
+    The lambda cases are independent runs of about equal cost (dt and the
+    horizon both grow like lambda), so they run on min(jobs, len(lambdas))
+    worker processes when that exceeds 1.
     """
     lams = _scale_factors(lambdas)
     _check_distance_exponent("q", q)
@@ -410,7 +405,12 @@ def scaling_limit_experiment(
     samples = tuple(np.linspace(t1, t2, n_samples))
     eps = base_cfg.effective_epsilon(base_cfg.make_grid().spacing)
     args = [(base_cfg, lam, q, R, samples, eps) for lam in lams]
-    results = _map_cases(_rarefaction_case, args, jobs)
+    workers = min(jobs, len(args))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_rarefaction_case, *zip(*args)))
+    else:
+        results = [_rarefaction_case(*a) for a in args]
     du, dr, dg, du_x, dr_x, dg_x = (tuple(r[i] for r in results) for i in range(6))
     return ScalingReport(
         mode="rarefaction",
@@ -448,54 +448,37 @@ def _unit_mass_initial(initial: InitialDataSpec, grid, alpha: float) -> InitialD
     return replace(initial, rho0=shape)
 
 
-def _barenblatt_case(base_cfg: SolverConfig, lam: float, p: float) -> float:
-    """L^p distance of the lambda-rescaled run to the self-similar target at t=1.
-
-    The run goes to T = lambda^(1+alpha); the rescaled density
-    lam * rho(lam*y, T) is compared on the rescaled mesh against the unit-mass
-    attractor profile at t = 1 — except for data on the profile family itself
-    (getoor kind), where the exact evolved member is the honest fixed-point
-    target: the rescaled exact solution is the same profile with a time
-    origin shifted by O(lambda^-(1+alpha)), which the attractor only matches
-    as lambda grows.
-    """
-    alpha = base_cfg.alpha
-    T = lam ** (1.0 + alpha)
-    cfg = replace(base_cfg, t_end=T, output_times=(T,))
-    traj = run(cfg)
-    state = traj.states[-1]
-    grid = state.rho.grid
-    y = grid.x / lam
-    h_y = grid.spacing / lam
-    rescaled = lam * state.rho.values
-    if base_cfg.initial.rho0.kind == "getoor":
-        shape = base_cfg.initial.rho0
-        exact = np.asarray(
-            evolved_profile_density(alpha, shape.amplitude, grid.x - shape.center, T)
-        )
-        target = lam * exact
-    else:
-        target = np.asarray(attractor_density(alpha, 1.0, y, 1.0))
-    return _window_lq(rescaled - target, np.ones_like(y, dtype=bool), h_y, p)
-
-
-def barenblatt_limit_experiment(
-    base_cfg: SolverConfig, lambdas, p: float = 1.0, *, jobs: int = 1
-) -> ScalingReport:
+def barenblatt_limit_experiment(base_cfg: SolverConfig, lambdas, p: float = 1.0) -> ScalingReport:
     """Self-similar-limit experiment for zero-G data.
 
     Requires G0 = 0; the density is normalized to unit grid mass before
-    running.  distances[i] = || lam_i*rho(lam_i*y, lam_i^(1+alpha)) -
-    target(y) ||_{L^p} with the target described in _barenblatt_case.
+    running.  Every lambda shares the grid, the data and the dt rule, so one
+    run to the largest T records the state at each T = lambda^(1+alpha).
+    distances[i] = || lam*rho(lam*y, T) - target(y) ||_{L^p} on the rescaled
+    mesh y = x/lam, where the target is the unit-mass attractor profile at
+    t = 1 — except for data on the profile family itself (getoor kind), where
+    the exact evolved member is the honest fixed-point target: the rescaled
+    exact solution is the same profile with a time origin shifted by
+    O(lambda^-(1+alpha)), which the attractor only matches as lambda grows.
     """
     lams = _scale_factors(lambdas)
     _check_distance_exponent("p", p)
     if base_cfg.initial.mode != "zero_G":
         raise DiagnosticsError("barenblatt experiment requires zero_G initial data")
+    alpha = base_cfg.alpha
     grid = base_cfg.make_grid()
-    initial = _unit_mass_initial(base_cfg.initial, grid, base_cfg.alpha)
-    cfg = replace(base_cfg, initial=initial)
-    dists = _map_cases(_barenblatt_case, [(cfg, lam, p) for lam in lams], jobs)
+    initial = _unit_mass_initial(base_cfg.initial, grid, alpha)
+    times = tuple(lam ** (1.0 + alpha) for lam in lams)
+    traj = run(replace(base_cfg, initial=initial, t_end=times[-1], output_times=times))
+    shape = initial.rho0
+    everywhere = np.ones(grid.n, dtype=bool)
+    dists = []
+    for lam, T, state in zip(lams, times, traj.states):
+        if shape.kind == "getoor":
+            target = lam * np.asarray(evolved_profile_density(alpha, shape.amplitude, grid.x - shape.center, T))
+        else:
+            target = np.asarray(attractor_density(alpha, 1.0, grid.x / lam, 1.0))
+        dists.append(_window_lq(lam * state.rho.values - target, everywhere, grid.spacing / lam, p))
     return ScalingReport(
         mode="barenblatt",
         lambdas=lams,

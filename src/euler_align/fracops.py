@@ -539,7 +539,7 @@ def gagliardo_nirenberg_check(
     return lhs, rhs, ratio
 
 
-def derivative(f: Field, ws: SpectralWorkspace | None = None) -> Field:
+def derivative(f: Field) -> Field:
     """Spectral derivative (i*xi multiplier, Nyquist zeroed)."""
     xi = f.grid.wavenumbers
     mult = 1j * xi.copy()

@@ -826,6 +826,7 @@ def save_trajectory(traj: Trajectory, outdir: str | Path) -> dict:
     """
     from .config import dump_config
 
+    config_ini = dump_config(traj.config)  # raises before any file is written
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     state_files = []
@@ -840,7 +841,7 @@ def save_trajectory(traj: Trajectory, outdir: str | Path) -> dict:
     _write_csv(outdir / "summary.csv", ",".join(SUMMARY_COLUMNS), table)
     manifest = {
         "version": __version__,
-        "config_ini": dump_config(traj.config),
+        "config_ini": config_ini,
         "initial_report": asdict(traj.initial_report),
         "states": state_files,
         "summary_file": "summary.csv",

@@ -339,7 +339,7 @@ def test_criterion_09_self_similar_scaling_limit():
         ),
         flux_scheme="spectral",
     )
-    rep_g = barenblatt_limit_experiment(gauss, (1.0, 2.0, 4.0), p=1.0, jobs=3)
+    rep_g = barenblatt_limit_experiment(gauss, (1.0, 2.0, 4.0), p=1.0)
     decreasing = all(b < a for a, b in zip(rep_g.distances, rep_g.distances[1:]))
 
     profile = SolverConfig(
@@ -352,7 +352,7 @@ def test_criterion_09_self_similar_scaling_limit():
         ),
         flux_scheme="spectral",
     )
-    rep_p = barenblatt_limit_experiment(profile, (1.0, 2.0, 4.0), p=1.0, jobs=3)
+    rep_p = barenblatt_limit_experiment(profile, (1.0, 2.0, 4.0), p=1.0)
     fixed_point = max(rep_p.distances)
     ok = decreasing and fixed_point <= 5e-2
     _verdict(9, "zero-G runs contract onto the self-similar profile", ok,

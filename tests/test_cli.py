@@ -173,6 +173,18 @@ class TestSimulateCommand:
         manifest = _manifest(out)
         assert reason in manifest["failure"] and manifest["files"] == []
 
+    def test_csv_path_that_cannot_be_stored_exits_two_before_the_run(self, tmp_path):
+        # The config's directory name carries an INI inline comment, and the csv
+        # path is resolved against it; the CSV itself is never read.
+        folder = tmp_path / "runs #1"
+        folder.mkdir()
+        cfg = _write(folder, "csv.ini", SMALL_RUN.replace(
+            "rho0_kind = gaussian", "rho0_kind = csv\nrho0_path = rho0.csv"))
+        out = tmp_path / "csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        manifest = _manifest(out)
+        assert "does not survive the INI round trip" in manifest["failure"] and manifest["files"] == []
+
     def test_runs_are_byte_identical(self, tmp_path):
         cfg = _write(tmp_path, "det.ini", SMALL_RUN)
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -86,6 +86,7 @@ class TestParse:
             (("n = 256", "n = inf"), "not a valid int"),
             (("n = 256", "n = -inf"), "not a valid int"),
             (("n = 256", "n = 1e400"), "not a valid int"),
+            (("[initial]", "[scheme]\nimage_correction = maybe\n\n[initial]"), "not a valid boolean"),
         ],
     )
     def test_rejects_malformed_input(self, mutation, message):
@@ -158,6 +159,21 @@ class TestDump:
                 rho0=ShapeSpec(kind="getoor", amplitude=2.0), mode="zero_G"
             ),
         )
+        assert self._round_trip(cfg) == cfg
+
+    @staticmethod
+    def _csv_config(path: str) -> SolverConfig:
+        initial = InitialDataSpec(rho0=ShapeSpec(kind="csv", path=path), mode="zero_G")
+        return SolverConfig(alpha=0.5, n=256, half_width=8.0, t_end=1.0, initial=initial)
+
+    @pytest.mark.parametrize("path", ["/tmp/run ;1/rho #2.csv", " /tmp/rho.csv", "/tmp/a.csv\n[grid]\nn = 64"])
+    def test_rejects_csv_path_that_does_not_round_trip(self, path):
+        with pytest.raises(ConfigError, match="rho0_path") as exc:
+            dump_config(self._csv_config(path))
+        assert repr(path) in str(exc.value)
+
+    def test_round_trip_csv_path_with_inline_comment_characters(self):
+        cfg = self._csv_config("/tmp/run;1/rho#2.csv")
         assert self._round_trip(cfg) == cfg
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
