@@ -94,20 +94,12 @@ def reference_decay_slope(p: float, reference: str, alpha: float | None = None) 
 
 
 def decay_fit(series, p: float, reference: str = "sharp", alpha: float | None = None) -> DecayFit:
-    """Fit the decay exponent of a (times, norms) series.
+    """Fit the decay exponent of a (times, norms) pair of 1-d arrays.
 
-    ``series`` is a pair of 1-d arrays or an (N, 2) array.  Requires at least
-    10 samples spanning at least one decade; the fit discards the transient
-    t < t_max / 10 and runs on log-log axes.
+    Requires at least 10 samples spanning at least one decade; the fit
+    discards the transient t < t_max / 10 and runs on log-log axes.
     """
-    arr = np.asarray(series, dtype=float) if not isinstance(series, tuple) else None
-    if arr is not None:
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise DiagnosticsError("series must be (times, norms) or an (N, 2) array")
-        times, norms = arr[:, 0].copy(), arr[:, 1].copy()
-    else:
-        times = np.asarray(series[0], dtype=float).copy()
-        norms = np.asarray(series[1], dtype=float).copy()
+    times, norms = (np.asarray(s, dtype=float) for s in series)
     if times.size != norms.size:
         raise DiagnosticsError("times and norms have different lengths")
     if np.any(np.diff(times) <= 0):

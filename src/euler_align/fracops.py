@@ -68,6 +68,8 @@ from .grid import (
     lp_norm,
 )
 
+N_IMAGES = 64  # image pairs SpectralWorkspace.image_kernel sums before its analytic tail
+
 
 def _next_fast_len(m: int) -> int:
     """Smallest 5-smooth integer >= m, as ``scipy.fft.next_fast_len(m, True)``."""
@@ -163,10 +165,9 @@ class SpectralWorkspace:
     per thread, one set per grid size (``_work_array``).
     """
 
-    def __init__(self, grid: Grid1D, alpha: float, n_images: int = 64):
+    def __init__(self, grid: Grid1D, alpha: float):
         self.grid = grid
         self.alpha = float(FracOrder(alpha))
-        self.n_images = int(n_images)
         xi = grid.wavenumbers
         nyq = grid.n // 2
 
@@ -208,14 +209,14 @@ class SpectralWorkspace:
         """Periodic-image kernel Q(z) = c_alpha * sum_{m != 0} |z - 2Lm|^(-1-alpha).
 
         Sampled on the linear-convolution lattice z_k = (k - (n-1)) h,
-        k = 0 .. 2n-2.  The first ``n_images`` image pairs are summed directly;
+        k = 0 .. 2n-2.  The first ``N_IMAGES`` image pairs are summed directly;
         the remainder is added as its analytic integral tail (z-dependence of
         far images is negligible at that distance).  Only k < n is computed:
         z[2n-2-k] = -z[k] exactly and the two image sums swap there.  The
         pairs are accumulated one image at a time, m = 1, 2, ..., on the
         stacked offsets (z, -z) (|-z - 2Lm| = |z + 2Lm|), so the build holds
         a few length-2n arrays, about 0.6 MiB at n = 8192, whatever
-        ``n_images`` is.
+        ``N_IMAGES`` is.
         """
         if self._image_kernel is None:
             n, L, a = self.grid.n, self.grid.half_width, self.alpha
@@ -224,13 +225,13 @@ class SpectralWorkspace:
             zz = np.stack((z, -z))
             sums = np.zeros_like(zz)
             term = np.empty_like(zz)
-            for m in range(1, self.n_images + 1):
+            for m in range(1, N_IMAGES + 1):
                 np.subtract(zz, 2.0 * L * m, out=term)
                 np.abs(term, out=term)
                 np.power(term, -1.0 - a, out=term)
                 sums += term
             q = sums[0] + sums[1]
-            q += 2.0 * (2.0 * L) ** (-1.0 - a) * (self.n_images + 0.5) ** (-a) / a
+            q += 2.0 * (2.0 * L) ** (-1.0 - a) * (N_IMAGES + 0.5) ** (-a) / a
             q *= singular_kernel_constant(a)
             q = np.concatenate((q, q[-2::-1]))
             q.setflags(write=False)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 import sys
 
@@ -23,6 +24,7 @@ from euler_align import (
     parse_config,
     write_field_csv,
 )
+from euler_align.config import _SECTION_KEYS
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -40,6 +42,39 @@ t_end = 1.0
 [initial]
 mode = proportional
 rho0_kind = gaussian
+"""
+
+FULL_FEATURED_INI = """\
+[model]
+alpha = 0.75
+epsilon = 0.001
+
+[grid]
+n = 512
+half_width = 12.5
+
+[time]
+t_end = 2.0
+cfl = 0.3
+output_times = 0.0, 0.5, 2.0
+
+[scheme]
+flux_scheme = upwind
+image_correction = false
+
+[initial]
+mode = independent
+g_coef = 1.0
+rho0_kind = bump
+rho0_mass = 2.0
+rho0_width = 1.5
+rho0_center = -0.5
+rho0_amplitude = 1.0
+g0_kind = gaussian
+g0_mass = 0.5
+g0_width = 0.8
+g0_center = 0.0
+g0_amplitude = 1.0
 """
 
 
@@ -87,6 +122,10 @@ class TestParse:
             (("n = 256", "n = -inf"), "not a valid int"),
             (("n = 256", "n = 1e400"), "not a valid int"),
             (("[initial]", "[scheme]\nimage_correction = maybe\n\n[initial]"), "not a valid boolean"),
+            # Several faults: structure, then required keys, then values; a shape before a coefficient.
+            (("t_end = 1.0", "cfl = x\nspacing = 1"), "unknown key"),
+            (("t_end = 1.0", "cfl = x"), "missing required key 't_end'"),
+            (("mode = proportional", "mode = proportional\ng_coef = abc\ng0_mass = 1.0"), "g0_kind"),
         ],
     )
     def test_rejects_malformed_input(self, mutation, message):
@@ -130,8 +169,9 @@ class TestDump:
             cfg = load_config(path)
             assert self._round_trip(cfg) == cfg
 
-    def test_round_trip_full_featured(self):
-        cfg = SolverConfig(
+    @staticmethod
+    def _full_featured() -> SolverConfig:
+        return SolverConfig(
             alpha=0.75,
             n=512,
             half_width=12.5,
@@ -147,7 +187,21 @@ class TestDump:
                 g0=ShapeSpec(kind="gaussian", mass=0.5, width=0.8),
             ),
         )
+
+    def test_round_trip_full_featured(self):
+        cfg = self._full_featured()
         assert self._round_trip(cfg) == cfg
+
+    def test_dump_text_full_featured(self):
+        """The exact text a run manifest stores as ``config_ini``."""
+        assert dump_config(self._full_featured()) == FULL_FEATURED_INI
+
+    def test_every_field_has_exactly_one_ini_key(self):
+        keys = [key for section_keys in _SECTION_KEYS.values() for key in section_keys]
+        names = [f.name for f in fields(SolverConfig) if f.name != "initial"]
+        names += [f.name for f in fields(InitialDataSpec) if f.name not in ("rho0", "g0")]
+        names += [f"{prefix}_{f.name}" for prefix in ("rho0", "g0") for f in fields(ShapeSpec)]
+        assert sorted(keys) == sorted(names)
 
     def test_round_trip_zero_g_getoor(self):
         cfg = SolverConfig(
@@ -173,8 +227,10 @@ class TestDump:
         assert repr(path) in str(exc.value)
 
     def test_round_trip_csv_path_with_inline_comment_characters(self):
-        cfg = self._csv_config("/tmp/run;1/rho#2.csv")
-        assert self._round_trip(cfg) == cfg
+        # The path is kept as written: no slash is merged, dropped or added.
+        for path in ("/tmp/run;1/rho#2.csv", "/tmp//a.csv", "./a.csv", "/tmp/a.csv/"):
+            cfg = self._csv_config(path)
+            assert self._round_trip(cfg) == cfg
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
@@ -199,7 +255,7 @@ _SHAPES = st.builds(
     width=_POSITIVE,
     center=_FINITE,
     amplitude=_POSITIVE,
-    path=st.from_regex(r"[a-z0-9_]{1,8}(/[a-z0-9_]{1,8})?\.csv", fullmatch=True),
+    path=st.from_regex(r"(\.?/)?[a-z0-9_]{1,8}(//?[a-z0-9_]{1,8})?\.csv/?", fullmatch=True),
 )
 
 

@@ -31,7 +31,7 @@ from euler_align import (
     velocity_profile_U,
 )
 from euler_align import closedform, fracops
-from euler_align.fracops import apply_multiplier, derivative, fftconvolve
+from euler_align.fracops import N_IMAGES, apply_multiplier, derivative, fftconvolve
 from euler_align.grid import antiderivative
 
 ALPHAS = (0.25, 0.5, 0.75)
@@ -150,10 +150,10 @@ def _reference_image_kernel(ws):
     """The image kernel evaluated on the whole lattice k = 0 .. 2n-2, without mirroring."""
     n, L, a, h = ws.grid.n, ws.grid.half_width, ws.alpha, ws.grid.spacing
     z = (np.arange(2 * n - 1) - (n - 1)) * h
-    m = 2.0 * L * np.arange(1, ws.n_images + 1)[:, None]
+    m = 2.0 * L * np.arange(1, N_IMAGES + 1)[:, None]
     q = (np.abs(z[None, :] - m) ** (-1.0 - a)).sum(axis=0)
     q += (np.abs(z[None, :] + m) ** (-1.0 - a)).sum(axis=0)
-    q += 2.0 * (2.0 * L) ** (-1.0 - a) * (ws.n_images + 0.5) ** (-a) / a
+    q += 2.0 * (2.0 * L) ** (-1.0 - a) * (N_IMAGES + 0.5) ** (-a) / a
     return q * singular_kernel_constant(a)
 
 
@@ -168,7 +168,7 @@ class TestImageKernel:
 
 
 def test_image_kernel_build_peak_memory_under_one_mib():
-    """The image sum streams over the images: no (n_images, n) temporaries at n = 8192."""
+    """The image sum streams over the images: no (N_IMAGES, n) temporaries at n = 8192."""
     ws = SpectralWorkspace(build_grid(8192, 24.0), 0.5)
     tracemalloc.start()
     try:
