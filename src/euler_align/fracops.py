@@ -22,17 +22,28 @@ d_x^{-1} Lambda^alpha, the velocity reconstruction u = d_x^{-1}(G + Lambda^alpha
 and numerical checks of the Stroock-Varopoulos and fractional
 Gagliardo-Nirenberg inequalities.
 
-The velocity reconstruction is the solver's hot path.  Its whole rho part --
-the periodic primitive, the cumulative integral of the periodic-image
+Every field is real, so every multiplier lives on the rfft half spectrum
+xi = ``Grid1D.wavenumbers`` >= 0 (n/2 + 1 entries) and is applied as
+irfft(m * rfft(f), n).  The operators are built from |xi|^p
+(``SpectralWorkspace.abs_power_multiplier``): Lambda^alpha is |xi|^alpha, the
+Hilbert transform -i |xi|^0, d_x^{-1} Lambda^alpha is -i |xi|^(alpha-1) and the
+derivative i xi.  The odd multipliers need no zeroed Nyquist entry: irfft
+discards the imaginary part of the zero and Nyquist bins.
+
+The velocity reconstruction is the solver's hot path.  Its one gauge is the
+real line's: u is the antiderivative that vanishes at -inf.  Its whole rho
+part -- the periodic primitive, the cumulative integral of the periodic-image
 correction and, through the offset c - c[0], the left-edge pinning -- is one
 linear convolution of rho with a pre-integrated kernel that the workspace
 builds once and keeps (see ``SpectralWorkspace.velocity_kernel_spectrum``),
-evaluated as a single real-FFT product of length 2n.  When G = g_coef * rho
-(the solver's proportional and zero-G data) the kernel carries G's integral
-too, so the whole velocity is that one product.  The separate
-``periodic_image_correction`` (an ``fftconvolve`` with the raw image kernel)
-stays as the independent reference route the tests check that kernel
-against, and as the correction used by ``fractional_laplacian_spectral``.
+evaluated as a single real-FFT product of length 2n; the tail anchor then
+moves the left-edge value from 0 to the integral over (-inf, -L).  When
+G = g_coef * rho (the solver's proportional and zero-G data) the kernel
+carries G's integral too, so the whole velocity is that one product and the
+anchor.  The separate ``periodic_image_correction`` (an ``fftconvolve`` with
+the raw image kernel) stays as the independent reference route the tests
+check that kernel against, and as the correction used by
+``fractional_laplacian_spectral``.
 
 Every transform runs on ``numpy.fft``, not ``scipy.fft``.  Both wrap the
 same pocketfft C++ code and give the same floats, but importing
@@ -145,48 +156,23 @@ def singular_kernel_constant(alpha: float) -> float:
 
 
 class SpectralWorkspace:
-    """Cached Fourier multipliers for a (grid, alpha) pair.
+    """Cached Fourier multipliers for a (grid, alpha) pair, all on the rfft half spectrum.
 
-    Caches the three core multiplier arrays (length n, FFT layout):
-
-    * ``abs_xi_alpha``      : |xi|^alpha                    (fractional Laplacian)
-    * ``hilbert_multiplier``: -i * sgn(xi)                  (Hilbert transform)
-    * ``pdinv_multiplier``  : -i * sgn(xi) * |xi|^(alpha-1) (d_x^{-1} Lambda^alpha)
-
-    All three vanish at xi = 0; the two odd (imaginary) multipliers also vanish
-    at the Nyquist mode, which has no conjugate partner.
-
-    The image kernel, the velocity kernels, the tail-anchor weights and the
-    transport multipliers are built on first use, so a workspace that never
-    reconstructs a velocity never pays for them.  Every cached array is
-    frozen, and building one twice gives the same values, so a workspace may
-    be shared across threads and pickled.  The scratch arrays that the
-    velocity and the spectral step write into are not part of it: they are
-    per thread, one set per grid size (``_work_array``).
+    ``abs_power_multiplier(p)`` caches |xi|^p, zero mode 0, for each power
+    asked for; the operators are built from it (see the module docstring).
+    It, the image kernel, the velocity kernels, the tail-anchor weights and
+    the transport multipliers are all built on first use, so a workspace that
+    never reconstructs a velocity never pays for the velocity's arrays.
+    Every cached array is frozen, and building one twice gives the same
+    values, so a workspace may be shared across threads and pickled.  The
+    scratch arrays that the velocity and the spectral step write into are not
+    part of it: they are per thread, one set per grid size (``_work_array``).
     """
 
     def __init__(self, grid: Grid1D, alpha: float):
         self.grid = grid
         self.alpha = float(FracOrder(alpha))
-        xi = grid.wavenumbers
-        nyq = grid.n // 2
-
-        self.abs_xi_alpha = np.abs(xi) ** self.alpha
-        sgn = np.sign(xi)
-        hil = -1j * sgn
-        hil[nyq] = 0.0
-        self.hilbert_multiplier = hil
-        with np.errstate(divide="ignore"):
-            mag = np.abs(xi) ** (self.alpha - 1.0)
-        mag[0] = 0.0
-        pdi = -1j * sgn * mag
-        pdi[nyq] = 0.0
-        self.pdinv_multiplier = pdi
-
-        for arr in (self.abs_xi_alpha, self.hilbert_multiplier, self.pdinv_multiplier):
-            arr.setflags(write=False)
-
-        self._abs_power_cache: dict[float, np.ndarray] = {self.alpha: self.abs_xi_alpha}
+        self._abs_power_cache: dict[float, np.ndarray] = {}
         self._image_kernel: np.ndarray | None = None
         self._velocity_kernels: dict[tuple[bool, float], np.ndarray] = {}
         self._tail_anchor_weights: np.ndarray | None = None
@@ -197,9 +183,8 @@ class SpectralWorkspace:
         key = float(power)
         mult = self._abs_power_cache.get(key)
         if mult is None:
-            xi = self.grid.wavenumbers
             with np.errstate(divide="ignore"):
-                mult = np.abs(xi) ** key
+                mult = self.grid.wavenumbers ** key
             mult[0] = 0.0
             mult.setflags(write=False)
             self._abs_power_cache[key] = mult
@@ -245,9 +230,9 @@ class SpectralWorkspace:
 
             K_c[d] = p[d mod n] + h * (S[d] - h * Q[d] / 2) + c * T[d],
 
-        with p = ifft(pdinv_multiplier) the impulse response of the periodic
-        primitive, Q = image_kernel() and S = cumsum(h * Q) its cumulative sum
-        from the left, and T[d] = h for d >= 1, h/2 at d = 0, 0 for d < 0; the
+        with p = irfft(-i |xi|^(alpha-1)) the impulse response of the periodic
+        primitive d_x^{-1} Lambda^alpha, Q = image_kernel() and S = cumsum(h * Q)
+        its cumulative sum from the left, and T[d] = h for d >= 1, h/2 at d = 0, 0 for d < 0; the
         image part is left out when ``image_correction`` is false.  For
         c[j] = sum_k rho_k K_c[j - k] the difference c - c[0] is the periodic
         primitive pinned to 0 at the left edge plus the cumulative trapezoid
@@ -261,7 +246,7 @@ class SpectralWorkspace:
         spectrum = self._velocity_kernels.get(key)
         if spectrum is None:
             n, h = self.grid.n, self.grid.spacing
-            p = np.fft.irfft(self.pdinv_multiplier[: n // 2 + 1], n)
+            p = np.fft.irfft(-1j * self.abs_power_multiplier(self.alpha - 1.0), n)
             kernel = p[np.arange(-(n - 1), n) % n]
             if image_correction:
                 q = self.image_kernel()
@@ -286,14 +271,14 @@ class SpectralWorkspace:
         return self._tail_anchor_weights
 
     def transport_multipliers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Half-spectrum (rfft layout) xi^2 and the dealiased derivative i*xi.
+        """xi^2 and the dealiased derivative i*xi.
 
         The derivative multiplier keeps the modes with |xi| <= (2/3) max|xi|
         (the 2/3 rule; the Nyquist mode is always dropped).  Used by the
         spectral transport for its diffusion factor and flux derivatives.
         """
         if self._transport_multipliers is None:
-            xi = np.abs(self.grid.wavenumbers[: self.grid.n // 2 + 1])
+            xi = self.grid.wavenumbers
             xi_sq = xi**2
             ik = 1j * xi * (xi <= (2.0 / 3.0) * xi.max())
             for arr in (xi_sq, ik):
@@ -303,9 +288,8 @@ class SpectralWorkspace:
 
 
 def apply_multiplier(f: Field, multiplier: np.ndarray) -> Field:
-    """Apply a Fourier multiplier (FFT layout) to a real field."""
-    out = np.fft.ifft(multiplier * np.fft.fft(f.values)).real
-    return Field(f.grid, out)
+    """Apply a Fourier multiplier (rfft layout, n/2 + 1 entries) to a real field."""
+    return Field(f.grid, np.fft.irfft(multiplier * np.fft.rfft(f.values), f.grid.n))
 
 
 def _check_ws(f: Field, ws: SpectralWorkspace) -> None:
@@ -340,7 +324,7 @@ def fractional_laplacian_spectral(
     interior mean the real-line operator actually produces there).
     """
     _check_ws(f, ws)
-    out = apply_multiplier(f, ws.abs_xi_alpha)
+    out = apply_multiplier(f, ws.abs_power_multiplier(ws.alpha))
     if image_correction:
         out = out + periodic_image_correction(f, ws)
     return out
@@ -400,9 +384,9 @@ def fractional_laplacian_quadrature(
 
 
 def hilbert_transform(f: Field, ws: SpectralWorkspace) -> Field:
-    """Hilbert transform via the -i*sgn(xi) multiplier (mean is annihilated)."""
+    """Hilbert transform via the -i*sgn(xi) multiplier, -i |xi|^0 on xi >= 0 (mean is annihilated)."""
     _check_ws(f, ws)
-    return apply_multiplier(f, ws.hilbert_multiplier)
+    return apply_multiplier(f, -1j * ws.abs_power_multiplier(0.0))
 
 
 def riesz_potential(f: Field, s: float, ws: SpectralWorkspace) -> Field:
@@ -436,9 +420,8 @@ def velocity_from_state(
     g: Field,
     ws: SpectralWorkspace,
     image_correction: bool = False,
-    gauge: str = "left_zero",
 ) -> Field:
-    """Velocity u = d_x^{-1}(G + Lambda^alpha rho).
+    """Velocity u = d_x^{-1}(G + Lambda^alpha rho), the antiderivative that vanishes at -inf.
 
     The G part is the cumulative trapezoid integral (so u at the right edge
     approaches integrate(G)).  The rho part is one linear convolution,
@@ -447,35 +430,29 @@ def velocity_from_state(
     product of length 2n; c - c[0] is the spectral primitive of
     Lambda^alpha rho pinned to 0 at the left edge.  ``image_correction=True``
     selects the kernel that also carries the cumulative periodic-image term,
-    so interior velocities match the real-line operator.  The result equals
-    the composition of ``apply_multiplier(rho, pdinv_multiplier)``,
+    so interior velocities match the real-line operator.  The tail anchor
+    ``left_tail_anchor(rho, alpha)``, the integral of Lambda^alpha rho over
+    (-inf, -L) for the zero-extended density, is then added: for compactly
+    supported states this is the real-line gauge, in which the velocity is
+    odd for even rho and transports profiles without drift.  The result
+    equals the composition of the -i |xi|^(alpha-1) multiplier,
     ``antiderivative(periodic_image_correction(rho))`` and
     ``left_tail_anchor`` to round-off; that composition is kept as the
     reference the tests compare against.
-
-    gauge:
-      * ``"left_zero"``: u(left edge) = 0 exactly.
-      * ``"real_line"``: u(left edge) = left_tail_anchor(rho, alpha), the
-        cumulative integral of Lambda^alpha rho over (-inf, -L) for the
-        zero-extended density.  For compactly supported states this is the
-        physical antiderivative that vanishes at -inf, the gauge in which the
-        velocity is odd for even rho and transports profiles without drift.
     """
     _check_ws(rho, ws)
     _check_ws(g, ws)
-    return Field(rho.grid, _velocity_values(rho.values, g.values, ws, image_correction, gauge))
+    return Field(rho.grid, _velocity_values(rho.values, g.values, ws, image_correction))
 
 
 def _velocity_values(
-    rho: np.ndarray, g: np.ndarray | float, ws: SpectralWorkspace, image_correction: bool, gauge: str
+    rho: np.ndarray, g: np.ndarray | float, ws: SpectralWorkspace, image_correction: bool
 ) -> np.ndarray:
     """Raw-array core of ``velocity_from_state``; the caller has checked the grids.
 
     g is the G row, or the coefficient c of G = c * rho: that selects the
     kernel K_c, which carries G's cumulative trapezoid, so G is never formed.
     """
-    if gauge not in ("left_zero", "real_line"):
-        raise ValueError(f"gauge must be 'left_zero' or 'real_line', got {gauge!r}")
     n = ws.grid.n
     row = isinstance(g, np.ndarray)
     spectrum = np.fft.rfft(rho, 2 * n, out=_work_array("velocity_hat", (n + 1,), complex))
@@ -484,8 +461,7 @@ def _velocity_values(
     u = c - c[0]
     if row:
         u += cumulative_trapezoid(g, ws.grid.spacing)
-    if gauge == "real_line":
-        u += ws.tail_anchor_weights() @ rho
+    u += ws.tail_anchor_weights() @ rho
     return u
 
 
@@ -503,7 +479,7 @@ def stroock_varopoulos_check(
         raise ValueError("stroock_varopoulos_check requires a nonnegative field")
     _check_ws(v, ws)
     vals = np.clip(v.values, 0.0, None)
-    lam_v = apply_multiplier(v, ws.abs_xi_alpha).values
+    lam_v = apply_multiplier(v, ws.abs_power_multiplier(ws.alpha)).values
     lhs = float(integrate(Field(v.grid, vals**p * lam_v)))
     w = Field(v.grid, vals ** ((p + 1.0) / 2.0))
     half = apply_multiplier(w, ws.abs_power_multiplier(ws.alpha / 2.0)).values
@@ -541,8 +517,5 @@ def gagliardo_nirenberg_check(
 
 
 def derivative(f: Field) -> Field:
-    """Spectral derivative (i*xi multiplier, Nyquist zeroed)."""
-    xi = f.grid.wavenumbers
-    mult = 1j * xi.copy()
-    mult[f.grid.n // 2] = 0.0
-    return apply_multiplier(f, mult)
+    """Spectral derivative (i*xi multiplier; irfft drops the Nyquist mode)."""
+    return apply_multiplier(f, 1j * f.grid.wavenumbers)

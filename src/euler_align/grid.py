@@ -43,8 +43,8 @@ class Grid1D:
         if not (self.half_width > 0 and math.isfinite(self.half_width)):
             raise GridError(f"half_width must be positive and finite, got {self.half_width}")
         x = -self.half_width + self.spacing * np.arange(self.n)
-        # Angular frequencies pi*k/L for k = -n/2 .. n/2-1, in FFT layout.
-        xi = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
+        # Angular frequencies pi*k/L for k = 0 .. n/2, in rfft (half-spectrum) layout.
+        xi = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.spacing)
         x.setflags(write=False)
         xi.setflags(write=False)
         object.__setattr__(self, "x", x)

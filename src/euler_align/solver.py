@@ -154,6 +154,8 @@ class ShapeSpec:
                 raise SolverError(f"{self.kind} shape requires mass > 0 and width > 0")
         if self.kind == "getoor" and self.amplitude <= 0:
             raise SolverError("getoor shape requires amplitude > 0")
+        if self.path == "":  # as the INI key ``rho0_path = `` parses back
+            object.__setattr__(self, "path", None)
         if self.kind == "csv" and not self.path:
             raise SolverError("csv shape requires a path")
 
@@ -315,7 +317,7 @@ def make_initial_state(
     rho_f = as_field(grid, rho0)
     g_f = as_field(grid, g0)
     g_arg = g0 if spec.mode == "independent" else _g_coef(spec)
-    u_f = Field(grid, _velocity_values(rho0, g_arg, ws, image_correction, "real_line"))
+    u_f = Field(grid, _velocity_values(rho0, g_arg, ws, image_correction))
     report = InitialReport(
         sandwich_holds=holds,
         b=b,
@@ -407,10 +409,6 @@ def _stable_dt(cfg: SolverConfig, eps: float, h: float, u_inf: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _velocity(rho: np.ndarray, g: np.ndarray | float, ws: SpectralWorkspace, cfg: SolverConfig) -> np.ndarray:
-    return _velocity_values(rho, g, ws, cfg.image_correction, "real_line")
-
-
 def _evolved_rows(cfg: SolverConfig) -> int:
     """Rows the time loop advances: (rho, G) in independent mode, (rho,) otherwise."""
     return 2 if cfg.initial.mode == "independent" else 1
@@ -434,12 +432,16 @@ def _peak_scale(cfg: SolverConfig) -> float:
 
 def _form_g(y: np.ndarray, cfg: SolverConfig) -> None:
     """Form the G rows y[..., 1, :] of one-row data in place: g_coef*rho, or +0.0
-    throughout when the coefficient is 0 (0*rho would give -0.0 where rho < 0)."""
+    throughout when the coefficient is 0 (0*rho would give -0.0 where rho < 0).
+    Pair by pair, since a ufunc on the strided y[..., 1, :] would buffer its input."""
+    if _evolved_rows(cfg) == 2:
+        return
     c = _g_coef(cfg.initial)
-    if _evolved_rows(cfg) == 1 and c == 0.0:
-        y[..., 1, :].fill(0.0)
-    elif _evolved_rows(cfg) == 1:
-        np.multiply(c, y[..., 0, :], out=y[..., 1, :])
+    for rho, g in y.reshape(-1, 2, y.shape[-1]):
+        if c == 0.0:
+            g.fill(0.0)
+        else:
+            np.multiply(c, rho, out=g)
 
 
 def _spectral_step(
@@ -472,7 +474,7 @@ def _spectral_step(
     np.subtract(y_hat, s1, out=s1)
     np.multiply(decay, s1, out=s1)
     y1 = np.fft.irfft(s1, n, out=y[:k])
-    u1 = _velocity(y1[0], _velocity_g(y1, cfg), ws, cfg)
+    u1 = _velocity_values(y1[0], _velocity_g(y1, cfg), ws, cfg.image_correction)
     y1 *= u1
     f2 = np.fft.rfft(y1, out=_work_array("step_f2", (k, m), complex))
     np.multiply(ik, f2, out=f2)
@@ -526,7 +528,7 @@ def _upwind_step(
     dy = _upwind_tendency(y, u, eps, h, _work_array("upwind_dy", y.shape))
     dy *= dt
     y1 = np.add(y, dy, out=_work_array("upwind_y1", y.shape))
-    _upwind_tendency(y1, _velocity(y1[0], _velocity_g(y1, cfg), ws, cfg), eps, h, dy)
+    _upwind_tendency(y1, _velocity_values(y1[0], _velocity_g(y1, cfg), ws, cfg.image_correction), eps, h, dy)
     dy *= dt
     y1 += y
     y1 += dy
@@ -549,7 +551,7 @@ def _advance(
     scheme(y, u, dt, ws, cfg, eps, out)
     if not math.isfinite(float(np.abs(out).max()) * _peak_scale(cfg)):
         raise SolverError(f"non-finite values produced at t = {t + dt:.6g}; aborting")
-    return _velocity(out[0], _velocity_g(out, cfg), ws, cfg)
+    return _velocity_values(out[0], _velocity_g(out, cfg), ws, cfg.image_correction)
 
 
 def _state(grid: Grid1D, y: np.ndarray, t: float, u: np.ndarray) -> State:
@@ -631,16 +633,16 @@ def _summary_rows(tu: np.ndarray, y: np.ndarray, h: float, sandwich: tuple[float
     # Scalar roots: numpy's vectorized pow may differ from the scalar one by an ulp.
     norms[..., 1].flat = [v ** 0.5 for v in l2.flat]
     norms[..., 2].flat = [v ** 0.25 for v in l4.flat]
-    rho, g = y[:, 0], y[:, 1]
-    rows[:, 12] = g.min(axis=1)
+    rows[:, 12] = y[:, 1].min(axis=1)
     if sandwich is not None:  # NaN constants give NaN columns
-        # The squares are summed, so their storage takes a*rho - G, then b*rho - G.
-        d = np.multiply(sandwich[1], rho, out=sq.reshape(-1, y.shape[2])[: len(y)])
-        d -= g
-        rows[:, 13] = d.min(axis=1)
-        np.multiply(sandwich[0], rho, out=d)
-        d -= g
-        rows[:, 14] = d.max(axis=1)
+        # The squares are summed, so their storage takes a*rho - G, then b*rho - G,
+        # pair by pair: a ufunc on the strided views y[:, 0] and y[:, 1] would buffer.
+        d = sq.reshape(-1, y.shape[2])[: len(y)]
+        for col, coef, reduce in ((13, sandwich[1], np.min), (14, sandwich[0], np.max)):
+            for (rho, g), di in zip(y, d):
+                np.multiply(coef, rho, out=di)
+                di -= g
+            rows[:, col] = reduce(d, axis=1)
     return rows
 
 

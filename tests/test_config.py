@@ -184,7 +184,8 @@ class TestDump:
             initial=InitialDataSpec(
                 rho0=ShapeSpec(kind="bump", mass=2.0, width=1.5, center=-0.5),
                 mode="independent",
-                g0=ShapeSpec(kind="gaussian", mass=0.5, width=0.8),
+                # An empty path is no path: it dumps as ``g0_path = `` and parses back as None.
+                g0=ShapeSpec(kind="gaussian", mass=0.5, width=0.8, path=""),
             ),
         )
 

@@ -92,6 +92,45 @@ class TestSpectralOperator:
             fractional_laplacian_spectral(f, ws)
 
 
+def _abs_power(xi, p):
+    """|xi|^p with the zero mode 0, on any layout."""
+    with np.errstate(divide="ignore"):
+        return np.where(xi == 0.0, 0.0, np.abs(xi) ** p)
+
+
+# name: (the operator, its symbol m(xi, alpha) on the full FFT layout, whether it is odd)
+_OPERATORS = {
+    "fractional_laplacian": (fractional_laplacian_spectral, lambda xi, a: _abs_power(xi, a), False),
+    "hilbert": (hilbert_transform, lambda xi, a: -1j * np.sign(xi), True),
+    "riesz": (lambda f, ws: riesz_potential(f, ws.alpha, ws), lambda xi, a: _abs_power(xi, -a), False),
+    "derivative": (lambda f, ws: derivative(f), lambda xi, a: 1j * xi, True),
+    "velocity_primitive": (
+        lambda f, ws: apply_multiplier(f, -1j * ws.abs_power_multiplier(ws.alpha - 1.0)),
+        lambda xi, a: -1j * np.sign(xi) * _abs_power(xi, a - 1.0),
+        True,
+    ),
+}
+
+
+class TestHalfSpectrumLayout:
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("name", sorted(_OPERATORS))
+    def test_operator_matches_full_spectrum_reference(self, name, alpha, rng):
+        """Each operator, applied on the rfft half spectrum, equals ifft(m * fft(f)).real
+        with its symbol m on the full FFT layout; an odd one gives 0 on the Nyquist mode."""
+        grid = build_grid(1024, 8.0)
+        ws = SpectralWorkspace(grid, alpha)
+        op, symbol, odd = _OPERATORS[name]
+        nyquist = np.cos(np.pi * grid.x / grid.spacing)
+        f = as_field(grid, random_bump_field(grid, rng).values + 0.25 * nyquist)
+        xi_full = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
+        ref = np.fft.ifft(symbol(xi_full, alpha) * np.fft.fft(f.values)).real
+        out = op(f, ws).values
+        npt.assert_allclose(out, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+        if odd:
+            assert np.abs(op(as_field(grid, nyquist), ws).values).max() <= 1e-14
+
+
 _PROPERTY_GRID = build_grid(256, 12.0)
 _property_settings = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 _orders = st.floats(0.05, 0.95)
@@ -335,27 +374,25 @@ class TestVelocity:
         grid = build_grid(1024, 8.0)
         ws = SpectralWorkspace(grid, 0.5)
         f = random_bump_field(grid, rng)
-        u = velocity_from_state(f, as_field(grid, np.zeros(grid.n)), ws, image_correction=False, gauge="left_zero")
+        u = velocity_from_state(f, as_field(grid, np.zeros(grid.n)), ws, image_correction=False)
         rebuilt = derivative(u)
         direct = fractional_laplacian_spectral(f, ws)
         npt.assert_allclose(rebuilt.values, direct.values, atol=1e-11)
 
     @pytest.mark.parametrize("n", [256, 2048])
     @pytest.mark.parametrize("image_correction", [False, True])
-    @pytest.mark.parametrize("gauge", ["left_zero", "real_line"])
-    def test_matches_reference_composition(self, n, image_correction, gauge, rng):
+    def test_matches_reference_composition(self, n, image_correction, rng):
         """The pre-integrated kernel convolution equals the operator-by-operator route."""
         grid = build_grid(n, 8.0)
         ws = SpectralWorkspace(grid, 0.5)
         rho = random_bump_field(grid, rng)
         g = as_field(grid, 0.5 * rho.values + random_bump_field(grid, rng).values)
-        w = apply_multiplier(rho, ws.pdinv_multiplier).values
+        w = apply_multiplier(rho, -1j * ws.abs_power_multiplier(ws.alpha - 1.0)).values
         ref = antiderivative(g).values + (w - w[0])
         if image_correction:
             ref = ref + antiderivative(periodic_image_correction(rho, ws)).values
-        if gauge == "real_line":
-            ref = ref + left_tail_anchor(rho, ws.alpha)
-        u = velocity_from_state(rho, g, ws, image_correction=image_correction, gauge=gauge)
+        ref = ref + left_tail_anchor(rho, ws.alpha)
+        u = velocity_from_state(rho, g, ws, image_correction=image_correction)
         npt.assert_allclose(u.values, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
     @pytest.mark.parametrize("n", [256, 1024])
@@ -368,50 +405,24 @@ class TestVelocity:
         for c in (0.0, 0.7, 4.0):
             g = as_field(grid, c * rho.values)
             for image_correction in (False, True):
-                for gauge in ("left_zero", "real_line"):
-                    ref = velocity_from_state(rho, g, ws, image_correction=image_correction, gauge=gauge).values
-                    u = fracops._velocity_values(rho.values, c, ws, image_correction, gauge)
-                    if c == 0.0:
-                        assert np.array_equal(u, ref)
-                    else:
-                        npt.assert_allclose(u, ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max()))
-
-    def test_left_zero_gauge_pins_left_edge(self, rng):
-        grid = build_grid(1024, 8.0)
-        ws = SpectralWorkspace(grid, 0.5)
-        rho = random_bump_field(grid, rng)
-        g = as_field(grid, 0.5 * rho.values)
-        u = velocity_from_state(rho, g, ws, gauge="left_zero")
-        assert abs(u.values[0]) <= 1e-12 * max(1.0, np.abs(u.values).max())
-
-    def test_gauges_differ_by_a_constant(self, rng):
-        grid = build_grid(1024, 8.0)
-        ws = SpectralWorkspace(grid, 0.5)
-        rho = random_bump_field(grid, rng)
-        g = as_field(grid, 0.5 * rho.values)
-        u0 = velocity_from_state(rho, g, ws, gauge="left_zero")
-        u1 = velocity_from_state(rho, g, ws, gauge="real_line")
-        diff = u1.values - u0.values
-        assert diff.max() - diff.min() <= 1e-12 * max(1.0, np.abs(u1.values).max())
+                ref = velocity_from_state(rho, g, ws, image_correction=image_correction).values
+                u = fracops._velocity_values(rho.values, c, ws, image_correction)
+                if c == 0.0:
+                    assert np.array_equal(u, ref)
+                else:
+                    npt.assert_allclose(u, ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max()))
 
     def test_real_line_gauge_is_odd_for_even_zero_g_data(self):
         grid = build_grid(2048, 8.0)
         ws = SpectralWorkspace(grid, 0.5)
         rho = as_field(grid, np.exp(-grid.x**2))
         g = as_field(grid, np.zeros(grid.n))
-        u = velocity_from_state(rho, g, ws, image_correction=True, gauge="real_line")
+        u = velocity_from_state(rho, g, ws, image_correction=True)
         # x -> -x maps index j -> (n - j) mod n; index 0 (the seam x = -L) pairs
         # with itself rather than with +L and is excluded.
         mirrored = np.roll(u.values[::-1], 1)
         resid = (u.values + mirrored)[1:]
         npt.assert_allclose(resid, 0.0, atol=1e-6 * np.abs(u.values).max())
-
-    def test_unknown_gauge_rejected(self, rng):
-        grid = build_grid(256, 8.0)
-        ws = SpectralWorkspace(grid, 0.5)
-        rho = random_bump_field(grid, rng)
-        with pytest.raises(ValueError):
-            velocity_from_state(rho, rho, ws, gauge="bogus")
 
     def test_left_tail_anchor_sign_and_linearity(self, rng):
         grid = build_grid(512, 8.0)

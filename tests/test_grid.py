@@ -30,9 +30,12 @@ class TestGrid:
         npt.assert_allclose(np.diff(grid.x), grid.spacing)
 
     def test_wavenumbers_match_fft_layout(self):
+        """The rfft half spectrum: xi_k = pi*k/L for k = 0 .. n/2, none negative."""
         grid = build_grid(32, 2.0)
-        npt.assert_allclose(grid.wavenumbers, 2.0 * np.pi * np.fft.fftfreq(32, d=grid.spacing))
-        assert grid.wavenumbers[1] == pytest.approx(np.pi / 2.0)
+        assert grid.wavenumbers.shape == (17,)
+        assert np.array_equal(grid.wavenumbers, 2.0 * np.pi * np.fft.rfftfreq(32, d=grid.spacing))
+        npt.assert_allclose(grid.wavenumbers, np.pi * np.arange(17) / 2.0, rtol=1e-15)
+        assert grid.wavenumbers.min() == 0.0
 
     @pytest.mark.parametrize("n", [0, -4, 7, 9])
     def test_rejects_bad_n(self, n):

@@ -7,10 +7,12 @@ initial state load no scipy module: every transform runs on ``numpy.fft``.
 
 from __future__ import annotations
 
+import ast
 import json
 from pathlib import Path
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src" / "euler_align"
 
 # Heavy SciPy subpackages the package must not load at import time, nor in
 # `selftest` or `profiles`; each costs from a tenth of a second to a second of
@@ -74,3 +76,31 @@ def test_selftest_and_profiles_leave_heavy_scipy_unloaded(fresh_python, tmp_path
         )
     )
     assert loaded == []
+
+
+def full_spectrum_transforms(source: str) -> list[int]:
+    """Lines that call ``<...>.fft.fft``/``<...>.fft.ifft`` or import ``fft``/``ifft`` from ``numpy.fft``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("fft", "ifft")
+            and isinstance(node.func.value, ast.Attribute)
+            and node.func.value.attr == "fft"
+        ) or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "numpy.fft"
+            and any(alias.name in ("fft", "ifft") for alias in node.names)
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_package_uses_only_the_rfft_half_spectrum():
+    """Every field is real, so no module transforms on the full complex spectrum."""
+    assert full_spectrum_transforms("np.fft.ifft(m * np.fft.fft(f))\nfrom numpy.fft import fft\n") == [1, 1, 2]
+    modules = sorted(SRC_DIR.glob("*.py"))
+    assert modules
+    found = {p.name: full_spectrum_transforms(p.read_text()) for p in modules}
+    assert {name: lines for name, lines in found.items() if lines} == {}

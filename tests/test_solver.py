@@ -67,7 +67,7 @@ def _rolled_upwind_rhs(rho, g, ws, cfg, eps, g_coef=None):
     With g_coef given, the velocity takes G = g_coef * rho in coefficient form.
     """
     h = ws.grid.spacing
-    u = solver._velocity(rho, g if g_coef is None else g_coef, ws, cfg)
+    u = fracops._velocity_values(rho, g if g_coef is None else g_coef, ws, cfg.image_correction)
     u_face = 0.5 * (u + np.roll(u, -1))
     u_plus = np.maximum(u_face, 0.0)
     u_minus = np.minimum(u_face, 0.0)
@@ -112,7 +112,7 @@ def _reference_strang_step(rho, g, dt, ws, cfg, eps):
         return scipy.fft.irfft(half * scipy.fft.rfft(y), n)
 
     def transport_rhs(y):
-        u = solver._velocity(y[0], y[1], ws, cfg)
+        u = fracops._velocity_values(y[0], y[1], ws, cfg.image_correction)
         return -scipy.fft.irfft(ik * scipy.fft.rfft(y * u), n)
 
     y = diffuse(np.stack((rho, g)))
@@ -134,8 +134,9 @@ class TestShapes:
             ShapeSpec(kind="bump", width=0.0)
         with pytest.raises(SolverError):
             ShapeSpec(kind="getoor", amplitude=0.0)
-        with pytest.raises(SolverError, match="path"):
-            ShapeSpec(kind="csv")
+        for path in (None, ""):
+            with pytest.raises(SolverError, match="csv shape requires a path"):
+                ShapeSpec(kind="csv", path=path)
 
     def test_gaussian_mass_and_center(self):
         grid = build_grid(1024, 12.0)
@@ -725,6 +726,25 @@ class TestRun:
             assert peak <= per_row_peak_kib << 10
         else:
             assert peak <= (per_row_peak_kib << 10) + 2 * (max(blocks) + 2 * n * 8)
+
+    @pytest.mark.parametrize("g_coef", [0.0, 0.7])
+    def test_form_g_of_a_block_allocates_under_4_kib(self, g_coef):
+        """_form_g writes a block's G rows pair by pair: a ufunc on the strided
+        views y[:, 0] and y[:, 1] of an (8, 2, 1024) block would copy its
+        input, about 130 KiB."""
+        cfg = _gaussian_proportional(n=1024, initial=_initial_of_mode("proportional", g_coef))
+        y = np.random.default_rng(3).standard_normal((8, 2, 1024))
+        expected = g_coef * y[:, 0] + 0.0  # +0.0: no -0.0 where rho < 0 and g_coef = 0
+        solver._form_g(y, cfg)  # warm
+        tracemalloc.start()
+        try:
+            solver._form_g(y, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 10
+        assert np.array_equal(y[:, 1], expected)
+        assert not np.signbit(y[:, 1][expected == 0.0]).any()
 
     def test_upwind_positivity_and_max_principle(self):
         cfg = _gaussian_proportional(flux_scheme="upwind", t_end=1.0)
