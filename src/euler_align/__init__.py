@@ -25,7 +25,6 @@ from .grid import (
     integrate,
     lp_norm,
     read_field_csv,
-    support_margin,
     write_field_csv,
 )
 
@@ -65,11 +64,7 @@ from .solver import (
 from .closedform import (
     RarefactionTriple,
     attractor_density,
-    attractor_velocity,
-    burgers_weak_residual,
-    continuity_weak_residual,
     evolved_profile_density,
-    evolved_profile_velocity,
     getoor_constant,
     getoor_fraclap,
     getoor_fraclap_tail,
@@ -77,11 +72,7 @@ from .closedform import (
     profile_mass,
     rarefaction_G,
     rarefaction_density,
-    rarefaction_lp_norm,
     rarefaction_velocity,
-    selfsimilar_density,
-    selfsimilar_velocity,
-    tail_farfield_coefficient,
     velocity_profile_U,
 )
 
@@ -105,7 +96,7 @@ from .config import ConfigError, dump_config, load_config, parse_config
 from .selftest import (
     CheckRecord,
     SelfTestReport,
-    TOLERANCE_PROFILES,
+    TOLERANCES,
     cross_validation_errors,
     random_bump_field,
     run_selftest,

@@ -12,9 +12,11 @@ profiles   Tabulate the closed-form profile family for one order alpha.
 Exit codes: 0 success, 1 check failure, 2 bad input, 3 runtime abort.
 ``main`` alone picks them, by exception class: ``ConfigError``,
 ``GridError``, ``DiagnosticsError``, ``OSError`` and rejected arguments give
-2, ``SolverError`` gives 3.  ``main`` also writes ``manifest.json`` into the
-output directory, once, on every path — on failure with the reason, and also
-when an unexpected exception ends the command (that exception then
+2, ``SolverError`` gives 3.  ``main`` makes the output directory before the
+command runs; if it cannot (a file is in the way) it exits 2 at once, with no
+manifest, since there is nowhere to put one.  Otherwise it writes
+``manifest.json`` there, once, on every path — on failure with the reason, and
+also when an unexpected exception ends the command (that exception then
 propagates) — so that partial artifacts are always identifiable.  Its
 ``wall_time_seconds`` times the whole command; ``simulate`` adds the keys of
 ``save_trajectory``'s manifest (``config_ini``, ``run_wall_time_seconds``, ...).
@@ -49,7 +51,7 @@ from .diagnostics import (
 )
 from .fracops import FracOrder
 from .grid import GridError, _write_csv
-from .selftest import TOLERANCE_PROFILES, run_selftest
+from .selftest import run_selftest
 from .solver import SolverError, Trajectory, _jsonable, _write_json, load_trajectory, run, save_trajectory
 
 __all__ = ["main"]
@@ -142,14 +144,9 @@ def _gate(manifest: dict, checks: dict[str, dict], failure: str) -> int:
 def cmd_selftest(args: argparse.Namespace, manifest: dict) -> int:
     if args.seed < 0:
         raise _BadInput(f"--seed must be a non-negative integer, got {args.seed}")
-    report = run_selftest(
-        seed=args.seed,
-        profile=args.tolerance_profile,
-        inject_hilbert_sign_error=args.inject_hilbert_sign_error,
-    )
-    args.out.mkdir(parents=True, exist_ok=True)
+    report = run_selftest(seed=args.seed, inject_hilbert_sign_error=args.inject_hilbert_sign_error)
     _write_json(args.out / "selftest_report.json", asdict(report))
-    manifest.update(files=["selftest_report.json"], seed=args.seed, profile=args.tolerance_profile)
+    manifest.update(files=["selftest_report.json"], seed=args.seed)
     checks = {
         f"{r.check}" + (f"_alpha{r.alpha:g}" if r.alpha is not None else ""): _check(
             r.max_error, r.tolerance, passed=r.passed
@@ -224,7 +221,6 @@ def _scaling_csv(out: Path, report: ScalingReport) -> list[str]:
         columns = [("distance", report.distances)]
     header = "lambda," + ",".join(name for name, _ in columns)
     table = np.column_stack([np.asarray(report.lambdas)] + [np.asarray(v) for _, v in columns])
-    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "scaling.csv", header, table)
     gp = (
         "set logscale xy\n"
@@ -274,7 +270,6 @@ def cmd_profiles(args: argparse.Namespace, manifest: dict) -> int:
     phi = getoor_profile(alpha, x)
     frac = getoor_fraclap(alpha, x)
     vel = velocity_profile_U(alpha, x)
-    args.out.mkdir(parents=True, exist_ok=True)
     table = np.column_stack([x, phi, frac, vel])
     _write_csv(args.out / "profile.csv", "x,phi,fraclap,U", table)
     (args.out / "profiles.gp").write_text(
@@ -311,10 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the operator-identity suite")
     _add_out(p, "selftest-out")
     p.add_argument("--seed", type=int, default=0, help="seed for random test fields")
-    p.add_argument(
-        "--tolerance-profile", choices=sorted(TOLERANCE_PROFILES), default="default",
-        help="tolerance column to hold the checks to",
-    )
     p.add_argument("--inject-hilbert-sign-error", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_selftest)
 
@@ -359,6 +350,11 @@ def main(argv: list[str] | None = None) -> int:
     manifest = {"command": args.command, "version": __version__, "files": [], "checks": {}, "failure": None}
     start = time.perf_counter()
     try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot make output directory {args.out}: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    try:
         return args.func(args, manifest)
     except (ConfigError, GridError, DiagnosticsError, OSError, _BadInput) as exc:
         # Also initial data named by a config that cannot be read (missing
@@ -375,7 +371,6 @@ def main(argv: list[str] | None = None) -> int:
         raise
     finally:
         manifest["wall_time_seconds"] = round(time.perf_counter() - start, 3)
-        args.out.mkdir(parents=True, exist_ok=True)
         _write_json(args.out / "manifest.json", {**manifest, "files": sorted(manifest["files"])})
 
 

@@ -11,7 +11,6 @@
   mass-M solution approaches the corresponding attractor.
 * The rarefaction triple (rho_bar, G_bar, u_bar) with u_bar the entropy
   solution of the inviscid Burgers equation.
-* Weak-form residual evaluators certifying the closed forms as (weak) solutions.
 
 Closed-form tail note: for |x| > 1 the fractional Laplacian of Phi_alpha is
 
@@ -24,8 +23,8 @@ quadrature of the singular integral; it integrates to exactly -1 over (1, inf)
 (so U is continuous at the support edge) and behaves like C_H |x|^(-1-alpha)
 with C_H = Gamma(1/2) / (Gamma(-alpha/2) Gamma((3+alpha)/2)) < 0 at infinity.
 
-``scipy.special`` (hyp2f1 and the Gauss rules) is imported inside the
-functions that call it, so importing the package loads no scipy module.
+``scipy.special.hyp2f1`` is imported inside the functions that call it, so
+importing the package loads no scipy module.
 """
 from __future__ import annotations
 
@@ -75,16 +74,6 @@ def profile_mass(alpha: float) -> float:
     """
     a = float(FracOrder(alpha))
     return math.pi / (2.0**a * math.gamma((1.0 + a) / 2.0) * math.gamma((3.0 + a) / 2.0))
-
-
-def tail_farfield_coefficient(alpha: float) -> float:
-    """C_H = Gamma(1/2) / (Gamma(-alpha/2) Gamma((3+alpha)/2)); negative.
-
-    H(x) ~ C_H |x|^(-1-alpha) as |x| -> inf; equivalently C_H equals minus the
-    singular-kernel constant times the profile mass.
-    """
-    a = float(FracOrder(alpha))
-    return math.gamma(0.5) / (_gamma(-a / 2.0) * math.gamma((3.0 + a) / 2.0))
 
 
 def _tail_amplitude(alpha: float) -> float:
@@ -231,7 +220,7 @@ def velocity_profile_U(alpha: float, y) -> np.ndarray | float:
 
 
 # ---------------------------------------------------------------------------
-# Self-similar density/velocity and the exact evolution of profile data.
+# Self-similar attractor and the exact evolution of profile data.
 # ---------------------------------------------------------------------------
 
 
@@ -242,31 +231,13 @@ def _check_time(t: float) -> float:
     return t
 
 
-def selfsimilar_density(alpha: float, x, t: float) -> np.ndarray | float:
-    """Scale-invariant density t^(-beta) Phi_alpha(x t^(-beta)), beta = 1/(1+alpha).
-
-    The spatial mass equals profile_mass(alpha) for every t.  (As a function of
-    time this family is a reparametrization of the exact evolution below; see
-    attractor_density for the member that solves the continuity system in t.)
-    """
-    a = float(FracOrder(alpha))
-    s = _check_time(t) ** (-_BETA(a))
-    return getoor_profile(a, np.asarray(x, dtype=float) * s) * s
-
-
-def selfsimilar_velocity(alpha: float, x, t: float) -> np.ndarray | float:
-    """Velocity profile U evaluated in the similarity variable, U(x t^(-beta))."""
-    a = float(FracOrder(alpha))
-    s = _check_time(t) ** (-_BETA(a))
-    return velocity_profile_U(a, np.asarray(x, dtype=float) * s)
-
-
 def attractor_density(alpha: float, mass: float, x, t: float) -> np.ndarray | float:
     """Exact self-similar attractor of the zero-G dynamics with total mass `mass`.
 
     rho(x,t) = c b(t) Phi_alpha(b(t) x) with c = mass / profile_mass(alpha) and
-    b(t) = ((1+alpha) c t)^(-1/(1+alpha)); together with attractor_velocity it
-    is an exact weak solution of rho_t + (rho u)_x = 0, u = d_x^{-1} Lambda^alpha rho.
+    b(t) = ((1+alpha) c t)^(-1/(1+alpha)); together with the velocity
+    c b(t)^alpha U(b(t) x) it is an exact weak solution of rho_t + (rho u)_x = 0,
+    u = d_x^{-1} Lambda^alpha rho.
     """
     a = float(FracOrder(alpha))
     if not (mass > 0):
@@ -274,16 +245,6 @@ def attractor_density(alpha: float, mass: float, x, t: float) -> np.ndarray | fl
     c = mass / profile_mass(a)
     b = ((1.0 + a) * c * _check_time(t)) ** (-_BETA(a))
     return c * b * getoor_profile(a, np.asarray(x, dtype=float) * b)
-
-
-def attractor_velocity(alpha: float, mass: float, x, t: float) -> np.ndarray | float:
-    """Velocity c b(t)^alpha U(b(t) x) accompanying attractor_density."""
-    a = float(FracOrder(alpha))
-    if not (mass > 0):
-        raise ValueError(f"mass must be positive, got {mass}")
-    c = mass / profile_mass(a)
-    b = ((1.0 + a) * c * _check_time(t)) ** (-_BETA(a))
-    return c * b**a * velocity_profile_U(a, np.asarray(x, dtype=float) * b)
 
 
 def evolved_profile_density(alpha: float, amplitude: float, x, t: float) -> np.ndarray | float:
@@ -300,18 +261,6 @@ def evolved_profile_density(alpha: float, amplitude: float, x, t: float) -> np.n
         raise ValueError(f"time must be nonnegative, got {t}")
     b = (1.0 + (1.0 + a) * amplitude * t) ** (-_BETA(a))
     return amplitude * b * getoor_profile(a, np.asarray(x, dtype=float) * b)
-
-
-def evolved_profile_velocity(alpha: float, amplitude: float, x, t: float) -> np.ndarray | float:
-    """Velocity amplitude * b(t)^alpha U(b(t) x) accompanying evolved_profile_density."""
-    a = float(FracOrder(alpha))
-    if not (amplitude > 0):
-        raise ValueError(f"amplitude must be positive, got {amplitude}")
-    t = float(t)
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    b = (1.0 + (1.0 + a) * amplitude * t) ** (-_BETA(a))
-    return amplitude * b**a * velocity_profile_U(a, np.asarray(x, dtype=float) * b)
 
 
 # ---------------------------------------------------------------------------
@@ -357,114 +306,3 @@ def rarefaction_G(rt: RarefactionTriple, x, t: float) -> np.ndarray | float:
     on_fan = (xs > 0.0) & (xs <= rt.M_G * t)
     out = np.where(on_fan, 1.0 / t, 0.0)
     return out if out.ndim else float(out)
-
-
-def rarefaction_lp_norm(rt: RarefactionTriple, p: float, t: float) -> float:
-    """Exact ||rho_bar(t)||_p = M_rho M_G^(1/p-1) t^(-1+1/p) (max value for p = inf)."""
-    t = _check_time(t)
-    if p == np.inf:
-        return rt.M_rho / rt.M_G / t
-    if p < 1:
-        raise ValueError(f"norm exponent must be >= 1, got {p}")
-    return rt.M_rho * rt.M_G ** (1.0 / p - 1.0) * t ** (-1.0 + 1.0 / p)
-
-
-# ---------------------------------------------------------------------------
-# Weak-form residuals.
-# ---------------------------------------------------------------------------
-
-
-def burgers_weak_residual(
-    rt: RarefactionTriple,
-    phi,
-    phi_t,
-    phi_x,
-    x_max: float,
-    t_max: float,
-    n_space: int = 48,
-    n_time: int = 200,
-) -> float:
-    """Weak residual of the rarefaction velocity as a Burgers solution.
-
-    Evaluates  integral_0^T integral [u phi_t + (u^2/2) phi_x] dx dt
-             + integral u(x, 0+) phi(x, 0) dx
-    for a test function phi(x, t) that vanishes for |x| >= x_max and t >= t_max
-    (caller's responsibility).  Space integrals are done piecewise-Gauss with
-    the fan kinks as panel boundaries, so the result is quadrature-exact and
-    the residual measures only the weak-solution property (zero for the
-    entropy solution).
-    """
-    from scipy.special import roots_legendre
-
-    gl_x, gw_x = roots_legendre(n_space)
-    gl_t, gw_t = roots_legendre(n_time)
-
-    def space_integral(t: float) -> float:
-        total = 0.0
-        breaks = [-x_max, 0.0, min(rt.M_G * t, x_max), x_max]
-        for lo, hi in zip(breaks[:-1], breaks[1:]):
-            if hi <= lo:
-                continue
-            xq = 0.5 * (hi - lo) * gl_x + 0.5 * (hi + lo)
-            u = rarefaction_velocity(rt, xq, t)
-            vals = u * phi_t(xq, t) + 0.5 * u**2 * phi_x(xq, t)
-            total += 0.5 * (hi - lo) * float(np.dot(gw_x, vals))
-        return total
-
-    tq = 0.5 * t_max * gl_t + 0.5 * t_max
-    slab = 0.5 * t_max * float(np.dot(gw_t, [space_integral(t) for t in tq]))
-
-    xq = 0.5 * x_max * gl_x + 0.5 * x_max  # u(x, 0+) = M_G for x > 0
-    initial = 0.5 * x_max * rt.M_G * float(np.dot(gw_x, phi(xq, 0.0)))
-    return slab + initial
-
-
-def continuity_weak_residual(
-    alpha: float,
-    mass: float,
-    phi,
-    phi_t,
-    phi_x,
-    t_span: tuple[float, float],
-    n_space: int = 48,
-    n_time: int = 120,
-) -> float:
-    """Weak residual of the attractor pair under the continuity equation.
-
-    Evaluates  integral_{t0}^{t1} integral [rho phi_t + rho u phi_x] dx dt
-             - [ integral rho phi dx ]_{t0}^{t1}
-    which vanishes for any weak solution and any smooth phi.  The density is
-    supported in |b(t) x| <= 1, so the space integral reduces to one
-    Gauss-Jacobi panel with weight (1-y^2)^(alpha/2) absorbing the edge
-    behavior exactly.
-    """
-    from scipy.special import roots_jacobi, roots_legendre
-
-    a = float(FracOrder(alpha))
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if not (0 < t0 < t1):
-        raise ValueError("t_span must satisfy 0 < t0 < t1")
-    c = mass / profile_mass(a)
-    k = getoor_constant(a)
-    yj, wj = roots_jacobi(n_space, a / 2.0, a / 2.0)
-    gl_t, gw_t = roots_legendre(n_time)
-
-    def b_of(t: float) -> float:
-        return ((1.0 + a) * c * t) ** (-_BETA(a))
-
-    def space_integral(t: float) -> float:
-        b = b_of(t)
-        xq = yj / b
-        # rho = c b K w(y),  u = c b^alpha y  on the support (w = Jacobi weight)
-        rho_fac = c * b * k
-        u = c * b**a * yj
-        vals = rho_fac * (phi_t(xq, t) + u * phi_x(xq, t))
-        return float(np.dot(wj, vals)) / b
-
-    def mass_term(t: float) -> float:
-        b = b_of(t)
-        return c * b * k * float(np.dot(wj, phi(yj / b, t))) / b
-
-    tq = 0.5 * (t1 - t0) * gl_t + 0.5 * (t1 + t0)
-    slab = 0.5 * (t1 - t0) * float(np.dot(gw_t, [space_integral(t) for t in tq]))
-    return slab - (mass_term(t1) - mass_term(t0))

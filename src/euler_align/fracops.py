@@ -326,7 +326,7 @@ def fractional_laplacian_spectral(
     _check_ws(f, ws)
     out = apply_multiplier(f, ws.abs_power_multiplier(ws.alpha))
     if image_correction:
-        out = out + periodic_image_correction(f, ws)
+        out = Field(f.grid, out.values + periodic_image_correction(f, ws).values)
     return out
 
 

@@ -54,14 +54,6 @@ class Grid1D:
     def spacing(self) -> float:
         return 2.0 * self.half_width / self.n
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Grid1D):
-            return NotImplemented
-        return self.n == other.n and self.half_width == other.half_width
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.half_width))
-
 
 def build_grid(n: int, half_width: float) -> Grid1D:
     """Construct a uniform periodic grid on [-half_width, half_width)."""
@@ -88,38 +80,9 @@ class Field:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    # Pointwise arithmetic (returns new fields; scalars broadcast).
-    def _coerce(self, other) -> np.ndarray:
-        if isinstance(other, Field):
-            if other.grid != self.grid:
-                raise GridError("field arithmetic requires identical grids")
-            return other.values
-        return np.asarray(other, dtype=float)
-
-    def __add__(self, other) -> "Field":
-        return Field(self.grid, self.values + self._coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Field":
-        return Field(self.grid, self.values - self._coerce(other))
-
-    def __rsub__(self, other) -> "Field":
-        return Field(self.grid, self._coerce(other) - self.values)
-
-    def __mul__(self, other) -> "Field":
-        return Field(self.grid, self.values * self._coerce(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Field":
-        return Field(self.grid, -self.values)
-
 
 def as_field(grid: Grid1D, values) -> Field:
-    """Wrap an array (or callable evaluated on grid.x) as a Field."""
-    if callable(values):
-        values = values(grid.x)
+    """Wrap an array of samples on ``grid.x`` as a Field."""
     return Field(grid, np.asarray(values, dtype=float))
 
 
@@ -163,21 +126,6 @@ def cumulative_trapezoid(values: np.ndarray, h: float) -> np.ndarray:
     tail *= 0.5 * h
     np.cumsum(tail, out=tail)
     return g
-
-
-def support_margin(f: Field, rel_tol: float = 1e-12) -> float:
-    """Distance from the numerical support of f to the domain boundary.
-
-    The support is where |f| exceeds rel_tol * max|f|.  Returns half_width
-    for an identically-zero field.
-    """
-    amax = float(np.abs(f.values).max())
-    if amax == 0.0:
-        return f.grid.half_width
-    idx = np.flatnonzero(np.abs(f.values) > rel_tol * amax)
-    left = f.grid.x[idx[0]] - (-f.grid.half_width)
-    right = f.grid.half_width - f.grid.x[idx[-1]]
-    return float(min(left, right))
 
 
 def _write_csv(path, header: str, table: np.ndarray) -> None:

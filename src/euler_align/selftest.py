@@ -43,7 +43,7 @@ from .grid import Field, Grid1D, as_field, build_grid
 __all__ = [
     "CheckRecord",
     "SelfTestReport",
-    "TOLERANCE_PROFILES",
+    "TOLERANCES",
     "cross_validation_errors",
     "random_bump_field",
     "run_selftest",
@@ -51,38 +51,20 @@ __all__ = [
 
 ALPHAS = (0.25, 0.5, 0.75)
 
-# Tolerances per check.  "default" mirrors the acceptance gates; "strict" is
-# tightened to roughly twice the measured headroom of the current
-# implementation, for catching accuracy regressions during development.
-TOLERANCE_PROFILES: dict[str, dict[str, float]] = {
-    "default": {
-        "kernel_constant": 1e-12,
-        "getoor_spectral": 2e-2,
-        "getoor_quadrature": 1e-2,
-        "cross_validation": 5e-2,
-        "hilbert_sine": 1e-12,
-        "hilbert_involution": 1e-12,
-        "fraclap_semigroup": 1e-11,
-        "riesz_inverse": 1e-11,
-        "antiderivative_consistency": 1e-11,
-        "closedform_velocity": 1e-6,
-        "stroock_varopoulos": 1e-6,
-        "gagliardo_nirenberg": 5e-2,
-    },
-    "strict": {
-        "kernel_constant": 1e-12,
-        "getoor_spectral": 3e-3,
-        "getoor_quadrature": 5e-3,
-        "cross_validation": 1e-3,
-        "hilbert_sine": 1e-13,
-        "hilbert_involution": 1e-13,
-        "fraclap_semigroup": 1e-12,
-        "riesz_inverse": 1e-12,
-        "antiderivative_consistency": 1e-12,
-        "closedform_velocity": 1e-7,
-        "stroock_varopoulos": 1e-8,
-        "gagliardo_nirenberg": 5e-2,
-    },
+# Tolerances per check; they mirror the acceptance gates.
+TOLERANCES: dict[str, float] = {
+    "kernel_constant": 1e-12,
+    "getoor_spectral": 2e-2,
+    "getoor_quadrature": 1e-2,
+    "cross_validation": 5e-2,
+    "hilbert_sine": 1e-12,
+    "hilbert_involution": 1e-12,
+    "fraclap_semigroup": 1e-11,
+    "riesz_inverse": 1e-11,
+    "antiderivative_consistency": 1e-11,
+    "closedform_velocity": 1e-6,
+    "stroock_varopoulos": 1e-6,
+    "gagliardo_nirenberg": 5e-2,
 }
 
 
@@ -104,7 +86,6 @@ class SelfTestReport:
 
     passed: bool
     seed: int
-    profile: str
     records: tuple[CheckRecord, ...]
     wall_time: float
 
@@ -342,41 +323,36 @@ def _check_gagliardo_nirenberg(
 def run_selftest(
     *,
     seed: int = 0,
-    profile: str = "default",
     inject_hilbert_sign_error: bool = False,
 ) -> SelfTestReport:
     """Run every identity check and return the aggregated report.
 
-    ``profile`` selects a tolerance column from :data:`TOLERANCE_PROFILES`.
+    Each check is held to its entry in :data:`TOLERANCES`.
     ``inject_hilbert_sign_error`` flips the sign of the computed Hilbert
     transform inside the sine check (negative control; see module docstring).
     """
-    if profile not in TOLERANCE_PROFILES:
-        raise ValueError(f"unknown tolerance profile {profile!r}; expected one of {sorted(TOLERANCE_PROFILES)}")
-    tols = TOLERANCE_PROFILES[profile]
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
 
-    records: list[CheckRecord] = [_check_kernel_constant(tols["kernel_constant"])]
+    records: list[CheckRecord] = [_check_kernel_constant(TOLERANCES["kernel_constant"])]
     for alpha in ALPHAS:
-        records.append(_check_getoor_spectral(alpha, tols["getoor_spectral"]))
-        records.append(_check_getoor_quadrature(alpha, tols["getoor_quadrature"]))
-        records.append(_check_closedform_velocity(alpha, tols["closedform_velocity"]))
-    records.append(_check_hilbert_sine(tols["hilbert_sine"], inject_hilbert_sign_error))
-    records.append(_check_hilbert_involution(rng, tols["hilbert_involution"]))
-    records.append(_check_fraclap_semigroup(rng, tols["fraclap_semigroup"]))
+        records.append(_check_getoor_spectral(alpha, TOLERANCES["getoor_spectral"]))
+        records.append(_check_getoor_quadrature(alpha, TOLERANCES["getoor_quadrature"]))
+        records.append(_check_closedform_velocity(alpha, TOLERANCES["closedform_velocity"]))
+    records.append(_check_hilbert_sine(TOLERANCES["hilbert_sine"], inject_hilbert_sign_error))
+    records.append(_check_hilbert_involution(rng, TOLERANCES["hilbert_involution"]))
+    records.append(_check_fraclap_semigroup(rng, TOLERANCES["fraclap_semigroup"]))
     for alpha in ALPHAS:
-        records.append(_check_riesz_inverse(alpha, rng, tols["riesz_inverse"]))
-        records.append(_check_antiderivative_consistency(alpha, rng, tols["antiderivative_consistency"]))
-        records.append(_check_cross_validation(alpha, rng, tols["cross_validation"]))
-        records.append(_check_stroock_varopoulos(alpha, rng, tols["stroock_varopoulos"]))
-        records.append(_check_gagliardo_nirenberg(alpha, rng, tols["gagliardo_nirenberg"]))
+        records.append(_check_riesz_inverse(alpha, rng, TOLERANCES["riesz_inverse"]))
+        records.append(_check_antiderivative_consistency(alpha, rng, TOLERANCES["antiderivative_consistency"]))
+        records.append(_check_cross_validation(alpha, rng, TOLERANCES["cross_validation"]))
+        records.append(_check_stroock_varopoulos(alpha, rng, TOLERANCES["stroock_varopoulos"]))
+        records.append(_check_gagliardo_nirenberg(alpha, rng, TOLERANCES["gagliardo_nirenberg"]))
 
     wall = time.perf_counter() - start
     return SelfTestReport(
         passed=all(r.passed for r in records),
         seed=seed,
-        profile=profile,
         records=tuple(records),
         wall_time=wall,
     )

@@ -24,7 +24,6 @@ from euler_align import (
     as_field,
     barenblatt_limit_experiment,
     build_grid,
-    burgers_weak_residual,
     cross_validation_errors,
     decay_fit,
     fractional_laplacian_quadrature,
@@ -40,6 +39,7 @@ from euler_align import (
     stroock_varopoulos_check,
 )
 from euler_align.solver import SUMMARY_COLUMNS
+from oracles import burgers_weak_residual
 
 ALPHAS = (0.25, 0.5, 0.75)
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"

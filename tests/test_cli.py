@@ -399,6 +399,17 @@ class TestTopLevel:
             main([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", [["profiles"], ["selftest"]], ids=["profiles", "selftest"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_out_blocked_by_a_file_exits_two(self, tmp_path, capsys, command, below):
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep\n")
+        out = blocker / "sub" if below else blocker
+        assert main(command + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert blocker.read_text() == "keep\n"
+
 
 @pytest.fixture(scope="module")
 def scaling_config(tmp_path_factory):

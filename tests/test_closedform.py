@@ -18,11 +18,7 @@ from scipy import integrate, special
 from euler_align import (
     RarefactionTriple,
     attractor_density,
-    attractor_velocity,
-    burgers_weak_residual,
-    continuity_weak_residual,
     evolved_profile_density,
-    evolved_profile_velocity,
     getoor_constant,
     getoor_fraclap,
     getoor_fraclap_tail,
@@ -30,14 +26,11 @@ from euler_align import (
     profile_mass,
     rarefaction_G,
     rarefaction_density,
-    rarefaction_lp_norm,
     rarefaction_velocity,
-    selfsimilar_density,
-    selfsimilar_velocity,
     singular_kernel_constant,
-    tail_farfield_coefficient,
     velocity_profile_U,
 )
+from oracles import burgers_weak_residual, continuity_weak_residual
 
 ALPHAS = (0.25, 0.5, 0.75)
 
@@ -78,7 +71,8 @@ class TestProfile:
 class TestTail:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_farfield_coefficient_identities(self, alpha):
-        c = tail_farfield_coefficient(alpha)
+        # C_H = Gamma(1/2) / (Gamma(-alpha/2) Gamma((3+alpha)/2)), the module docstring's closed form.
+        c = special.gamma(0.5) / (special.gamma(-alpha / 2) * special.gamma((3 + alpha) / 2))
         assert c == pytest.approx(FARFIELD_COEF[alpha], rel=1e-12)
         assert c == pytest.approx(-singular_kernel_constant(alpha) * profile_mass(alpha), rel=1e-12)
 
@@ -180,18 +174,12 @@ def _space_bump(xm: float):
 class TestSelfSimilarFamily:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_selfsimilar_scale_invariance(self, alpha):
+        # The attractor is invariant under rho -> lam * rho(lam x, lam^(1+alpha) t).
         lam = 3.0
         x = np.linspace(-2.0, 2.0, 101)
-        lhs = lam * selfsimilar_density(alpha, lam * x, lam ** (1.0 + alpha) * 1.7)
-        rhs = selfsimilar_density(alpha, x, 1.7)
+        lhs = lam * attractor_density(alpha, 1.3, lam * x, lam ** (1.0 + alpha) * 1.7)
+        rhs = attractor_density(alpha, 1.3, x, 1.7)
         npt.assert_allclose(lhs, rhs, atol=1e-14)
-        # The velocity profile depends only on the similarity variable, so it
-        # is exactly invariant (no amplitude prefactor).
-        npt.assert_allclose(
-            selfsimilar_velocity(alpha, lam * x, lam ** (1.0 + alpha) * 1.7),
-            selfsimilar_velocity(alpha, x, 1.7),
-            atol=1e-12,
-        )
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_attractor_mass_is_constant(self, alpha):
@@ -227,17 +215,17 @@ class TestSelfSimilarFamily:
 
     def test_evolved_profile_velocity_matches_edge_speed(self):
         # The support edge x_e(t) = 1/b(t) must move with the local velocity:
-        # dx_e/dt = amplitude * b^alpha * U(1) = u(x_e, t).
+        # dx_e/dt = amplitude * b^alpha * U(1).  b is read off the density at 0.
         alpha, amp = 0.5, 1.3
         t, dt = 1.0, 1e-6
-        b = lambda s: (1.0 + (1.0 + alpha) * amp * s) ** (-1.0 / (1.0 + alpha))
+        b = lambda s: evolved_profile_density(alpha, amp, 0.0, s) / (amp * getoor_constant(alpha))
         edge_speed = (1.0 / b(t + dt) - 1.0 / b(t - dt)) / (2.0 * dt)
-        u_edge = evolved_profile_velocity(alpha, amp, 1.0 / b(t), t)
+        u_edge = amp * b(t) ** alpha * velocity_profile_U(alpha, 1.0)
         assert edge_speed == pytest.approx(u_edge, rel=1e-5)
 
     def test_time_validation(self):
         with pytest.raises(ValueError):
-            selfsimilar_density(0.5, 0.0, 0.0)
+            attractor_density(0.5, 1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             attractor_density(0.5, -1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
@@ -275,10 +263,11 @@ class TestRarefaction:
         x = np.linspace(-1.0, 4.0, 2_000_001)
         rho = rarefaction_density(rt, x, t)
         if p == np.inf:
-            sampled = rho.max()
+            sampled, exact = rho.max(), rt.M_rho / rt.M_G / t
         else:
             sampled = (np.trapezoid(rho**p, x)) ** (1.0 / p)
-        assert sampled == pytest.approx(rarefaction_lp_norm(rt, p, t), rel=1e-5)
+            exact = rt.M_rho * rt.M_G ** (1.0 / p - 1.0) * t ** (-1.0 + 1.0 / p)
+        assert sampled == pytest.approx(exact, rel=1e-5)
 
     def test_mass_identities(self):
         rt = RarefactionTriple(M_rho=1.5, M_G=2.5)

@@ -104,3 +104,57 @@ def test_package_uses_only_the_rfft_half_spectrum():
     assert modules
     found = {p.name: full_spectrum_transforms(p.read_text()) for p in modules}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+PERFBENCH_DIR = SRC_DIR.parents[1] / "perfbench"
+
+# Public names kept with no caller in the package or the benchmark, and why.
+UNREFERENCED_BY_DESIGN = {
+    # The writer half of the field CSV format that `read_field_csv` reads (the
+    # `csv` initial-data shape); tests use it to make such files.
+    "write_field_csv",
+}
+
+
+def public_definitions(source: str) -> set[str]:
+    """Names of the public module-level ``def``s and ``class``es in ``source``."""
+    return {
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name, attribute and string constant in ``source``, outside ``__all__`` lists."""
+    tree = ast.parse(source)
+    exports = {
+        id(node)
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in stmt.targets)
+        for node in ast.walk(stmt)
+    }
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in exports:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_public_definition_has_a_caller():
+    """A public def or class that nothing in the package or the benchmark uses is dead API."""
+    assert public_definitions("def a(): pass\nclass B: pass\ndef _c(): pass\nx = 1\n") == {"a", "B"}
+    assert referenced_names("__all__ = ['a']\nf(b.c, 'd')\n") == {"f", "b", "c", "d"}
+    modules = sorted(p for p in SRC_DIR.glob("*.py") if p.name != "__init__.py")
+    users = modules + sorted(PERFBENCH_DIR.glob("*.py"))
+    assert modules and len(users) > len(modules)
+    used = set().union(*(referenced_names(p.read_text()) for p in users))
+    defined = set().union(*(public_definitions(p.read_text()) for p in modules))
+    assert sorted(defined - used - UNREFERENCED_BY_DESIGN) == []
+    assert UNREFERENCED_BY_DESIGN <= defined - used
