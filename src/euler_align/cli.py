@@ -14,7 +14,9 @@ Exit codes: 0 success, 1 check failure, 2 bad input, 3 runtime abort.
 ``GridError``, ``DiagnosticsError``, ``OSError`` and rejected arguments give
 2, ``SolverError`` gives 3.  ``main`` makes the output directory before the
 command runs; if it cannot (a file is in the way) it exits 2 at once, with no
-manifest, since there is nowhere to put one.  Otherwise it writes
+manifest, since there is nowhere to put one.  So does ``verify`` when its run
+directory does not exist and no ``--out`` is given: the default output
+directory, ``RUNDIR/verify``, would create it.  Otherwise it writes
 ``manifest.json`` there, once, on every path — on failure with the reason, and
 also when an unexpected exception ends the command (that exception then
 propagates) — so that partial artifacts are always identifiable.  Its
@@ -44,6 +46,7 @@ from .diagnostics import (
     DiagnosticsError,
     ScalingReport,
     barenblatt_limit_experiment,
+    comparison_principle_report,
     decay_fit,
     oleinik_check,
     reference_decay_slope,
@@ -103,19 +106,14 @@ def _trajectory_checks(traj: Trajectory) -> dict[str, dict]:
         growth = float(np.diff(s["rho_l2"]).max() / max(s["rho_l2"][0], 1e-12))
         checks["rho_l2_monotone"] = _check(growth, NORM_MONOTONE_SLACK)
 
-    report = traj.initial_report
+    report = comparison_principle_report(traj)
     if math.isfinite(report.a) and math.isfinite(report.b):
-        floor = -COMPARISON_TOL * float(s["rho_linf"][0])
-        worst = min(
-            float(s["min_G"].min()),
-            float(s["min_arho_minus_G"].min()),
-            float(-s["max_brho_minus_G"].max()),
-        )
-        checks["comparison"] = _check(-worst, -floor)
+        worst = min(report.min_g, report.min_arho_minus_g, report.min_g_minus_brho)
+        checks["comparison"] = _check(-worst, COMPARISON_TOL * report.rho0_linf)
     return checks
 
 
-def _series_monotone_checks(name: str, lambdas, distances) -> dict[str, dict]:
+def _series_monotone_checks(name: str, distances) -> dict[str, dict]:
     """Module-invariant gate: non-increasing within slack, strict end-to-end drop."""
     d = np.asarray(distances, dtype=float)
     worst_ratio = float((d[1:] / np.maximum(d[:-1], 1e-300)).max()) if len(d) > 1 else 0.0
@@ -248,10 +246,10 @@ def cmd_scaling(args: argparse.Namespace, manifest: dict) -> int:
         report = barenblatt_limit_experiment(cfg, lambdas, p=args.p)
     manifest["report"] = asdict(report)
     manifest["files"] = _scaling_csv(args.out, report)
-    checks = _series_monotone_checks("primary_distance", report.lambdas, report.distances)
+    checks = _series_monotone_checks("primary_distance", report.distances)
     if report.mode == "rarefaction":
-        checks.update(_series_monotone_checks("rho_distance", report.lambdas, report.rho_distances))
-        checks.update(_series_monotone_checks("g_distance", report.lambdas, report.g_distances))
+        checks.update(_series_monotone_checks("rho_distance", report.rho_distances))
+        checks.update(_series_monotone_checks("g_distance", report.g_distances))
     code = _gate(manifest, checks, "scaling distances are not monotone")
     print(f"scaling[{report.mode}]: lambdas={report.lambdas} distances={tuple(round(d, 6) for d in report.distances)}")
     return code
@@ -346,7 +344,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; the only place that picks the exit code and writes the manifest."""
     args = _build_parser().parse_args(argv)
-    args.out = Path(os.environ.get("EULER_ALIGN_OUT") or args.out or args.rundir / "verify")
+    out = os.environ.get("EULER_ALIGN_OUT") or args.out
+    if out is None:  # `verify`'s default lies inside the run directory, which it must not create
+        if not args.rundir.is_dir():
+            print(f"error: no run directory at {args.rundir}", file=sys.stderr)
+            return EXIT_BAD_INPUT
+        out = args.rundir / "verify"
+    args.out = Path(out)
     manifest = {"command": args.command, "version": __version__, "files": [], "checks": {}, "failure": None}
     start = time.perf_counter()
     try:

@@ -80,6 +80,7 @@ from .grid import (
 )
 
 N_IMAGES = 64  # image pairs SpectralWorkspace.image_kernel sums before its analytic tail
+NODES_PER_SHELL = 48  # midpoint nodes per dyadic shell in fractional_laplacian_quadrature
 
 
 def _next_fast_len(m: int) -> int:
@@ -330,20 +331,18 @@ def fractional_laplacian_spectral(
     return out
 
 
-def fractional_laplacian_quadrature(
-    f: Field, alpha: float, x, nodes_per_shell: int = 48
-) -> np.ndarray:
+def fractional_laplacian_quadrature(f: Field, alpha: float, x) -> np.ndarray:
     """Singular-integral oracle for the fractional Laplacian at points x.
 
     Uses the symmetrized form on the fixed dyadic shells [z, 2z] from
-    z_min = h/2 out to R = L + |x|, each with a ``nodes_per_shell``-node
+    z_min = h/2 out to R = L + |x|, each with a ``NODES_PER_SHELL``-node
     midpoint rule, the zero extension of f off the grid (linear interpolation
     on it), and the closed-form far tail 2 f(x) R^(-alpha) / alpha.  The
     discarded core |z| < h/2 contributes O(h^(2-alpha) * max|f''|), below the
     tolerance of every consumer.
 
     Vectorized over points and shells: all nodes form one array of shape
-    (points, shells, nodes_per_shell), so the working memory is that many
+    (points, shells, NODES_PER_SHELL), so the working memory is that many
     floats (times a few temporaries).  A point's shells beyond its own R are
     masked out, and the shell sums are added to each point's total in shell
     order, so every value is the same float the point-by-point loop gives.
@@ -370,8 +369,8 @@ def fractional_laplacian_quadrature(
     lo = np.ldexp(z_min, m)
     hi = np.minimum(np.ldexp(z_min, m + 1), big_r[:, None])
     active = (m < n_shells[:, None]) & (lo < hi)
-    w = (hi - lo) / nodes_per_shell
-    z = lo[:, None] + (np.arange(nodes_per_shell) + 0.5) * w[..., None]
+    w = (hi - lo) / NODES_PER_SHELL
+    z = lo[:, None] + (np.arange(NODES_PER_SHELL) + 0.5) * w[..., None]
     xv = xs[:, None, None]
     shell_sums = ((2.0 * fx[:, None, None] - sample(xv + z) - sample(xv - z)) / z ** (1.0 + a)).sum(axis=-1)
     terms = np.where(active, w * shell_sums, 0.0)

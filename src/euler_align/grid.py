@@ -60,9 +60,13 @@ def build_grid(n: int, half_width: float) -> Grid1D:
     return Grid1D(n=n, half_width=half_width)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Field:
-    """Real-valued samples on a Grid1D.  Immutable after construction."""
+    """Real-valued samples on a Grid1D.  Immutable after construction.
+
+    Fields compare and hash by identity (``eq=False``): a generated ``__eq__``
+    would compare the value arrays inside a tuple, which raises for n > 1.
+    """
 
     grid: Grid1D
     values: np.ndarray

@@ -3,9 +3,10 @@
 Every check here validates a mathematical identity that the discrete
 operators must satisfy, against either an exact closed form (Fourier modes,
 the Getoor profile) or an independent numerical route (the singular-integral
-oracle, a fixed dyadic-shell midpoint rule with 48 nodes per shell).  Each
-check produces a :class:`CheckRecord` with the measured maximum error and the
-tolerance it was held to; :func:`run_selftest` bundles them into a
+oracle, a fixed dyadic-shell midpoint rule).  Each check returns its maximum
+error, or that error and an extra pass condition; :func:`run_selftest` names
+each check with its alpha and grid size, holds it to its entry in
+:data:`TOLERANCES` as a :class:`CheckRecord`, and bundles the records into a
 JSON-serializable :class:`SelfTestReport`.
 
 The suite is the backing for the ``selftest`` CLI subcommand and doubles as
@@ -94,17 +95,15 @@ class SelfTestReport:
 # Seeded field generators
 
 
-def _bump_params(
-    rng: np.random.Generator, half_width: float, n_bumps: int
-) -> list[tuple[float, float, float]]:
-    """Draw (amplitude, center, width) triples for a sum-of-Gaussians field."""
+def _bump_params(rng: np.random.Generator, half_width: float) -> list[tuple[float, float, float]]:
+    """Draw three (amplitude, center, width) triples for a sum-of-Gaussians field."""
     return [
         (
             float(rng.uniform(0.5, 2.0)),
             float(rng.uniform(-half_width / 4.0, half_width / 4.0)),
             float(rng.uniform(0.3, 1.0)),
         )
-        for _ in range(n_bumps)
+        for _ in range(3)
     ]
 
 
@@ -119,80 +118,74 @@ def _bump_values(
     return vals
 
 
-def random_bump_field(
-    grid: Grid1D, rng: np.random.Generator, n_bumps: int = 3
-) -> Field:
-    """Seeded nonnegative smooth test field: a sum of Gaussian bumps.
+def random_bump_field(grid: Grid1D, rng: np.random.Generator) -> Field:
+    """Seeded nonnegative smooth test field: a sum of three Gaussian bumps.
 
     Centers stay within the middle half of the domain and widths within
     [0.3, 1], so the field is both well resolved and comfortably inside the
     support margin at the default geometries.
     """
-    return as_field(grid, _bump_values(grid.x, _bump_params(rng, grid.half_width, n_bumps)))
+    return as_field(grid, _bump_values(grid.x, _bump_params(rng, grid.half_width)))
 
 
 # ---------------------------------------------------------------------------
-# Individual checks
+# Individual checks: each returns its maximum error, or (error, extra pass condition)
 
 
-def _record(check: str, alpha: float | None, n: int, err: float, tol: float) -> CheckRecord:
-    return CheckRecord(check, alpha, n, float(err), float(tol), bool(err <= tol))
+def _record(check: str, alpha: float | None, n: int, result: float | tuple[float, bool]) -> CheckRecord:
+    """The record of one check, held to its entry in :data:`TOLERANCES`."""
+    err, extra = result if isinstance(result, tuple) else (result, True)
+    tol = TOLERANCES[check]
+    return CheckRecord(check, alpha, n, float(err), tol, bool(err <= tol and extra))
 
 
-def _check_kernel_constant(tol: float) -> CheckRecord:
+def _check_kernel_constant() -> float:
     # Exact special value at alpha = 1/2: Gamma(-1/4) = -4*Gamma(3/4) collapses
     # the constant to 1/(2*sqrt(2*pi)).  Near alpha = 1 the constant approaches
     # 1/pi, the classical Hilbert-derivative normalization.
     err = abs(singular_kernel_constant(0.5) - 1.0 / (2.0 * np.sqrt(2.0 * np.pi)))
-    err = max(err, abs(singular_kernel_constant(1.0 - 1e-12) - 1.0 / np.pi))
-    return _record("kernel_constant", 0.5, 0, err, tol)
+    return max(err, abs(singular_kernel_constant(1.0 - 1e-12) - 1.0 / np.pi))
 
 
-def _check_getoor_spectral(alpha: float, tol: float, n: int = 8192, half_width: float = 8.0) -> CheckRecord:
-    grid = build_grid(n, half_width)
+def _check_getoor_spectral(alpha: float) -> float:
+    grid = build_grid(8192, 8.0)
     ws = SpectralWorkspace(grid, alpha)
     phi = as_field(grid, getoor_profile(alpha, grid.x))
     lam = fractional_laplacian_spectral(phi, ws, image_correction=True)
     inner = np.abs(grid.x) <= 0.9
-    err = float(np.abs(lam.values[inner] - 1.0).max())
-    return _record("getoor_spectral", alpha, n, err, tol)
+    return float(np.abs(lam.values[inner] - 1.0).max())
 
 
-def _check_getoor_quadrature(alpha: float, tol: float, n: int = 4096, half_width: float = 8.0) -> CheckRecord:
-    grid = build_grid(n, half_width)
+def _check_getoor_quadrature(alpha: float) -> float:
+    grid = build_grid(4096, 8.0)
     phi = as_field(grid, getoor_profile(alpha, grid.x))
-    probes = grid.x[np.abs(grid.x) <= 0.9][:: max(1, n // 256)]
+    probes = grid.x[np.abs(grid.x) <= 0.9][:: grid.n // 256]
     vals = fractional_laplacian_quadrature(phi, alpha, probes)
-    err = float(np.abs(vals - 1.0).max())
-    return _record("getoor_quadrature", alpha, n, err, tol)
+    return float(np.abs(vals - 1.0).max())
 
 
-def cross_validation_errors(
-    alpha: float,
-    rng: np.random.Generator,
-    trials: int = 20,
-    n: int = 1024,
-    half_width: float = 8.0,
-    n_probes: int = 64,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral-vs-quadrature disagreement on seeded bumps at n and 2n.
+def cross_validation_errors(alpha: float, rng: np.random.Generator, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral-vs-quadrature disagreement on seeded bumps at n = 1024 and 2048.
 
-    Returns two arrays of per-trial sup errors at probe points, normalized by
-    the field's sup norm.  The two routes share nothing but the field samples:
+    Returns two arrays of per-trial sup errors at the probe points
+    x = -6, -5.75, ..., 6 of the grids on [-8, 8), normalized by the field's
+    sup norm.  The two routes share nothing but the field samples:
     one is a corrected Fourier multiplier, the other a fixed dyadic-shell
-    midpoint rule (48 nodes per shell) for the singular integral of the
-    difference kernel, so agreement validates both.  Each resolution's grid
-    and workspace are built once and shared by all trials.
+    midpoint rule (``fracops.NODES_PER_SHELL`` nodes per shell) for the
+    singular integral of the difference kernel, so agreement validates both.
+    Each resolution's grid and workspace are built once and shared by all
+    trials.
     """
+    half_width = 8.0
     coarse = np.empty(trials)
     fine = np.empty(trials)
     levels = []
-    for out, m in ((coarse, n), (fine, 2 * n)):
-        grid = build_grid(m, half_width)
-        probes = grid.x[np.abs(grid.x) <= 0.75 * half_width][:: max(1, m // n_probes)]
+    for out, n in ((coarse, 1024), (fine, 2048)):
+        grid = build_grid(n, half_width)
+        probes = grid.x[np.abs(grid.x) <= 0.75 * half_width][:: n // 64]
         levels.append((out, grid, SpectralWorkspace(grid, alpha), probes))
     for trial in range(trials):
-        params = _bump_params(rng, half_width, n_bumps=3)
+        params = _bump_params(rng, half_width)
         for out, grid, ws, probes in levels:
             f = as_field(grid, _bump_values(grid.x, params))
             spec = fractional_laplacian_spectral(f, ws, image_correction=True)
@@ -202,42 +195,36 @@ def cross_validation_errors(
     return coarse, fine
 
 
-def _check_cross_validation(
-    alpha: float, rng: np.random.Generator, tol: float, trials: int = 6, n: int = 1024
-) -> CheckRecord:
-    coarse, fine = cross_validation_errors(alpha, rng, trials=trials, n=n)
-    err = float(max(coarse.max(), fine.max()))
-    decreasing = bool(fine.max() < coarse.max())
-    rec = _record("cross_validation", alpha, n, err, tol)
-    return CheckRecord(rec.check, rec.alpha, rec.n, rec.max_error, rec.tolerance, rec.passed and decreasing)
+def _check_cross_validation(alpha: float, rng: np.random.Generator) -> tuple[float, bool]:
+    coarse, fine = cross_validation_errors(alpha, rng, trials=6)
+    return float(max(coarse.max(), fine.max())), bool(fine.max() < coarse.max())
 
 
-def _check_hilbert_sine(tol: float, inject_sign_error: bool, n: int = 2048, half_width: float = 8.0) -> CheckRecord:
-    grid = build_grid(n, half_width)
+def _check_hilbert_sine(inject_sign_error: bool) -> float:
+    grid = build_grid(2048, 8.0)
     ws = SpectralWorkspace(grid, 0.5)
     err = 0.0
     for k in (1, 5, 17):
-        xi = np.pi * k / half_width
+        xi = np.pi * k / grid.half_width
         f = as_field(grid, np.sin(xi * grid.x))
         h = hilbert_transform(f, ws).values
         if inject_sign_error:
             h = -h
         err = max(err, float(np.abs(h - (-np.cos(xi * grid.x))).max()))
-    return _record("hilbert_sine", None, n, err, tol)
+    return err
 
 
-def _check_hilbert_involution(rng: np.random.Generator, tol: float, n: int = 2048, half_width: float = 8.0) -> CheckRecord:
-    grid = build_grid(n, half_width)
+def _check_hilbert_involution(rng: np.random.Generator) -> float:
+    grid = build_grid(2048, 8.0)
     ws = SpectralWorkspace(grid, 0.5)
     f = random_bump_field(grid, rng)
     mean_free = as_field(grid, f.values - f.values.mean())
     twice = hilbert_transform(hilbert_transform(mean_free, ws), ws)
-    err = np.abs(twice.values + mean_free.values).max() / np.abs(mean_free.values).max()
-    return _record("hilbert_involution", None, n, err, tol)
+    return np.abs(twice.values + mean_free.values).max() / np.abs(mean_free.values).max()
 
 
-def _check_fraclap_semigroup(rng: np.random.Generator, tol: float, n: int = 2048, half_width: float = 8.0) -> CheckRecord:
-    grid = build_grid(n, half_width)
+def _check_fraclap_semigroup(rng: np.random.Generator) -> float:
+    grid = build_grid(2048, 8.0)
     f = random_bump_field(grid, rng)
     ws_a = SpectralWorkspace(grid, 0.25)
     ws_b = SpectralWorkspace(grid, 0.5)
@@ -246,74 +233,62 @@ def _check_fraclap_semigroup(rng: np.random.Generator, tol: float, n: int = 2048
         fractional_laplacian_spectral(f, ws_a), ws_b
     ).values
     direct = fractional_laplacian_spectral(f, ws_ab).values
-    err = np.abs(composed - direct).max() / np.abs(direct).max()
-    return _record("fraclap_semigroup", 0.75, n, err, tol)
+    return np.abs(composed - direct).max() / np.abs(direct).max()
 
 
-def _check_riesz_inverse(alpha: float, rng: np.random.Generator, tol: float, n: int = 2048, half_width: float = 8.0) -> CheckRecord:
-    grid = build_grid(n, half_width)
+def _check_riesz_inverse(alpha: float, rng: np.random.Generator) -> float:
+    grid = build_grid(2048, 8.0)
     ws = SpectralWorkspace(grid, alpha)
     f = random_bump_field(grid, rng)
     back = fractional_laplacian_spectral(riesz_potential(f, alpha, ws), ws).values
     target = f.values - f.values.mean()
-    err = np.abs(back - target).max() / np.abs(target).max()
-    return _record("riesz_inverse", alpha, n, err, tol)
+    return np.abs(back - target).max() / np.abs(target).max()
 
 
-def _check_antiderivative_consistency(
-    alpha: float, rng: np.random.Generator, tol: float, n: int = 2048, half_width: float = 8.0
-) -> CheckRecord:
-    grid = build_grid(n, half_width)
+def _check_antiderivative_consistency(alpha: float, rng: np.random.Generator) -> float:
+    grid = build_grid(2048, 8.0)
     ws = SpectralWorkspace(grid, alpha)
     f = random_bump_field(grid, rng)
     # The real-line velocity; the spectral derivative removes its constant tail anchor.
     u = velocity_from_state(f, as_field(grid, np.zeros(grid.n)), ws, image_correction=False)
     rebuilt = derivative(u).values
     direct = fractional_laplacian_spectral(f, ws).values
-    err = np.abs(rebuilt - direct).max() / np.abs(direct).max()
-    return _record("antiderivative_consistency", alpha, n, err, tol)
+    return np.abs(rebuilt - direct).max() / np.abs(direct).max()
 
 
-def _check_closedform_velocity(alpha: float, tol: float) -> CheckRecord:
+def _check_closedform_velocity(alpha: float) -> tuple[float, bool]:
     interior = np.array([-0.9, -0.5, 0.0, 0.3, 0.9])
     err = float(np.abs(velocity_profile_U(alpha, interior) - interior).max())
     # Continuity across the support edge: the tail branch must rejoin the
     # interior value U(1) = 1 (the tail integral is exactly 1).
     err = max(err, abs(velocity_profile_U(alpha, 1.0 + 1e-12) - 1.0))
     tail = velocity_profile_U(alpha, np.array([1.0, 2.0, 8.0, 100.0]))
-    monotone = bool(np.all(np.diff(tail) < 0.0) and tail[-1] > 0.0)
-    rec = _record("closedform_velocity", alpha, 0, err, tol)
-    return CheckRecord(rec.check, rec.alpha, rec.n, rec.max_error, rec.tolerance, rec.passed and monotone)
+    return err, bool(np.all(np.diff(tail) < 0.0) and tail[-1] > 0.0)
 
 
-def _check_stroock_varopoulos(
-    alpha: float, rng: np.random.Generator, tol: float, n_fields: int = 5, n: int = 2048, half_width: float = 16.0
-) -> CheckRecord:
-    grid = build_grid(n, half_width)
+def _check_stroock_varopoulos(alpha: float, rng: np.random.Generator) -> tuple[float, bool]:
+    grid = build_grid(2048, 16.0)
     ws = SpectralWorkspace(grid, alpha)
     worst = 0.0
     ok = True
-    for _ in range(n_fields):
+    for _ in range(5):
         v = random_bump_field(grid, rng)
         for p in (1.5, 2.0, 3.0):
-            lhs, rhs, holds = stroock_varopoulos_check(v, p, ws, tol=tol)
+            lhs, rhs, holds = stroock_varopoulos_check(v, p, ws, tol=TOLERANCES["stroock_varopoulos"])
             ok = ok and holds
             worst = max(worst, (rhs - lhs) / abs(rhs))
-    return CheckRecord("stroock_varopoulos", alpha, n, float(worst), float(tol), bool(ok))
+    return worst, ok
 
 
-def _check_gagliardo_nirenberg(
-    alpha: float, rng: np.random.Generator, tol: float, n: int = 4096, half_width: float = 16.0
-) -> CheckRecord:
-    grid = build_grid(n, half_width)
+def _check_gagliardo_nirenberg(alpha: float, rng: np.random.Generator) -> float:
+    grid = build_grid(4096, 16.0)
     ws = SpectralWorkspace(grid, alpha)
-    params = _bump_params(rng, half_width, n_bumps=3)
+    params = _bump_params(rng, grid.half_width)
     ratios = []
     for s in (1.0, 2.0, 4.0):
         v = as_field(grid, _bump_values(grid.x, params, dilation=s))
         ratios.append(gagliardo_nirenberg_check(v, r=3.0, q=2.0, ws=ws)[2])
-    err = float(np.abs(np.asarray(ratios) / ratios[0] - 1.0).max())
-    return _record("gagliardo_nirenberg", alpha, n, err, tol)
+    return float(np.abs(np.asarray(ratios) / ratios[0] - 1.0).max())
 
 
 # ---------------------------------------------------------------------------
@@ -334,20 +309,21 @@ def run_selftest(
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
 
-    records: list[CheckRecord] = [_check_kernel_constant(TOLERANCES["kernel_constant"])]
+    # Each record: check name, alpha, the grid size it ran at (0: no grid) and its result.
+    records = [_record("kernel_constant", 0.5, 0, _check_kernel_constant())]
     for alpha in ALPHAS:
-        records.append(_check_getoor_spectral(alpha, TOLERANCES["getoor_spectral"]))
-        records.append(_check_getoor_quadrature(alpha, TOLERANCES["getoor_quadrature"]))
-        records.append(_check_closedform_velocity(alpha, TOLERANCES["closedform_velocity"]))
-    records.append(_check_hilbert_sine(TOLERANCES["hilbert_sine"], inject_hilbert_sign_error))
-    records.append(_check_hilbert_involution(rng, TOLERANCES["hilbert_involution"]))
-    records.append(_check_fraclap_semigroup(rng, TOLERANCES["fraclap_semigroup"]))
+        records.append(_record("getoor_spectral", alpha, 8192, _check_getoor_spectral(alpha)))
+        records.append(_record("getoor_quadrature", alpha, 4096, _check_getoor_quadrature(alpha)))
+        records.append(_record("closedform_velocity", alpha, 0, _check_closedform_velocity(alpha)))
+    records.append(_record("hilbert_sine", None, 2048, _check_hilbert_sine(inject_hilbert_sign_error)))
+    records.append(_record("hilbert_involution", None, 2048, _check_hilbert_involution(rng)))
+    records.append(_record("fraclap_semigroup", 0.75, 2048, _check_fraclap_semigroup(rng)))
     for alpha in ALPHAS:
-        records.append(_check_riesz_inverse(alpha, rng, TOLERANCES["riesz_inverse"]))
-        records.append(_check_antiderivative_consistency(alpha, rng, TOLERANCES["antiderivative_consistency"]))
-        records.append(_check_cross_validation(alpha, rng, TOLERANCES["cross_validation"]))
-        records.append(_check_stroock_varopoulos(alpha, rng, TOLERANCES["stroock_varopoulos"]))
-        records.append(_check_gagliardo_nirenberg(alpha, rng, TOLERANCES["gagliardo_nirenberg"]))
+        records.append(_record("riesz_inverse", alpha, 2048, _check_riesz_inverse(alpha, rng)))
+        records.append(_record("antiderivative_consistency", alpha, 2048, _check_antiderivative_consistency(alpha, rng)))
+        records.append(_record("cross_validation", alpha, 1024, _check_cross_validation(alpha, rng)))
+        records.append(_record("stroock_varopoulos", alpha, 2048, _check_stroock_varopoulos(alpha, rng)))
+        records.append(_record("gagliardo_nirenberg", alpha, 4096, _check_gagliardo_nirenberg(alpha, rng)))
 
     wall = time.perf_counter() - start
     return SelfTestReport(

@@ -242,6 +242,15 @@ class TestVerifyCommand:
     def test_missing_rundir_exits_two(self, tmp_path):
         out = tmp_path / "vmissing"
         assert main(["verify", str(tmp_path / "nope"), "--out", str(out)]) == 2
+        assert "cannot load run directory" in _manifest(out)["failure"]
+
+    def test_missing_rundir_with_default_out_creates_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("EULER_ALIGN_OUT", raising=False)
+        missing = tmp_path / "nope"
+        assert main(["verify", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and str(missing) in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_malformed_run_manifest_exits_two(self, rundir, tmp_path):
         broken = tmp_path / "broken"

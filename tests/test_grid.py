@@ -66,6 +66,13 @@ class TestField:
         with pytest.raises(GridError):
             as_field(grid, values)
 
+    def test_equality_and_hash_are_identity(self):
+        grid = build_grid(16, 1.0)
+        f, g = as_field(grid, np.ones(16)), as_field(grid, np.ones(16))
+        assert f == f and f != g and not (f == g)
+        assert hash(f) == hash(f)
+        assert {f: "f", g: "g"}[g] == "g"
+
 
 
 class TestNorms:

@@ -158,3 +158,77 @@ def test_every_public_definition_has_a_caller():
     defined = set().union(*(public_definitions(p.read_text()) for p in modules))
     assert sorted(defined - used - UNREFERENCED_BY_DESIGN) == []
     assert UNREFERENCED_BY_DESIGN <= defined - used
+
+
+# Defaulted parameters that no call in the package or the benchmark passes, and why.
+UNPASSED_BY_DESIGN = {
+    # A test passes a warm workspace to `run`, so that its memory peak leaves out the workspace build.
+    ("solver.py", "run", "ws"),
+}
+
+
+def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
+    """(callee name, parameter, position in a call or None) of each defaulted parameter.
+
+    A method's position leaves out ``self``/``cls``; a class's ``__init__`` is
+    called by the class name.
+    """
+    found = []
+
+    def visit(node: ast.AST, cls: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, ast.FunctionDef):
+                a = child.args
+                static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+                offset = 1 if cls is not None and not static else 0
+                name = cls if cls is not None and child.name == "__init__" else child.name
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                found.extend((name, arg.arg, i - offset) for i, arg in enumerate(positional) if i >= first)
+                found.extend((name, arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def passed_parameters(source: str) -> dict[str, set]:
+    """Per callee name: the keywords and positions its calls pass; "*" for a ``*``/``**`` call."""
+    passed: dict[str, set] = {}
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name is None:
+            continue
+        entry = passed.setdefault(name, set())
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords):
+            entry.add("*")
+        entry.update(k.arg for k in node.keywords if k.arg is not None)
+        entry.update(range(len(node.args)))
+    return passed
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    """A default that no call overrides is a constant in disguise."""
+    sample = "class C:\n    def __init__(self, a, b=1): pass\n    def m(self, c=2, *, d=3): pass\ndef f(e=4): pass\n"
+    assert defaulted_parameters(sample) == [("C", "b", 1), ("m", "c", 0), ("m", "d", None), ("f", "e", 0)]
+    assert passed_parameters("C(1, b=2)\nx.m(*a)\n") == {"C": {0, "b"}, "m": {0, "*"}}
+    modules = sorted(SRC_DIR.glob("*.py"))
+    users = modules + sorted(PERFBENCH_DIR.glob("*.py"))
+    passed: dict[str, set] = {}
+    for path in users:
+        for name, keys in passed_parameters(path.read_text()).items():
+            passed.setdefault(name, set()).update(keys)
+    unpassed = {
+        (path.name, name, arg)
+        for path in modules
+        for name, arg, position in defaulted_parameters(path.read_text())
+        if not {"*", arg, position} & passed.get(name, set())
+    }
+    assert sorted(unpassed - UNPASSED_BY_DESIGN) == []
+    assert UNPASSED_BY_DESIGN <= unpassed

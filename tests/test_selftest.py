@@ -66,6 +66,24 @@ class TestRunSelftest:
         assert payload["passed"] is True
         assert len(payload["records"]) == len(manifest["checks"]) > 0
 
+    def test_each_record_names_the_grid_its_check_built(self, monkeypatch):
+        built, sizes = [], []
+        record = selftest._record
+
+        def spy_grid(n, half_width):
+            built.append(n)
+            return build_grid(n, half_width)
+
+        def spy_record(check, alpha, n, result):
+            sizes.append((check, n, min(built, default=0)))
+            built.clear()
+            return record(check, alpha, n, result)
+
+        monkeypatch.setattr(selftest, "build_grid", spy_grid)
+        monkeypatch.setattr(selftest, "_record", spy_record)
+        assert len(run_selftest(seed=0).records) == len(sizes) > 0
+        assert [(check, n) for check, n, _ in sizes] == [(check, n) for check, _, n in sizes]
+
     def test_negative_control_fails_exactly_one_check(self):
         report = run_selftest(seed=0, inject_hilbert_sign_error=True)
         assert not report.passed
