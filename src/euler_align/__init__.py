@@ -78,9 +78,7 @@ from .closedform import (
 
 from .diagnostics import (
     ComparisonReport,
-    DecayFit,
     DiagnosticsError,
-    OleinikReport,
     ScalingReport,
     barenblatt_limit_experiment,
     comparison_principle_report,

@@ -173,23 +173,29 @@ class SpectralWorkspace:
     def __init__(self, grid: Grid1D, alpha: float):
         self.grid = grid
         self.alpha = float(FracOrder(alpha))
-        self._abs_power_cache: dict[float, np.ndarray] = {}
-        self._image_kernel: np.ndarray | None = None
-        self._velocity_kernels: dict[tuple[bool, float], np.ndarray] = {}
-        self._tail_anchor_weights: np.ndarray | None = None
-        self._transport_multipliers: tuple[np.ndarray, np.ndarray] | None = None
+        self._cache: dict[tuple, np.ndarray | tuple[np.ndarray, ...]] = {}
+
+    def _cached(self, key: tuple, build):
+        """The value stored under key; on first use ``build()`` makes it and its arrays are frozen."""
+        value = self._cache.get(key)
+        if value is None:
+            value = build()
+            for arr in value if isinstance(value, tuple) else (value,):
+                arr.setflags(write=False)
+            self._cache[key] = value
+        return value
 
     def abs_power_multiplier(self, power: float) -> np.ndarray:
         """|xi|^power with the zero mode set to 0 (also for negative powers)."""
         key = float(power)
-        mult = self._abs_power_cache.get(key)
-        if mult is None:
+
+        def build():
             with np.errstate(divide="ignore"):
                 mult = self.grid.wavenumbers ** key
             mult[0] = 0.0
-            mult.setflags(write=False)
-            self._abs_power_cache[key] = mult
-        return mult
+            return mult
+
+        return self._cached(("abs_power", key), build)
 
     def image_kernel(self) -> np.ndarray:
         """Periodic-image kernel Q(z) = c_alpha * sum_{m != 0} |z - 2Lm|^(-1-alpha).
@@ -204,7 +210,8 @@ class SpectralWorkspace:
         a few length-2n arrays, about 0.6 MiB at n = 8192, whatever
         ``N_IMAGES`` is.
         """
-        if self._image_kernel is None:
+
+        def build():
             n, L, a = self.grid.n, self.grid.half_width, self.alpha
             h = self.grid.spacing
             z = (np.arange(n) - (n - 1)) * h
@@ -219,10 +226,9 @@ class SpectralWorkspace:
             q = sums[0] + sums[1]
             q += 2.0 * (2.0 * L) ** (-1.0 - a) * (N_IMAGES + 0.5) ** (-a) / a
             q *= singular_kernel_constant(a)
-            q = np.concatenate((q, q[-2::-1]))
-            q.setflags(write=False)
-            self._image_kernel = q
-        return self._image_kernel
+            return np.concatenate((q, q[-2::-1]))
+
+        return self._cached(("image_kernel",), build)
 
     def velocity_kernel_spectrum(self, image_correction: bool, g_coef: float = 0.0) -> np.ndarray:
         """Length-2n rfft of the pre-integrated velocity kernel K_c, c = ``g_coef``.
@@ -243,9 +249,8 @@ class SpectralWorkspace:
         trapezoid integral of rho.  Zero padding to 2n keeps the wrap-around of
         the circular product out of the n samples that are used.
         """
-        key = (bool(image_correction), float(g_coef))
-        spectrum = self._velocity_kernels.get(key)
-        if spectrum is None:
+
+        def build():
             n, h = self.grid.n, self.grid.spacing
             p = np.fft.irfft(-1j * self.abs_power_multiplier(self.alpha - 1.0), n)
             kernel = p[np.arange(-(n - 1), n) % n]
@@ -255,21 +260,21 @@ class SpectralWorkspace:
             if g_coef:
                 kernel[n - 1] += g_coef * (0.5 * h)
                 kernel[n:] += g_coef * h
-            spectrum = np.fft.rfft(kernel, 2 * n)
-            spectrum.setflags(write=False)
-            self._velocity_kernels[key] = spectrum
-        return spectrum
+            return np.fft.rfft(kernel, 2 * n)
+
+        return self._cached(("velocity_kernel", bool(image_correction), float(g_coef)), build)
 
     def tail_anchor_weights(self) -> np.ndarray:
         """Weights w with w @ f == left_tail_anchor(f, alpha) (w[0] = 0)."""
-        if self._tail_anchor_weights is None:
+
+        def build():
             grid, a = self.grid, self.alpha
             w = np.zeros(grid.n)
             w[1:] = (grid.x[1:] + grid.half_width) ** (-a)
             w *= -singular_kernel_constant(a) / a * grid.spacing
-            w.setflags(write=False)
-            self._tail_anchor_weights = w
-        return self._tail_anchor_weights
+            return w
+
+        return self._cached(("tail_anchor",), build)
 
     def transport_multipliers(self) -> tuple[np.ndarray, np.ndarray]:
         """xi^2 and the dealiased derivative i*xi.
@@ -278,14 +283,12 @@ class SpectralWorkspace:
         (the 2/3 rule; the Nyquist mode is always dropped).  Used by the
         spectral transport for its diffusion factor and flux derivatives.
         """
-        if self._transport_multipliers is None:
+
+        def build():
             xi = self.grid.wavenumbers
-            xi_sq = xi**2
-            ik = 1j * xi * (xi <= (2.0 / 3.0) * xi.max())
-            for arr in (xi_sq, ik):
-                arr.setflags(write=False)
-            self._transport_multipliers = (xi_sq, ik)
-        return self._transport_multipliers
+            return xi**2, 1j * xi * (xi <= (2.0 / 3.0) * xi.max())
+
+        return self._cached(("transport",), build)
 
 
 def apply_multiplier(f: Field, multiplier: np.ndarray) -> Field:

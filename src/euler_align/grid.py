@@ -145,13 +145,8 @@ def write_field_csv(path, f: Field) -> None:
     _write_csv(path, "x,value", np.column_stack([f.grid.x, f.values]))
 
 
-def read_field_csv(path, grid: Grid1D | None = None) -> Field:
-    """Read a two-column CSV written by write_field_csv.
-
-    If ``grid`` is given, the x-column must match its points to 1e-12.
-    Otherwise a grid is reconstructed from the x-column (which must be a
-    uniform [-L, L) lattice).
-    """
+def read_field_csv(path, grid: Grid1D) -> Field:
+    """Read a two-column CSV written by write_field_csv; its x-column must match grid's points to 1e-12."""
     try:
         data = np.loadtxt(path, delimiter=",", comments="#")
     except ValueError as exc:  # unparsable text; a missing file stays an OSError
@@ -159,12 +154,6 @@ def read_field_csv(path, grid: Grid1D | None = None) -> Field:
     if data.ndim != 2 or data.shape[1] != 2:
         raise GridError(f"{path}: expected two columns 'x,value'")
     x, v = data[:, 0], data[:, 1]
-    if grid is None:
-        n = x.size
-        spacing = np.diff(x)
-        if n < 8 or not np.allclose(spacing, spacing[0], rtol=0, atol=1e-10):
-            raise GridError(f"{path}: x column is not a uniform grid")
-        grid = build_grid(n, -float(x[0]))
     if not np.allclose(x, grid.x, rtol=0, atol=1e-12 * max(1.0, grid.half_width)):
         raise GridError(f"{path}: x column does not match the target grid")
     return Field(grid, v)

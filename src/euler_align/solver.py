@@ -43,7 +43,7 @@ from __future__ import annotations
 import json
 import math
 import time as _time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +56,6 @@ from .grid import (
     Grid1D,
     as_field,
     build_grid,
-    integrate,
     read_field_csv,
     _write_csv,
 )
@@ -189,6 +188,9 @@ class InitialDataSpec:
       * ``independent``: G0 sampled from its own ShapeSpec; sandwich constants
         measured empirically on the support of rho0.
       * ``zero_G``: G0 = 0 (the nonlocal porous-medium regime).
+
+    g0 is rejected outside ``independent`` mode and b_coef/a_coef outside
+    ``proportional`` mode, since no other mode reads them.
     """
 
     rho0: ShapeSpec
@@ -214,25 +216,24 @@ class InitialDataSpec:
             object.__setattr__(self, "g_coef", c)
             object.__setattr__(self, "b_coef", b)
             object.__setattr__(self, "a_coef", a)
+        elif self.b_coef is not None or self.a_coef is not None:
+            raise SolverError(f"b_coef and a_coef apply to proportional mode only, not {self.mode!r}")
         if self.mode == "independent" and self.g0 is None:
             raise SolverError("independent mode requires a g0 shape")
+        if self.mode != "independent" and self.g0 is not None:
+            raise SolverError(f"a g0 shape applies to independent mode only, not {self.mode!r}")
 
 
 @dataclass(frozen=True)
 class InitialReport:
-    """Verification record for make_initial_state.
+    """The sandwich constants of make_initial_state: 0 <= b*rho0 <= G0 <= a*rho0.
 
-    b, a are the sandwich constants for which 0 <= b*rho0 <= G0 <= a*rho0 was
-    checked; sandwich_holds records the outcome (nan constants if no finite
-    pair exists, e.g. G0 positive where rho0 vanishes).
+    Both are nan if no finite pair exists (e.g. G0 positive where rho0
+    vanishes), so the sandwich holds exactly when b is finite.
     """
 
-    sandwich_holds: bool
     b: float
     a: float
-    mass_rho: float
-    mass_g: float
-    min_rho: float
 
 
 @dataclass(frozen=True)
@@ -251,23 +252,22 @@ class State:
     u: Field
 
 
-def _sandwich_constants(rho0: np.ndarray, g0: np.ndarray) -> tuple[bool, float, float]:
-    """Empirical (b, a) with b*rho0 <= G0 <= a*rho0, or (False, nan, nan)."""
+def _sandwich_constants(rho0: np.ndarray, g0: np.ndarray) -> tuple[float, float]:
+    """Empirical (b, a) with b*rho0 <= G0 <= a*rho0, or (nan, nan)."""
     peak = float(np.abs(rho0).max())
     gpeak = float(np.abs(g0).max())
     if gpeak == 0.0:
-        return True, 0.0, 0.0
+        return 0.0, 0.0
     if peak == 0.0:
-        return False, math.nan, math.nan
+        return math.nan, math.nan
     support = rho0 > 1e-13 * peak
     if float(np.abs(g0[~support]).max(initial=0.0)) > 1e-13 * gpeak:
-        return False, math.nan, math.nan
+        return math.nan, math.nan
     ratio = g0[support] / rho0[support]
     b = float(ratio.min())
-    a = float(ratio.max())
     if b < 0:
-        return False, math.nan, math.nan
-    return True, b, a
+        return math.nan, math.nan
+    return b, float(ratio.max())
 
 
 def make_initial_state(
@@ -303,30 +303,22 @@ def make_initial_state(
         if peak == 0.0:
             raise SolverError("proportional mode requires a nontrivial density")
         g0 = spec.g_coef * rho0
-        holds, b, a_c = True, float(spec.b_coef), float(spec.a_coef)
+        b, a_c = float(spec.b_coef), float(spec.a_coef)
     elif spec.mode == "zero_G":
         g0 = np.zeros_like(rho0)
-        holds, b, a_c = True, 0.0, 0.0
+        b, a_c = 0.0, 0.0
     else:
         g0 = evaluate_shape(spec.g0, grid, a)
         if peak > 0 and float(np.abs(g0[outside]).max(initial=0.0)) > SUPPORT_LEVEL * max(
             float(np.abs(g0).max()), 1e-300
         ):
             raise SolverError("initial G support extends beyond [-L/2, L/2]")
-        holds, b, a_c = _sandwich_constants(rho0, g0)
+        b, a_c = _sandwich_constants(rho0, g0)
     rho_f = as_field(grid, rho0)
     g_f = as_field(grid, g0)
     g_arg = g0 if spec.mode == "independent" else _g_coef(spec)
     u_f = Field(grid, _velocity_values(rho0, g_arg, ws, image_correction))
-    report = InitialReport(
-        sandwich_holds=holds,
-        b=b,
-        a=a_c,
-        mass_rho=float(integrate(rho_f)),
-        mass_g=float(integrate(g_f)),
-        min_rho=float(rho0.min()),
-    )
-    return State(rho=rho_f, g=g_f, t=0.0, u=u_f), report
+    return State(rho=rho_f, g=g_f, t=0.0, u=u_f), InitialReport(b=b, a=a_c)
 
 
 # ---------------------------------------------------------------------------
@@ -605,11 +597,15 @@ class Trajectory:
 
     config: SolverConfig
     states: tuple[State, ...]
-    output_times: tuple[float, ...]
     summary: dict[str, np.ndarray]
     initial_report: InitialReport
     steps: int
     wall_time: float
+
+    @property
+    def output_times(self) -> tuple[float, ...]:
+        """The times of the recorded states."""
+        return tuple(s.t for s in self.states)
 
 
 def _summary_rows(tu: np.ndarray, y: np.ndarray, h: float, sandwich: tuple[float, float] | None) -> np.ndarray:
@@ -687,12 +683,13 @@ def run(cfg: SolverConfig, *, ws: SpectralWorkspace | None = None) -> Trajectory
     states: list[State] = []
     rows = [_summary_rows(np.array([[0.0, u_inf]]), blk[:1], h, sandwich)]
     next_idx = 0
+    t = t_clock = 0.0  # t snaps to each output time it reaches; t_clock, which sets dt, does not
     while next_idx < len(outputs) and outputs[next_idx] <= time_tol:
-        states.append(state)
+        t = float(outputs[next_idx])
+        states.append(replace(state, t=t))
         next_idx += 1
 
     j = 0
-    t = t_clock = 0.0  # t snaps to each output time it reaches; t_clock, which sets dt, does not
     while t_clock < cfg.t_end - time_tol:
         dt = _stable_dt(cfg, eps, h, u_inf)
         if next_idx < len(outputs):
@@ -730,7 +727,6 @@ def run(cfg: SolverConfig, *, ws: SpectralWorkspace | None = None) -> Trajectory
     return Trajectory(
         config=cfg,
         states=tuple(states),
-        output_times=tuple(outputs),
         summary=summary,
         initial_report=report,
         steps=len(table) - 1,
@@ -804,15 +800,11 @@ def load_trajectory(directory: str | Path) -> Trajectory:
         )
     summary = {name: table[:, j] for j, name in enumerate(SUMMARY_COLUMNS)}
     rep = manifest["initial_report"]
-    report = InitialReport(
-        bool(rep["sandwich_holds"]), *(float(rep[k]) for k in ("b", "a", "mass_rho", "mass_g", "min_rho"))
-    )
     return Trajectory(
         config=cfg,
         states=tuple(states),
-        output_times=tuple(s.t for s in states),
         summary=summary,
-        initial_report=report,
+        initial_report=InitialReport(b=float(rep["b"]), a=float(rep["a"])),
         steps=int(manifest["steps"]),
         wall_time=float(manifest["run_wall_time_seconds"]),
     )

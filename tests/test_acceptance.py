@@ -266,16 +266,16 @@ def test_criterion_06_decay_exponents(decay_run):
     traj, wall = decay_run
     t = traj.summary["t"]
     fits = {
-        "rho_l2": (decay_fit((t, traj.summary["rho_l2"]), p=2.0), -0.5, 0.10),
-        "rho_l4": (decay_fit((t, traj.summary["rho_l4"]), p=4.0), -0.75, 0.10),
-        "G_linf": (decay_fit((t, traj.summary["G_linf"]), p=math.inf), -1.0, 0.15),
+        "rho_l2": (decay_fit(t, traj.summary["rho_l2"]), -0.5, 0.10),
+        "rho_l4": (decay_fit(t, traj.summary["rho_l4"]), -0.75, 0.10),
+        "G_linf": (decay_fit(t, traj.summary["G_linf"]), -1.0, 0.15),
     }
     details = []
     ok = wall < 300.0
-    for name, (fit, target, band) in fits.items():
-        hit = abs(fit.fitted_slope - target) <= band
+    for name, (slope, target, band) in fits.items():
+        hit = abs(slope - target) <= band
         ok &= hit
-        details.append(f"{name} slope {fit.fitted_slope:.3f} in {target}+-{band}")
+        details.append(f"{name} slope {slope:.3f} in {target}+-{band}")
     _verdict(6, "norm decay matches the self-similar exponents", ok,
              "; ".join(details) + f"; wall {wall:.0f}s<300s")
 
@@ -287,8 +287,8 @@ def test_criterion_07_viscosity_regime_bound(decay_run):
     details = []
     ok = True
     for name, p in cases:
-        slope = decay_fit((t, traj.summary[name]), p=p).fitted_slope
-        bound = reference_decay_slope(p, "viscosity_bound", alpha=0.5) + 0.05
+        slope = decay_fit(t, traj.summary[name])
+        bound = reference_decay_slope(p, alpha=0.5) + 0.05
         ok &= slope <= bound
         details.append(f"{name} {slope:.3f} <= {bound:.3f}")
     _verdict(7, "measured decay dominates the a-priori viscous bound", ok, "; ".join(details))
@@ -423,8 +423,8 @@ def test_criterion_11_entropy_solution_checks(decade_proportional_run):
             )
             worst = max(worst, abs(resid))
 
-    report = oleinik_check(decade_proportional_run)
-    ok = worst <= 1e-6 and report.bounded
+    growth = oleinik_check(decade_proportional_run)
+    ok = worst <= 1e-6 and growth < 0.5
     _verdict(11, "limit triple is the entropy solution; one-sided slope bounded", ok,
              f"worst weak residual {worst:.1e} <= 1e-6; "
-             f"t*sup(u_x)+ growth exponent {report.fitted_growth:.2f} < 0.5")
+             f"t*sup(u_x)+ growth exponent {growth:.2f} < 0.5")

@@ -138,6 +138,12 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         assert _manifest(out)["failure"] is not None
 
+    def test_key_the_mode_ignores_exits_two_with_manifest(self, tmp_path):
+        cfg = _write(tmp_path, "ignored.ini", SMALL_RUN.replace("mode = proportional", "mode = zero_G\nb_coef = 1"))
+        out = tmp_path / "ignored"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "proportional mode only" in _manifest(out)["failure"]
+
     def test_infinite_grid_size_exits_two_with_manifest(self, tmp_path):
         cfg = _write(tmp_path, "inf.ini", SMALL_RUN.replace("n = 256", "n = inf"))
         out = tmp_path / "inf"

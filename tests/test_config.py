@@ -133,6 +133,23 @@ class TestParse:
         with pytest.raises(ConfigError, match=message):
             parse_config(MINIMAL.replace(old, new))
 
+    @pytest.mark.parametrize(
+        "mode, extra, message",
+        [
+            ("proportional", "g0_kind = bump", "g0 shape applies to independent mode only"),
+            ("independent", "g0_kind = bump\nb_coef = 0.5\na_coef = 3.0", "proportional mode only"),
+            ("zero_G", "b_coef = 1", "proportional mode only"),
+            ("zero_G", "a_coef = 2.0", "proportional mode only"),
+            ("zero_G", "g0_kind = gaussian", "g0 shape applies to independent mode only"),
+        ],
+        ids=["g0-proportional", "coefs-independent", "b-zero_G", "a-zero_G", "g0-zero_G"],
+    )
+    def test_rejects_keys_the_mode_ignores(self, mode, extra, message):
+        """A key the initial mode would not read is an error, not silently dropped."""
+        text = MINIMAL.replace("mode = proportional", f"mode = {mode}\n{extra}")
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
     def test_missing_required_key(self):
         text = MINIMAL.replace("t_end = 1.0", "cfl = 0.4")
         with pytest.raises(ConfigError, match="t_end"):
@@ -268,10 +285,9 @@ def _initial_specs(draw) -> InitialDataSpec:
         b, c, a = sorted(draw(st.lists(st.floats(0.0, 1e6), min_size=3, max_size=3)))
         return InitialDataSpec(rho0, mode, g_coef=c, b_coef=draw(st.none() | st.just(b)),
                                a_coef=draw(st.none() | st.just(a)))
-    g0 = draw(_SHAPES) if mode == "independent" else draw(st.none() | _SHAPES)
-    coefs = st.none() | st.floats(allow_nan=False, allow_infinity=False)
-    return InitialDataSpec(rho0, mode, g_coef=draw(st.floats(0.0, 1e6)),
-                           b_coef=draw(coefs), a_coef=draw(coefs), g0=g0)
+    # Only independent mode reads g0, and only proportional mode reads b_coef/a_coef.
+    g0 = draw(_SHAPES) if mode == "independent" else None
+    return InitialDataSpec(rho0, mode, g_coef=draw(st.floats(0.0, 1e6)), g0=g0)
 
 
 @st.composite

@@ -113,9 +113,3 @@ class TestCsv:
         write_field_csv(tmp_path / "f.csv", as_field(grid, np.ones(128)))
         with pytest.raises(GridError):
             read_field_csv(tmp_path / "f.csv", build_grid(128, 5.0))
-
-    def test_infers_grid_when_not_given(self, tmp_path):
-        grid = build_grid(64, 2.0)
-        write_field_csv(tmp_path / "f.csv", as_field(grid, np.cos(grid.x)))
-        back = read_field_csv(tmp_path / "f.csv")
-        assert back.grid == grid

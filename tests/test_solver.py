@@ -177,6 +177,12 @@ class TestInitialData:
             InitialDataSpec(rho0=rho, mode="proportional", g_coef=1.0, b_coef=2.0)
         with pytest.raises(SolverError, match="requires a g0 shape"):
             InitialDataSpec(rho0=rho, mode="independent")
+        with pytest.raises(SolverError, match="independent mode only"):
+            InitialDataSpec(rho0=rho, mode="proportional", g0=rho)
+        with pytest.raises(SolverError, match="proportional mode only"):
+            InitialDataSpec(rho0=rho, mode="independent", g0=rho, a_coef=3.0)
+        with pytest.raises(SolverError, match="proportional mode only"):
+            InitialDataSpec(rho0=rho, mode="zero_G", b_coef=1.0)
 
     def test_proportional_report(self):
         grid = build_grid(512, 10.0)
@@ -184,11 +190,13 @@ class TestInitialData:
             rho0=ShapeSpec(kind="gaussian", mass=1.5, width=0.6), mode="proportional", g_coef=0.7
         )
         state, report = make_initial_state(spec, grid, 0.5)
-        assert report.sandwich_holds and report.b == 0.7 and report.a == 0.7
-        assert report.mass_rho == pytest.approx(1.5, rel=1e-10)
-        assert report.mass_g == pytest.approx(0.7 * 1.5, rel=1e-10)
+        assert math.isfinite(report.b) and report.b == 0.7 and report.a == 0.7
         npt.assert_allclose(state.g.values, 0.7 * state.rho.values, atol=0)
         assert state.t == 0.0
+        # A run's summary row 0 holds the initial masses, as the grid integrals of the initial state.
+        summary = run(_gaussian_proportional(t_end=0.0, initial=spec)).summary
+        assert summary["mass_rho"][0] == integrate(state.rho) == pytest.approx(1.5, rel=1e-10)
+        assert summary["mass_G"][0] == integrate(state.g) == pytest.approx(0.7 * 1.5, rel=1e-10)
 
     def test_widened_sandwich_coefficients(self):
         grid = build_grid(512, 10.0)
@@ -207,7 +215,7 @@ class TestInitialData:
         spec = InitialDataSpec(rho0=ShapeSpec(kind="getoor"), mode="zero_G")
         state, report = make_initial_state(spec, grid, 0.5)
         assert np.all(state.g.values == 0.0)
-        assert (report.b, report.a) == (0.0, 0.0) and report.sandwich_holds
+        assert (report.b, report.a) == (0.0, 0.0)
 
     def test_independent_mode_measures_sandwich(self):
         grid = build_grid(1024, 10.0)
@@ -217,7 +225,6 @@ class TestInitialData:
             g0=ShapeSpec(kind="bump", mass=0.7, width=2.0),
         )
         state, report = make_initial_state(spec, grid, 0.5)
-        assert report.sandwich_holds
         assert report.b == pytest.approx(0.7, rel=1e-12)
         assert report.a == pytest.approx(0.7, rel=1e-12)
 
@@ -229,7 +236,6 @@ class TestInitialData:
             g0=ShapeSpec(kind="bump", mass=1.0, width=0.8, center=3.0),
         )
         _, report = make_initial_state(spec, grid, 0.5)
-        assert not report.sandwich_holds
         assert math.isnan(report.b) and math.isnan(report.a)
 
     def test_rejects_negative_density(self, tmp_path):
@@ -766,6 +772,15 @@ class TestRun:
         expected = evaluate_shape(ShapeSpec(kind="gaussian", mass=1.0, width=0.6), grid, 0.5)
         npt.assert_array_equal(first.rho.values, expected)
 
+    def test_output_time_within_tolerance_of_zero_is_recorded_at_that_time(self, tmp_path):
+        """The initial state is recorded at the output time that selects it, as later states are."""
+        times = (1e-10, 0.05)
+        traj = run(_gaussian_proportional(t_end=0.05, output_times=times))
+        assert tuple(s.t for s in traj.states) == times
+        assert traj.output_times == times
+        save_trajectory(traj, tmp_path / "run")
+        assert load_trajectory(tmp_path / "run").output_times == times
+
     def test_summary_matches_columns_and_steps(self):
         traj = run(_gaussian_proportional(t_end=0.2))
         assert set(traj.summary) == set(SUMMARY_COLUMNS)
@@ -947,10 +962,10 @@ class TestPersistence:
         assert loaded.output_times == traj.output_times
         assert loaded.steps == traj.steps
         assert loaded.wall_time == manifest["run_wall_time_seconds"]
+        assert sorted(manifest["initial_report"]) == ["a", "b"]
         if case == "independent_nan":
-            assert not traj.initial_report.sandwich_holds
+            assert math.isnan(traj.initial_report.b)
             assert math.isnan(loaded.initial_report.b) and math.isnan(loaded.initial_report.a)
-            assert replace(loaded.initial_report, b=0.0, a=0.0) == replace(traj.initial_report, b=0.0, a=0.0)
         else:
             assert loaded.initial_report == traj.initial_report
         for a, b in zip(loaded.states, traj.states):
@@ -978,6 +993,16 @@ class TestPersistence:
         solver._write_csv(ours, "x,rho,G,u", table)
         np.savetxt(ref, table, fmt="%.17g", delimiter=",", header="x,rho,G,u", comments="# ")
         assert ours.read_bytes() == ref.read_bytes()
+
+    def test_load_reads_only_the_sandwich_pair_of_the_initial_report(self, tmp_path):
+        """A manifest whose initial report also holds the fields it once had still loads."""
+        traj = run(_gaussian_proportional(t_end=0.05, output_times=(0.0, 0.05)))
+        save_trajectory(traj, tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["initial_report"].update(sandwich_holds=True, mass_rho=1.0, mass_g=1.0, min_rho=0.0)
+        path.write_text(json.dumps(manifest))
+        assert load_trajectory(tmp_path).initial_report == traj.initial_report
 
     def test_load_rejects_missing_manifest(self, tmp_path):
         with pytest.raises(SolverError):
