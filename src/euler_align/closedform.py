@@ -2,7 +2,7 @@
 
 * The compact profile Phi_alpha(x) = K(alpha) (1-x^2)_+^(alpha/2), normalized so
   that Lambda^alpha Phi_alpha = 1 on (-1, 1).  Outside the support the operator
-  takes the negative value H(x) given in closed hypergeometric form below.
+  takes a negative value H(x).
 * The odd primitive U(y) = int_{-inf}^y Lambda^alpha Phi_alpha, which equals y
   on [-1, 1] and decays like |y|^{-alpha} far out.
 * The exact self-similar family of the zero-G dynamics (density transported by
@@ -12,39 +12,31 @@
 * The rarefaction triple (rho_bar, G_bar, u_bar) with u_bar the entropy
   solution of the inviscid Burgers equation.
 
-Closed-form tail note: for |x| > 1 the fractional Laplacian of Phi_alpha is
+For |y| > 1 both H and U are integrals over the profile (Getoor, Trans. AMS
+101, 1961), with c_alpha the singular-kernel constant:
 
-    H(x) = -A(alpha) (|x|-1)^(-alpha/2) (|x|+1)^(-1-alpha/2)
-                 * 2F1(1, 1+alpha/2; 2+alpha; 2/(1+|x|)),
-    A(alpha) = 2^(1+alpha) Gamma(1+alpha/2) / (Gamma(2+alpha) |Gamma(-alpha/2)|).
+    H(y) = -c_alpha K(alpha) int_{-1}^{1} (1-x^2)^(alpha/2) (|y|-x)^(-1-alpha) dx,
+    U(y) = sign(y) (c_alpha K(alpha) / alpha) int_{-1}^{1} (1-x^2)^(alpha/2) (|y|-x)^(-alpha) dx.
 
-This expression is validated in the test suite against direct adaptive
-quadrature of the singular integral; it integrates to exactly -1 over (1, inf)
-(so U is continuous at the support edge) and behaves like C_H |x|^(-1-alpha)
-with C_H = Gamma(1/2) / (Gamma(-alpha/2) Gamma((3+alpha)/2)) < 0 at infinity.
-
-``scipy.special.hyp2f1`` is imported inside the functions that call it, so
-importing the package loads no scipy module.
+One Gauss-Legendre rule on (-1, 1) evaluates both to round-off (``_moments``).
+H integrates to exactly -1 over (1, inf), so U is continuous at the support
+edge, and |y|^alpha U(y) tends to c_alpha profile_mass(alpha) / alpha.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .fracops import FracOrder
-from .grid import cumulative_trapezoid
+from .fracops import FracOrder, singular_kernel_constant
 
 _BETA = lambda a: 1.0 / (1.0 + a)  # noqa: E731  similarity exponent 1/(1+alpha)
-
-
-def _gamma(z: float) -> float:
-    """Gamma function; negative non-integer arguments via the reflection formula."""
-    if z > 0:
-        return math.gamma(z)
-    return math.pi / (math.sin(math.pi * z) * math.gamma(1.0 - z))
+_NODES = 48  # Gauss-Legendre nodes per panel of the profile-moment rule
+_SHELLS = 41  # panels toward each end of the support: 40 dyadic shells and [0, 2^-40]
+_BLOCK = 64  # points per block: the temporaries stay near 2 MB
 
 
 def getoor_constant(alpha: float) -> float:
@@ -76,29 +68,76 @@ def profile_mass(alpha: float) -> float:
     return math.pi / (2.0**a * math.gamma((1.0 + a) / 2.0) * math.gamma((3.0 + a) / 2.0))
 
 
-def _tail_amplitude(alpha: float) -> float:
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``_NODES``-node Gauss-Legendre rule on (0, 1), built on first use.
+
+    Not at import: ``leggauss`` calls LAPACK, whose first call costs every
+    process about a megabyte of resident memory.
+    """
+    t, w = leggauss(_NODES)
+    u, wu = 0.5 * (t + 1.0), 0.5 * w
+    u.flags.writeable = wu.flags.writeable = False
+    return u, wu
+
+
+def _shell_rule(m: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on (0, 1]: ``_NODES`` Gauss-Legendre nodes per dyadic shell.
+
+    The shells are [2^-k-1, 2^-k] for k < ``_SHELLS`` - 1, and below them
+    [0, eps], eps = 2^(1-_SHELLS), mapped by z = eps u^m.  With m = 1/(1+beta)
+    that map turns z^beta dz into a constant times du, so an integrand
+    z^beta g(z) with g smooth near 0 loses nothing on the innermost panel.
+    """
+    u, wu = _gauss_legendre()
+    lo = 2.0 ** -np.arange(1, _SHELLS)
+    eps = lo[-1]
+    z = np.concatenate([(lo[:, None] * (1.0 + u)).ravel(), eps * u**m])
+    w = np.concatenate([(lo[:, None] * wu).ravel(), eps * m * u ** (m - 1.0) * wu])
+    return z, w
+
+
+def _moments(alpha: float, s: np.ndarray, power: float) -> np.ndarray:
+    """int_{-1}^{1} (1-x^2)^(alpha/2) (s-x)^(-power) dx at each s > 1 (s = 1 too if power < 1).
+
+    One Gauss-Legendre rule (``_shell_rule``) on each half of the support,
+    with 1 + x = z on [-1, 0] and 1 - x = z^q, q = 2/(2-alpha), on [0, 1].
+    There the weight and the Jacobian are q z^(q alpha) (2 - z^q)^(alpha/2),
+    so at s = 1 and power = alpha the integrand is smooth.  s - x is formed
+    as (s - 1) + (1 - x), so nothing cancels near the edge, and the shells
+    resolve the (s - x)^(-power) peak down to s - 1 ~ 1e-12.  Points are
+    summed in blocks of ``_BLOCK`` to bound the temporaries.
+    """
     a = alpha
-    return 2.0 ** (1.0 + a) * math.gamma(1.0 + a / 2.0) / (math.gamma(2.0 + a) * abs(_gamma(-a / 2.0)))
+    q = 2.0 / (2.0 - a)
+    z, w = _shell_rule(1.0 / (1.0 + a / 2.0))
+    left_gap, left_weight = 2.0 - z, w * (z * (2.0 - z)) ** (a / 2.0)
+    z, w = _shell_rule(1.0 / (1.0 + q * a))
+    zq = z**q
+    one_minus_x = np.concatenate([left_gap, zq])
+    weight = np.concatenate([left_weight, w * q * z ** (q - 1.0) * (zq * (2.0 - zq)) ** (a / 2.0)])
+    d = s - 1.0
+    out = np.empty_like(d)
+    for i in range(0, d.size, _BLOCK):
+        out[i : i + _BLOCK] = (d[i : i + _BLOCK, None] + one_minus_x) ** -power @ weight
+    return out
 
 
 def getoor_fraclap_tail(alpha: float, x) -> np.ndarray | float:
     """Fractional Laplacian of the profile outside its support (negative there).
 
-    Evaluates the closed hypergeometric form quoted in the module docstring.
-    Diverges like -(|x|-1)^(-alpha/2) at the support edge and decays like
-    C_H |x|^(-1-alpha); its integral over (1, inf) is exactly -1.
+    H(x) = -c_alpha K(alpha) int_{-1}^{1} (1-y^2)^(alpha/2) (|x|-y)^(-1-alpha) dy,
+    the singular integral at a point off the support.  Diverges like
+    -(|x|-1)^(-alpha/2) at the support edge and decays like
+    -c_alpha profile_mass(alpha) |x|^(-1-alpha); its integral over (1, inf)
+    is exactly -1.
     """
-    from scipy.special import hyp2f1
-
     a = float(FracOrder(alpha))
     xs = np.asarray(x, dtype=float)
     s = np.abs(xs)
     if np.any(s <= 1.0):
         raise ValueError("tail formula is defined for |x| > 1 only")
-    amp = _tail_amplitude(a)
-    out = -amp * (s - 1.0) ** (-a / 2.0) * (s + 1.0) ** (-1.0 - a / 2.0) * hyp2f1(
-        1.0, 1.0 + a / 2.0, 2.0 + a, 2.0 / (1.0 + s)
-    )
+    out = -singular_kernel_constant(a) * getoor_constant(a) * _moments(a, s.ravel(), 1.0 + a).reshape(s.shape)
     return out if out.ndim else float(out)
 
 
@@ -115,108 +154,23 @@ def getoor_fraclap(alpha: float, x) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-# ---------------------------------------------------------------------------
-# The odd primitive U(y) = int_{-inf}^y Lambda^alpha Phi_alpha.
-# ---------------------------------------------------------------------------
-
-_U_CACHE: dict[float, tuple[np.ndarray, np.ndarray, float, float]] = {}
-_U_YMAX = 100.0
-_U_MESH = 1 << 16
-_U_FAR_NODES = 64
-
-
-def _edge_coefficient(alpha: float) -> float:
-    """B(alpha) in the edge-side split H(y) = 1 - B (y-1)^(-a/2) (y+1)^(-1-a/2) F.
-
-    Here F = 2F1(1, 1+a/2; 1-a/2; (y-1)/(y+1)).  This is the hypergeometric
-    connection formula applied to getoor_fraclap_tail; the constant term comes
-    out to exactly 1, matching the interior value of the operator, and the
-    remaining factor is smooth up to the edge once the (y-1)^(-a/2) prefactor
-    is pulled out.
-    """
-    a = float(alpha)
-    # The Gamma ratio first: each factor alone overflows as alpha -> 0.
-    return 2.0 ** (1.0 + a) * (math.gamma(a / 2.0) / abs(_gamma(-a / 2.0))) / math.gamma(1.0 + a)
-
-
-def _u_cache(alpha: float) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Cached table of T(y) = -int_y^inf H on a singularity-absorbing mesh.
-
-    -H(y) = B (y-1)^(-a/2) (y+1)^(-1-a/2) 2F1(1, 1+a/2; 1-a/2; (y-1)/(y+1)) - 1
-    splits the integrand into an algebraically singular part with a smooth
-    cofactor plus an exact constant.  Substituting y = 1 + v^q with
-    q = 2/(2-alpha) turns (y-1)^(-alpha/2) dy into q dv exactly, so the
-    tabulated part is smooth in v; the constant integrates to -(ymax - y).
-    T is accumulated by the trapezoid rule from the far end, anchored at
-    T(ymax) from ``_far_tail``, and extended beyond ymax by the |y|^(-alpha)
-    power law.  U(1) = T(1) = 1 then holds to ~1e-9.
-    """
-    key = float(alpha)
-    cached = _U_CACHE.get(key)
-    if cached is not None:
-        return cached
-    from scipy.special import hyp2f1
-
-    a = key
-    q = 2.0 / (2.0 - a)
-    t_far = _far_tail(a)
-    v = np.linspace(0.0, (_U_YMAX - 1.0) ** (1.0 / q), _U_MESH)
-    s = 1.0 + v**q
-    w = _edge_coefficient(a) * (s + 1.0) ** (-1.0 - a / 2.0) * hyp2f1(
-        1.0, 1.0 + a / 2.0, 1.0 - a / 2.0, (s - 1.0) / (s + 1.0)
-    )
-    c = cumulative_trapezoid(w, v[1] - v[0])
-    t = t_far + q * (c[-1] - c) - (_U_YMAX - s)
-    v.setflags(write=False)
-    t.setflags(write=False)
-    entry = (v, t, t_far, q)
-    _U_CACHE[key] = entry
-    return entry
-
-
-def _far_tail(alpha: float) -> float:
-    """T(ymax) = -int_ymax^inf H by a fixed Gauss-Legendre rule.
-
-    With Y = ymax, the substitution s = Y w^(-4/alpha) maps (Y, inf) onto
-    (0, 1] and gives T(Y) = (Y^-alpha / alpha) int_0^1 4 w^3 g dw, where
-    g = -H(s) s^(1+alpha) tends to -C_H as s -> inf.  In r = 1/s,
-    g = A (1-r)^(-a/2) (1+r)^(-1-a/2) 2F1(1, 1+a/2; 2+a; 2r/(1+r)) is the
-    tail formula with s^(1+alpha) divided out, so no sample overflows even
-    where w^(-4/alpha) does.  The integrand is smooth on [0, 1]: 64 nodes
-    reach ~1e-14 relative accuracy.
-    """
-    from scipy.special import hyp2f1
-
-    a = alpha
-    x, weights = leggauss(_U_FAR_NODES)
-    w = 0.5 * (x + 1.0)
-    r = w ** (4.0 / a) / _U_YMAX
-    g = _tail_amplitude(a) * (1.0 - r) ** (-a / 2.0) * (1.0 + r) ** (-1.0 - a / 2.0) * hyp2f1(
-        1.0, 1.0 + a / 2.0, 2.0 + a, 2.0 * r / (1.0 + r)
-    )
-    return _U_YMAX ** (-a) / a * float(np.dot(0.5 * weights, 4.0 * w**3 * g))
-
-
 def velocity_profile_U(alpha: float, y) -> np.ndarray | float:
     """U(y): equals y on [-1, 1], odd, positive and decaying like |y|^(-alpha) outside.
 
-    U(+-1) = +-1 (the tail integrates to exactly -1), so U is continuous and
-    its maximum over the line is U(1) = 1.
+    Outside the support it is minus the integral of the tail H from |y| to
+    infinity, times sign(y) (the module docstring's integral).  U(+-1) = +-1
+    (the tail integrates to exactly -1), so U is continuous and its maximum
+    over the line is U(1) = 1.
     """
     a = float(FracOrder(alpha))
-    v_mesh, t_mesh, t_far, q = _u_cache(a)
     ys = np.asarray(y, dtype=float)
-    scalar = ys.ndim == 0
-    ys = np.atleast_1d(ys)
     s = np.abs(ys)
     out = np.where(s <= 1.0, ys, 0.0)
-    mid = (s > 1.0) & (s <= _U_YMAX)
-    if np.any(mid):
-        out[mid] = np.sign(ys[mid]) * np.interp((s[mid] - 1.0) ** (1.0 / q), v_mesh, t_mesh)
-    far = s > _U_YMAX
-    if np.any(far):
-        out[far] = np.sign(ys[far]) * t_far * (s[far] / _U_YMAX) ** (-a)
-    return float(out[0]) if scalar else out
+    outside = s > 1.0
+    if np.any(outside):
+        amp = singular_kernel_constant(a) * getoor_constant(a) / a
+        out[outside] = np.sign(ys[outside]) * amp * _moments(a, s[outside], a)
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,8 @@ def oleinik_check(traj: Trajectory) -> float:
     It is the log-log slope of the series over the upper half of the time
     range: a bounded series has slope near 0 (the exact rarefaction gives
     identically 1), while t * sup u_x for a frozen velocity grows with slope 1.
+    Fewer than two positive values in the upper half leave no slope to fit,
+    and that raises DiagnosticsError rather than reading as bounded.
     The derivative uses the centered difference, which cannot overshoot on
     monotone data — the spectral derivative would manufacture Gibbs
     oscillation at the fan kinks of a rarefaction-like profile.
@@ -130,9 +132,11 @@ def oleinik_check(traj: Trajectory) -> float:
     upper = t_arr >= t_arr[-1] / 2.0
     tu, vu = t_arr[upper], v_arr[upper]
     positive = vu > 0
-    if positive.sum() >= 2:
-        return float(np.polyfit(np.log(tu[positive]), np.log(vu[positive]), 1)[0])
-    return 0.0
+    if positive.sum() < 2:
+        raise DiagnosticsError(
+            "oleinik_check needs two states with a positive t * max(u_x, 0) in the upper half of the time range"
+        )
+    return float(np.polyfit(np.log(tu[positive]), np.log(vu[positive]), 1)[0])
 
 
 # ---------------------------------------------------------------------------

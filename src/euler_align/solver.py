@@ -183,19 +183,20 @@ class InitialDataSpec:
     """Initial pair (rho0, G0).
 
     modes:
-      * ``proportional``: G0 = g_coef * rho0; the sandwich constants default
-        to (b, a) = (g_coef, g_coef) and can be widened via b_coef/a_coef.
+      * ``proportional``: G0 = g_coef * rho0 (g_coef defaults to 1); the
+        sandwich constants default to (b, a) = (g_coef, g_coef) and can be
+        widened via b_coef/a_coef.
       * ``independent``: G0 sampled from its own ShapeSpec; sandwich constants
         measured empirically on the support of rho0.
       * ``zero_G``: G0 = 0 (the nonlocal porous-medium regime).
 
-    g0 is rejected outside ``independent`` mode and b_coef/a_coef outside
-    ``proportional`` mode, since no other mode reads them.
+    g0 is rejected outside ``independent`` mode and g_coef/b_coef/a_coef
+    outside ``proportional`` mode, since no other mode reads them.
     """
 
     rho0: ShapeSpec
     mode: str = "proportional"
-    g_coef: float = 1.0
+    g_coef: float | None = None
     b_coef: float | None = None
     a_coef: float | None = None
     g0: ShapeSpec | None = None
@@ -204,7 +205,7 @@ class InitialDataSpec:
         if self.mode not in _MODES:
             raise SolverError(f"unknown initial mode {self.mode!r}; expected one of {_MODES}")
         if self.mode == "proportional":
-            c = float(self.g_coef)
+            c = 1.0 if self.g_coef is None else float(self.g_coef)
             if not (math.isfinite(c) and c >= 0):
                 raise SolverError(f"proportional mode requires g_coef >= 0, got {c}")
             b = c if self.b_coef is None else float(self.b_coef)
@@ -216,8 +217,8 @@ class InitialDataSpec:
             object.__setattr__(self, "g_coef", c)
             object.__setattr__(self, "b_coef", b)
             object.__setattr__(self, "a_coef", a)
-        elif self.b_coef is not None or self.a_coef is not None:
-            raise SolverError(f"b_coef and a_coef apply to proportional mode only, not {self.mode!r}")
+        elif (self.g_coef, self.b_coef, self.a_coef) != (None, None, None):
+            raise SolverError(f"g_coef, b_coef and a_coef apply to proportional mode only, not {self.mode!r}")
         if self.mode == "independent" and self.g0 is None:
             raise SolverError("independent mode requires a g0 shape")
         if self.mode != "independent" and self.g0 is not None:
@@ -705,9 +706,11 @@ def run(cfg: SolverConfig, *, ws: SpectralWorkspace | None = None) -> Trajectory
         if peak0 > 0:
             margin_peak = max(float(np.abs(blk[j, :k, :lo]).max()), float(np.abs(blk[j, :k, hi:]).max())) * scale
             if margin_peak > MARGIN_ABORT_LEVEL * peak0:
+                ringing = (", or, if the data has jumps, the spectral scheme's ringing may have put it"
+                           " there: use flux_scheme = upwind") if cfg.flux_scheme == "spectral" else ""
                 raise SolverError(
                     f"support reached the boundary margin |x| >= {0.75 * grid.half_width:.6g} "
-                    f"at t = {t:.6g}; enlarge the domain"
+                    f"at t = {t:.6g}; enlarge the domain{ringing}"
                 )
         reached = next_idx < len(outputs) and t_clock >= outputs[next_idx] - time_tol
         if reached or j == block_steps or t_clock >= cfg.t_end - time_tol:

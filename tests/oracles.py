@@ -1,4 +1,20 @@
-"""Weak-form residuals: reference oracles certifying the closed forms as weak solutions.
+"""Reference oracles: closed hypergeometric forms and weak-form residuals.
+
+``getoor_tail_hyp2f1`` and ``velocity_profile_U_hyp2f1`` spell the profile's
+tail H = Lambda^alpha Phi_alpha and its primitive U outside the support in
+closed hypergeometric form, independently of the package's quadrature rule.
+For |y| > 1:
+
+    H(y) = -A(alpha) (|y|-1)^(-alpha/2) (|y|+1)^(-1-alpha/2)
+                 * 2F1(1, 1+alpha/2; 2+alpha; 2/(1+|y|)),
+    A(alpha) = 2^(1+alpha) Gamma(1+alpha/2) / (Gamma(2+alpha) |Gamma(-alpha/2)|),
+
+which integrates to exactly -1 over (1, inf) and behaves like C_H |y|^(-1-alpha)
+with C_H = Gamma(1/2) / (Gamma(-alpha/2) Gamma((3+alpha)/2)) < 0 at infinity;
+and, by Euler's integral for 2F1 applied to the profile integral,
+
+    U(y) = sign(y) (c_alpha K(alpha) / alpha) 2^(1+alpha) B(1+alpha/2, 1+alpha/2)
+                 * (|y|+1)^(-alpha) 2F1(alpha, 1+alpha/2; 2+alpha; 2/(1+|y|)).
 
 ``burgers_weak_residual`` checks the rarefaction velocity against the inviscid
 Burgers equation (acceptance criterion 11), and ``continuity_weak_residual``
@@ -10,7 +26,10 @@ quadrature weight.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy.special import beta, hyp2f1
 
 from euler_align import (
     FracOrder,
@@ -18,7 +37,27 @@ from euler_align import (
     getoor_constant,
     profile_mass,
     rarefaction_velocity,
+    singular_kernel_constant,
 )
+
+
+def getoor_tail_hyp2f1(alpha: float, y) -> np.ndarray:
+    """H(y) for |y| > 1 by the closed hypergeometric form in the module docstring."""
+    a = float(alpha)
+    s = np.abs(np.asarray(y, dtype=float))
+    amp = 2.0 ** (1.0 + a) * math.gamma(1.0 + a / 2.0) / (math.gamma(2.0 + a) * abs(math.gamma(-a / 2.0)))
+    return -amp * (s - 1.0) ** (-a / 2.0) * (s + 1.0) ** (-1.0 - a / 2.0) * hyp2f1(
+        1.0, 1.0 + a / 2.0, 2.0 + a, 2.0 / (1.0 + s)
+    )
+
+
+def velocity_profile_U_hyp2f1(alpha: float, y) -> np.ndarray:
+    """U(y) for |y| > 1 by the closed hypergeometric form in the module docstring."""
+    a = float(alpha)
+    ys = np.asarray(y, dtype=float)
+    s = np.abs(ys)
+    amp = singular_kernel_constant(a) * getoor_constant(a) / a * 2.0 ** (1.0 + a) * beta(1.0 + a / 2.0, 1.0 + a / 2.0)
+    return np.sign(ys) * amp * (s + 1.0) ** (-a) * hyp2f1(a, 1.0 + a / 2.0, 2.0 + a, 2.0 / (1.0 + s))
 
 
 def burgers_weak_residual(

@@ -144,6 +144,12 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         assert "proportional mode only" in _manifest(out)["failure"]
 
+    def test_g_coef_outside_proportional_mode_exits_two(self, tmp_path):
+        text = SMALL_RUN.replace("mode = proportional", "mode = zero_G\ng_coef = 5.0")
+        out = tmp_path / "zero_g_coef"
+        assert main(["simulate", "--config", str(_write(tmp_path, "g.ini", text)), "--out", str(out)]) == 2
+        assert "proportional mode only" in _manifest(out)["failure"]
+
     def test_infinite_grid_size_exits_two_with_manifest(self, tmp_path):
         cfg = _write(tmp_path, "inf.ini", SMALL_RUN.replace("n = 256", "n = inf"))
         out = tmp_path / "inf"
@@ -278,6 +284,13 @@ class TestVerifyCommand:
         assert main(["verify", str(old), "--out", str(out)]) == 2
         failure = _manifest(out)["failure"]
         assert "cannot load run directory" in failure and "'config_ini'" in failure
+
+    def test_oleinik_on_too_few_states_exits_two(self, rundir, tmp_path):
+        """The run stores t = 0 and t = 0.25 only: no growth exponent, so no pass."""
+        out = tmp_path / "voleinik"
+        assert main(["verify", str(rundir), "--which", "oleinik", "--out", str(out)]) == 2
+        manifest = _manifest(out)
+        assert "upper half" in manifest["failure"] and "oleinik_bounded" not in manifest["checks"]
 
     def test_decay_and_oleinik_on_long_run(self, tmp_path):
         cfg = _write(tmp_path, "decay.ini", DECAY_RUN)

@@ -146,10 +146,10 @@ class TestVelocityProfile:
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_far_tail_power_law(self, alpha):
-        # Beyond the cached mesh the tail continues as T(B) (y/B)^(-alpha).
-        u1 = velocity_profile_U(alpha, 200.0)
-        u2 = velocity_profile_U(alpha, 400.0)
-        assert u1 / u2 == pytest.approx(2.0**alpha, rel=1e-12)
+        # |y|^alpha U(y) tends to c_alpha * profile_mass(alpha) / alpha, the far-field coefficient over alpha.
+        y = 1e6
+        limit = singular_kernel_constant(alpha) * profile_mass(alpha) / alpha
+        assert velocity_profile_U(alpha, y) * y**alpha == pytest.approx(limit, rel=1e-10)
 
 
 def _space_bump(xm: float):

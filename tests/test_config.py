@@ -64,7 +64,6 @@ image_correction = false
 
 [initial]
 mode = independent
-g_coef = 1.0
 rho0_kind = bump
 rho0_mass = 2.0
 rho0_width = 1.5
@@ -141,8 +140,10 @@ class TestParse:
             ("zero_G", "b_coef = 1", "proportional mode only"),
             ("zero_G", "a_coef = 2.0", "proportional mode only"),
             ("zero_G", "g0_kind = gaussian", "g0 shape applies to independent mode only"),
+            ("zero_G", "g_coef = 5.0", "proportional mode only"),
+            ("independent", "g0_kind = bump\ng_coef = 1.0", "proportional mode only"),
         ],
-        ids=["g0-proportional", "coefs-independent", "b-zero_G", "a-zero_G", "g0-zero_G"],
+        ids=["g0-proportional", "coefs-independent", "b-zero_G", "a-zero_G", "g0-zero_G", "g-zero_G", "g-independent"],
     )
     def test_rejects_keys_the_mode_ignores(self, mode, extra, message):
         """A key the initial mode would not read is an error, not silently dropped."""
@@ -232,6 +233,8 @@ class TestDump:
             ),
         )
         assert self._round_trip(cfg) == cfg
+        # zero_G reads no g_coef, so the dump writes none (parse_config would reject it).
+        assert "g_coef" not in dump_config(cfg)
 
     @staticmethod
     def _csv_config(path: str) -> SolverConfig:
@@ -285,9 +288,9 @@ def _initial_specs(draw) -> InitialDataSpec:
         b, c, a = sorted(draw(st.lists(st.floats(0.0, 1e6), min_size=3, max_size=3)))
         return InitialDataSpec(rho0, mode, g_coef=c, b_coef=draw(st.none() | st.just(b)),
                                a_coef=draw(st.none() | st.just(a)))
-    # Only independent mode reads g0, and only proportional mode reads b_coef/a_coef.
+    # Only independent mode reads g0, and only proportional mode reads g_coef/b_coef/a_coef.
     g0 = draw(_SHAPES) if mode == "independent" else None
-    return InitialDataSpec(rho0, mode, g_coef=draw(st.floats(0.0, 1e6)), g0=g0)
+    return InitialDataSpec(rho0, mode, g0=g0)
 
 
 @st.composite

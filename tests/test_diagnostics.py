@@ -159,6 +159,14 @@ class TestOleinik:
         with pytest.raises(DiagnosticsError, match="t > 0"):
             oleinik_check(traj)
 
+    def test_one_state_in_the_upper_half_has_no_slope(self):
+        """One positive value leaves no growth exponent to fit: an error, not a pass at 0."""
+        grid = build_grid(256, 8.0)
+        triple = RarefactionTriple(M_rho=1.0, M_G=1.0)
+        traj = _synthetic_trajectory(grid, [1.0, 4.0], lambda x, t: rarefaction_velocity(triple, x, t))
+        with pytest.raises(DiagnosticsError, match="upper half"):
+            oleinik_check(traj)
+
 
 class TestComparisonReport:
     def test_real_run_respects_sandwich(self, small_proportional_run):

@@ -19,6 +19,8 @@ from euler_align import (
     fractional_laplacian_quadrature,
     fractional_laplacian_spectral,
     gagliardo_nirenberg_check,
+    getoor_constant,
+    getoor_fraclap_tail,
     getoor_profile,
     hilbert_transform,
     left_tail_anchor,
@@ -33,6 +35,7 @@ from euler_align import (
 from euler_align import closedform, fracops
 from euler_align.fracops import N_IMAGES, apply_multiplier, derivative, fftconvolve
 from euler_align.grid import antiderivative
+from oracles import getoor_tail_hyp2f1, velocity_profile_U_hyp2f1
 
 ALPHAS = (0.25, 0.5, 0.75)
 
@@ -474,7 +477,7 @@ class TestInequalities:
 
 
 class TestLocalConvolution:
-    """The package's own fftconvolve and U-table far-tail rule, against the SciPy routines they replace."""
+    """The package's own fftconvolve and closed-form quadrature, against the SciPy routines they replace."""
 
     @pytest.mark.parametrize(
         "la, lb", [(1, 1), (7, 13), (256, 511), (1000, 1999), (8192, 16383)]
@@ -492,15 +495,29 @@ class TestLocalConvolution:
         assert got == [scipy.fft.next_fast_len(m, True) for m in range(1, 20001)]
 
     @pytest.mark.parametrize("alpha", (0.1, 0.25, 0.5, 0.75, 0.9))
-    def test_velocity_profile_U_far_tail_matches_tight_quad(self, alpha, monkeypatch):
+    def test_velocity_profile_U_far_tail_matches_tight_quad(self, alpha):
+        """U and H off the support against the hyp2f1 forms and a tight quad, to 1e-10 relative."""
         from scipy.integrate import quad
 
-        ref = quad(
-            lambda s: -closedform.getoor_fraclap_tail(alpha, s),
-            closedform._U_YMAX, np.inf, epsabs=0.0, epsrel=1e-13, limit=1000,
-        )[0]
-        monkeypatch.setattr(closedform, "_U_CACHE", {})
-        t_far = closedform._u_cache(alpha)[2]
-        assert abs(t_far / ref - 1.0) <= 1e-13
-        beyond = velocity_profile_U(alpha, 2.0 * closedform._U_YMAX)
-        assert beyond == pytest.approx(t_far * 2.0 ** (-alpha), rel=1e-14)
+        def moment(y: float, power: float) -> float:
+            # int (1-x^2)^(a/2) (y-x)^(-power) dx: [-1, 0] in x and [0, 1] in e = 1 - x, with
+            # each endpoint factor in the quadrature weight; beyond e = y - 1, dyadic pieces.
+            a, d = alpha, y - 1.0
+            tight = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+            left = quad(lambda x: (1.0 - x) ** (a / 2.0) * (y - x) ** -power, -1.0, 0.0,
+                        weight="alg", wvar=(a / 2.0, 0.0), **tight)[0]
+            f = lambda e: (2.0 - e) ** (a / 2.0) * (d + e) ** -power
+            cuts = [c for c in d * 2.0 ** np.arange(64) if c < 1.0] + [1.0]
+            right = quad(f, 0.0, cuts[0], weight="alg", wvar=(a / 2.0, 0.0), **tight)[0]
+            right += sum(quad(lambda e: e ** (a / 2.0) * f(e), lo, hi, **tight)[0] for lo, hi in zip(cuts, cuts[1:]))
+            return left + right
+
+        ys = np.array([1.0 + 1e-9, 1.0 + 1e-6, 1.001, 1.1, 1.5, 2.0, 8.0, 100.0, 1000.0])
+        u, h = velocity_profile_U(alpha, ys), getoor_fraclap_tail(alpha, ys)
+        ck = singular_kernel_constant(alpha) * getoor_constant(alpha)
+        npt.assert_allclose(u, velocity_profile_U_hyp2f1(alpha, ys), rtol=1e-10, atol=0.0)
+        npt.assert_allclose(h, getoor_tail_hyp2f1(alpha, ys), rtol=1e-10, atol=0.0)
+        npt.assert_allclose(u, [ck / alpha * moment(y, alpha) for y in ys], rtol=1e-10, atol=0.0)
+        npt.assert_allclose(h, [-ck * moment(y, 1.0 + alpha) for y in ys], rtol=1e-10, atol=0.0)
+        # The rule itself at the edge s = 1, where U(1) = 1.
+        assert ck / alpha * closedform._moments(alpha, np.array([1.0]), alpha)[0] == pytest.approx(1.0, abs=1e-12)

@@ -1,8 +1,9 @@
-"""Import graph: the package starts on numpy alone, and runs its oracles without heavy scipy.
+"""Import graph: the package runs on numpy alone, and scipy is a test dependency only.
 
-Importing the package, loading a config, building a workspace and making the
-initial state load no scipy module: every transform runs on ``numpy.fft``.
-``scipy.special`` is loaded on the first closed-form call that needs it.
+Importing the package, loading a config, building a workspace, making the
+initial state, the self-test and the ``profiles`` command load no scipy
+module: every transform runs on ``numpy.fft``, and the closed forms on one
+numpy Gauss-Legendre rule.  No module of the package imports scipy.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def test_set_up_of_shipped_configs_loads_no_scipy(fresh_python):
 
 
 def test_selftest_and_profiles_leave_heavy_scipy_unloaded(fresh_python, tmp_path):
-    """The closed-form U table and the whole self-test need no heavy subpackage."""
+    """The closed-form U and the whole self-test need no heavy subpackage, nor any scipy module."""
     loaded = json.loads(
         fresh_python(
             "import contextlib, io, json, sys\n"
@@ -72,10 +73,36 @@ def test_selftest_and_profiles_leave_heavy_scipy_unloaded(fresh_python, tmp_path
             "    for a in ALPHAS:\n"
             "        velocity_profile_U(a, [-150.0, 0.5, 1.5, 50.0])\n"
             f"    assert main(['profiles', '--alpha', '0.3', '--out', {str(tmp_path)!r}]) == 0\n"
-            f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n"
+            f"print(json.dumps([[m for m in {HEAVY!r} if m in sys.modules],\n"
+            "                  sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
         )
     )
-    assert loaded == []
+    assert loaded == [[], []]
+
+
+def scipy_imports(source: str) -> list[int]:
+    """Lines that import ``scipy`` or one of its submodules, at any depth of ``source``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_package_imports_no_scipy():
+    """scipy is a test dependency only: no module of the package imports it, not even lazily."""
+    sample = "import scipy\nfrom scipy.special import gamma\ndef f():\n    import scipy.fft as sf\nimport scipyx\nfrom .scipy import a\n"
+    assert scipy_imports(sample) == [1, 2, 4]
+    modules = sorted(SRC_DIR.glob("*.py"))
+    assert modules
+    found = {p.name: scipy_imports(p.read_text()) for p in modules}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def full_spectrum_transforms(source: str) -> list[int]:

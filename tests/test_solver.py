@@ -183,6 +183,9 @@ class TestInitialData:
             InitialDataSpec(rho0=rho, mode="independent", g0=rho, a_coef=3.0)
         with pytest.raises(SolverError, match="proportional mode only"):
             InitialDataSpec(rho0=rho, mode="zero_G", b_coef=1.0)
+        with pytest.raises(SolverError, match="proportional mode only"):
+            InitialDataSpec(rho0=rho, mode="zero_G", g_coef=5.0)
+        assert InitialDataSpec(rho0=rho).g_coef == 1.0
 
     def test_proportional_report(self):
         grid = build_grid(512, 10.0)
@@ -293,9 +296,13 @@ class TestConfig:
 
 
 def _initial_of_mode(mode: str, g_coef: float = 1.0) -> InitialDataSpec:
-    """Gaussian data of one of the three modes; independent G is its own, shifted Gaussian."""
+    """Gaussian data of one of the three modes; independent G is its own, shifted Gaussian.
+
+    g_coef is passed in proportional mode only, the one mode that reads it.
+    """
     g0 = ShapeSpec(kind="gaussian", mass=0.8, width=0.45, center=0.2) if mode == "independent" else None
-    return InitialDataSpec(rho0=ShapeSpec(kind="gaussian", mass=1.0, width=0.6), mode=mode, g_coef=g_coef, g0=g0)
+    coef = g_coef if mode == "proportional" else None
+    return InitialDataSpec(rho0=ShapeSpec(kind="gaussian", mass=1.0, width=0.6), mode=mode, g_coef=coef, g0=g0)
 
 
 def _stepped_reference(cfg: SolverConfig):
@@ -860,6 +867,43 @@ class TestRun:
             assert traj.steps > calls[0]
             extra.add(calls[0] - 3 * len(traj.states))
         assert extra == {3}
+
+    @staticmethod
+    def _box_config(tmp_path: Path, flux_scheme: str) -> SolverConfig:
+        """rho0 = 0.5 on |x| < 1 as csv data: bounded, integrable, discontinuous and at vacuum."""
+        grid = build_grid(1024, 16.0)
+        path = tmp_path / "box.csv"
+        write_field_csv(path, as_field(grid, np.where(np.abs(grid.x) < 1.0, 0.5, 0.0)))
+        return SolverConfig(
+            alpha=0.5,
+            n=1024,
+            half_width=16.0,
+            t_end=2.0,
+            output_times=(0.0, 0.5, 1.0, 1.5, 2.0),
+            flux_scheme=flux_scheme,
+            initial=InitialDataSpec(
+                rho0=ShapeSpec(kind="csv", path=str(path)), mode="proportional", b_coef=0.5, a_coef=2.0
+            ),
+        )
+
+    def test_upwind_box_data_keeps_the_invariants(self, tmp_path):
+        """The upwind scheme keeps rho >= 0, the maximum principle, the sandwich and mass on a jump."""
+        traj = run(self._box_config(tmp_path, "upwind"))
+        s = traj.summary
+        assert s["t"][-1] == 2.0 and [state.t for state in traj.states] == [0.0, 0.5, 1.0, 1.5, 2.0]
+        # G = rho here (g_coef 1), so min_G is the smallest rho of every step.
+        assert s["min_G"].min() >= 0.0
+        assert all(state.rho.values.min() >= 0.0 for state in traj.states)
+        assert s["rho_linf"][0] == 0.5 and s["rho_linf"].max() <= 0.5
+        assert s["min_arho_minus_G"].min() >= 0.0 and s["max_brho_minus_G"].max() <= 0.0
+        for key in ("mass_rho", "mass_G"):
+            assert np.abs(s[key] - s[key][0]).max() <= 1e-10 * s[key][0]
+
+    def test_spectral_box_data_abort_names_the_ringing(self, tmp_path):
+        """Spectral ringing on the jump reaches the margin; the message names the upwind scheme."""
+        with pytest.raises(SolverError, match="boundary margin") as excinfo:
+            run(self._box_config(tmp_path, "spectral"))
+        assert "flux_scheme = upwind" in str(excinfo.value)
 
     def test_margin_abort_when_support_reaches_boundary(self):
         """At g_coef = 4, G = 4*rho is the first to pass the threshold in the margin."""
