@@ -238,6 +238,10 @@ def cmd_scaling(args: argparse.Namespace, manifest: dict) -> int:
         lambdas = tuple(float(v) for v in args.lambdas.split(","))
     except ValueError as exc:
         raise _BadInput(f"--lambdas: {exc}") from exc
+    if len(lambdas) < 2:
+        raise _BadInput(f"--lambdas needs at least two values to compare distances, got {args.lambdas!r}")
+    if args.jobs < 1:
+        raise _BadInput(f"--jobs must be a positive integer, got {args.jobs}")
     if args.mode == "rarefaction":
         report = scaling_limit_experiment(
             cfg, lambdas, q=args.q, R=args.radius, t1=args.t1, t2=args.t2, jobs=args.jobs

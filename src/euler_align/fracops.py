@@ -35,31 +35,27 @@ real line's: u is the antiderivative that vanishes at -inf.  Its whole rho
 part -- the periodic primitive, the cumulative integral of the periodic-image
 correction and, through the offset c - c[0], the left-edge pinning -- is one
 linear convolution of rho with a pre-integrated kernel that the workspace
-builds once and keeps (see ``SpectralWorkspace.velocity_kernel_spectrum``),
-evaluated as a single real-FFT product of length 2n; the tail anchor then
-moves the left-edge value from 0 to the integral over (-inf, -L).  When
-G = g_coef * rho (the solver's proportional and zero-G data) the kernel
-carries G's integral too, so the whole velocity is that one product and the
-anchor.  The separate ``periodic_image_correction`` (an ``fftconvolve`` with
-the raw image kernel) stays as the independent reference route the tests
-check that kernel against, and as the correction used by
-``fractional_laplacian_spectral``.
+builds once and keeps (see ``SpectralWorkspace.velocity_kernel_spectrum``);
+the tail anchor then moves the left-edge value from 0 to the integral over
+(-inf, -L).  When G = g_coef * rho (the solver's proportional and zero-G
+data) the kernel carries G's integral too.  ``periodic_image_correction``
+(the independent reference the tests check that kernel against, and the
+correction ``fractional_laplacian_spectral`` adds) is the same operation with
+the raw image kernel: the n-point window of a linear convolution with a
+kernel on the offsets -(n-1) .. n-1.  ``fftconvolve`` is that one routine, a
+length-2n real-FFT product with the kernel's cached spectrum; it is a
+module-level name so that call counters see every such product.
 
 Every transform runs on ``numpy.fft``, not ``scipy.fft``.  Both wrap the
 same pocketfft C++ code and give the same floats, but importing
 ``scipy.fft`` (which also loads ``scipy.special``) would be most of the
 package's start-up time, and only ``numpy.fft`` (numpy >= 2.0) takes an
-``out=`` array.  The velocity and the solver's spectral step write their
+``out=`` array.  ``fftconvolve`` and the solver's spectral step write their
 transforms and elementwise intermediates into per-thread work arrays (see
 ``_work_array``) that persist between calls: at n >= 8192 each is >= 128 KiB,
 and fresh ones would make the allocator trim and re-fault the heap top on
 every step.  Call sites name ``np.fft.rfft`` through the module attribute,
 so call counters can patch it.
-
-``fftconvolve`` is the module's own full linear convolution: the transforms
-``scipy.signal.fftconvolve`` runs for real 1-D input, at the same 5-smooth
-length, so results are bit-identical without importing ``scipy.signal``.  It
-stays a module-level name so that call counters can patch it.
 """
 from __future__ import annotations
 
@@ -81,27 +77,7 @@ from .grid import (
 
 N_IMAGES = 64  # image pairs SpectralWorkspace.image_kernel sums before its analytic tail
 NODES_PER_SHELL = 48  # midpoint nodes per dyadic shell in fractional_laplacian_quadrature
-
-
-def _next_fast_len(m: int) -> int:
-    """Smallest 5-smooth integer >= m, as ``scipy.fft.next_fast_len(m, True)``."""
-    best = 1 << (m - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            quotient = -(-m // p35)
-            best = min(best, p35 << (quotient - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two real 1-D arrays, as ``scipy.signal.fftconvolve``."""
-    m = len(a) + len(b) - 1
-    size = _next_fast_len(m)
-    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:m]
+_QUAD_FLOATS = 1 << 13  # node values per block there: 64 KiB, half glibc's mmap and trim thresholds
 
 
 _work = threading.local()
@@ -111,15 +87,28 @@ def _work_array(name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
     """This thread's work array ``name``, allocated anew only when its shape changes.
 
     The contents are scratch: every caller overwrites the array before it
-    reads it, and no caller returns it.  Keeping the arrays per thread, and
-    out of ``SpectralWorkspace``, lets threads share one workspace, which
-    stays immutable and picklable.
+    reads it (``fftconvolve`` returns a view that its callers use at once).
+    Keeping the arrays per thread, and out of ``SpectralWorkspace``, lets
+    threads share one workspace, which stays immutable and picklable.
     """
     arr = getattr(_work, name, None)
     if arr is None or arr.shape != shape:
         arr = np.empty(shape, dtype)
         setattr(_work, name, arr)
     return arr
+
+
+def fftconvolve(values: np.ndarray, kernel_spectrum: np.ndarray) -> np.ndarray:
+    """Samples n-1 .. 2n-2 of the linear convolution of ``values`` (length n) with a kernel K.
+
+    K lives on the offsets -(n-1) .. n-1 (index d + n - 1) and ``kernel_spectrum``
+    is its length-2n rfft; the zero padding keeps the circular wrap-around out
+    of the window.  Returns a view of this thread's work array (``_work_array``).
+    """
+    n = len(values)
+    spectrum = np.fft.rfft(values, 2 * n, out=_work_array("conv_hat", (n + 1,), complex))
+    spectrum *= kernel_spectrum
+    return np.fft.irfft(spectrum, 2 * n, out=_work_array("conv", (2 * n,)))[n - 1 : 2 * n - 1]
 
 
 class FracOrderError(ValueError):
@@ -230,6 +219,11 @@ class SpectralWorkspace:
 
         return self._cached(("image_kernel",), build)
 
+    def image_kernel_spectrum(self) -> np.ndarray:
+        """Length-2n rfft of ``image_kernel()``, the kernel ``periodic_image_correction`` applies."""
+        n = self.grid.n
+        return self._cached(("image_kernel_spectrum",), lambda: np.fft.rfft(self.image_kernel(), 2 * n))
+
     def velocity_kernel_spectrum(self, image_correction: bool, g_coef: float = 0.0) -> np.ndarray:
         """Length-2n rfft of the pre-integrated velocity kernel K_c, c = ``g_coef``.
 
@@ -246,8 +240,7 @@ class SpectralWorkspace:
         integrals of ``periodic_image_correction(rho)`` and of G = c * rho:
         the trapezoid sum of h * Q[i - k] over i = 0 .. j equals F[j-k] - F[-k]
         with F = S - h * Q / 2, and (rho * T)[j] - (rho * T)[0] is the
-        trapezoid integral of rho.  Zero padding to 2n keeps the wrap-around of
-        the circular product out of the n samples that are used.
+        trapezoid integral of rho.  ``fftconvolve`` forms c.
         """
 
         def build():
@@ -306,13 +299,11 @@ def periodic_image_correction(f: Field, ws: SpectralWorkspace) -> Field:
 
     For f supported inside the domain, Lambda^alpha_{R} f = Lambda^alpha_{per} f
     + (f conv Q) pointwise on the grid, where Q collects the kernel's periodic
-    images.  Computed as a linear (zero-padded) convolution by the module-level
-    ``fftconvolve`` (see the module docstring for why it is local).
+    images.  Computed by ``fftconvolve`` with the workspace's cached spectrum
+    of Q (``SpectralWorkspace.image_kernel_spectrum``).
     """
     _check_ws(f, ws)
-    n = f.grid.n
-    corr = f.grid.spacing * fftconvolve(f.values, ws.image_kernel())[n - 1 : 2 * n - 1]
-    return Field(f.grid, corr)
+    return Field(f.grid, f.grid.spacing * fftconvolve(f.values, ws.image_kernel_spectrum()))
 
 
 def fractional_laplacian_spectral(
@@ -344,11 +335,14 @@ def fractional_laplacian_quadrature(f: Field, alpha: float, x) -> np.ndarray:
     discarded core |z| < h/2 contributes O(h^(2-alpha) * max|f''|), below the
     tolerance of every consumer.
 
-    Vectorized over points and shells: all nodes form one array of shape
-    (points, shells, NODES_PER_SHELL), so the working memory is that many
-    floats (times a few temporaries).  A point's shells beyond its own R are
-    masked out, and the shell sums are added to each point's total in shell
-    order, so every value is the same float the point-by-point loop gives.
+    Vectorized over points and shells, with the nodes taken in blocks of
+    points: a block's nodes form one (block, shells, NODES_PER_SHELL) array
+    of at most ``_QUAD_FLOATS`` values, so whatever the number of points the
+    temporaries stay well below the sizes at which the allocator maps fresh
+    pages or trims the heap (and re-faults it on the next call).  A point's
+    shells beyond its own R are masked out, and the shell sums are added to
+    each point's total in shell order, so every value is the same float the
+    point-by-point loop gives.
 
     Deliberately independent of the FFT route: no periodicity, no multipliers.
     Returns a plain array of values at ``x`` (scalar x gives a length-1 array).
@@ -373,9 +367,13 @@ def fractional_laplacian_quadrature(f: Field, alpha: float, x) -> np.ndarray:
     hi = np.minimum(np.ldexp(z_min, m + 1), big_r[:, None])
     active = (m < n_shells[:, None]) & (lo < hi)
     w = (hi - lo) / NODES_PER_SHELL
-    z = lo[:, None] + (np.arange(NODES_PER_SHELL) + 0.5) * w[..., None]
-    xv = xs[:, None, None]
-    shell_sums = ((2.0 * fx[:, None, None] - sample(xv + z) - sample(xv - z)) / z ** (1.0 + a)).sum(axis=-1)
+    shell_sums = np.empty_like(w)
+    step = _QUAD_FLOATS // (NODES_PER_SHELL * max(m.size, 1))  # points per block
+    for i in range(0, xs.size, step):
+        block = slice(i, i + step)
+        z = lo[:, None] + (np.arange(NODES_PER_SHELL) + 0.5) * w[block, :, None]
+        xv = xs[block, None, None]
+        shell_sums[block] = ((2.0 * fx[block, None, None] - sample(xv + z) - sample(xv - z)) / z ** (1.0 + a)).sum(-1)
     terms = np.where(active, w * shell_sums, 0.0)
     total = np.zeros_like(xs)
     for shell in terms.T:
@@ -426,13 +424,13 @@ def velocity_from_state(
     """Velocity u = d_x^{-1}(G + Lambda^alpha rho), the antiderivative that vanishes at -inf.
 
     The G part is the cumulative trapezoid integral (so u at the right edge
-    approaches integrate(G)).  The rho part is one linear convolution,
-    c = rho * K, with the workspace's pre-integrated kernel (see
-    ``SpectralWorkspace.velocity_kernel_spectrum``), computed as one real-FFT
-    product of length 2n; c - c[0] is the spectral primitive of
-    Lambda^alpha rho pinned to 0 at the left edge.  ``image_correction=True``
-    selects the kernel that also carries the cumulative periodic-image term,
-    so interior velocities match the real-line operator.  The tail anchor
+    approaches integrate(G)).  The rho part is one ``fftconvolve``, c = rho * K,
+    with the workspace's pre-integrated kernel (see
+    ``SpectralWorkspace.velocity_kernel_spectrum``); c - c[0] is the spectral
+    primitive of Lambda^alpha rho pinned to 0 at the left edge.
+    ``image_correction=True`` selects the kernel that also carries the
+    cumulative periodic-image term, so interior velocities match the
+    real-line operator.  The tail anchor
     ``left_tail_anchor(rho, alpha)``, the integral of Lambda^alpha rho over
     (-inf, -L) for the zero-extended density, is then added: for compactly
     supported states this is the real-line gauge, in which the velocity is
@@ -455,11 +453,8 @@ def _velocity_values(
     g is the G row, or the coefficient c of G = c * rho: that selects the
     kernel K_c, which carries G's cumulative trapezoid, so G is never formed.
     """
-    n = ws.grid.n
     row = isinstance(g, np.ndarray)
-    spectrum = np.fft.rfft(rho, 2 * n, out=_work_array("velocity_hat", (n + 1,), complex))
-    spectrum *= ws.velocity_kernel_spectrum(image_correction, 0.0 if row else g)
-    c = np.fft.irfft(spectrum, 2 * n, out=_work_array("velocity_conv", (2 * n,)))[n - 1 : 2 * n - 1]
+    c = fftconvolve(rho, ws.velocity_kernel_spectrum(image_correction, 0.0 if row else g))
     u = c - c[0]
     if row:
         u += cumulative_trapezoid(g, ws.grid.spacing)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import getoor_profile, velocity_profile_U
+from .closedform import _moments, getoor_constant, getoor_profile, velocity_profile_U
 from .fracops import (
     SpectralWorkspace,
     derivative,
@@ -259,9 +259,9 @@ def _check_antiderivative_consistency(alpha: float, rng: np.random.Generator) ->
 def _check_closedform_velocity(alpha: float) -> tuple[float, bool]:
     interior = np.array([-0.9, -0.5, 0.0, 0.3, 0.9])
     err = float(np.abs(velocity_profile_U(alpha, interior) - interior).max())
-    # Continuity across the support edge: the tail branch must rejoin the
-    # interior value U(1) = 1 (the tail integral is exactly 1).
-    err = max(err, abs(velocity_profile_U(alpha, 1.0 + 1e-12) - 1.0))
+    # Continuity at the support edge: the tail rule at s = 1 must give U(1) = 1.
+    amp = singular_kernel_constant(alpha) * getoor_constant(alpha) / alpha
+    err = max(err, abs(amp * float(_moments(alpha, np.array([1.0]), alpha)[0]) - 1.0))
     tail = velocity_profile_U(alpha, np.array([1.0, 2.0, 8.0, 100.0]))
     return err, bool(np.all(np.diff(tail) < 0.0) and tail[-1] > 0.0)
 

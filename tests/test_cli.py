@@ -345,6 +345,34 @@ class TestScalingCommand:
         assert code == 2
         assert _manifest(out)["failure"] is not None
 
+    @pytest.mark.parametrize("mode, lambdas", [("barenblatt", "1"), ("rarefaction", "2")])
+    def test_single_lambda_exits_two_before_any_run(self, tmp_path, monkeypatch, mode, lambdas):
+        """One lambda has no distance to compare, so every monotonicity check would pass vacuously."""
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr("euler_align.cli.scaling_limit_experiment", no_run)
+        monkeypatch.setattr("euler_align.cli.barenblatt_limit_experiment", no_run)
+        cfg = _write(tmp_path, "base.ini", SCALING_BASE if mode == "rarefaction" else BARENBLATT_BASE)
+        out = tmp_path / "scone"
+        code = main([
+            "scaling", "--config", str(cfg), "--mode", mode,
+            "--lambdas", lambdas, "--jobs", "1", "--out", str(out),
+        ])
+        assert code == 2
+        assert "--lambdas needs at least two values" in _manifest(out)["failure"]
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_exits_two(self, tmp_path, jobs):
+        cfg = _write(tmp_path, "base.ini", SCALING_BASE)
+        out = tmp_path / "scjobs"
+        code = main([
+            "scaling", "--config", str(cfg), "--mode", "rarefaction",
+            "--lambdas", "1,2", f"--jobs={jobs}", "--out", str(out),
+        ])
+        assert code == 2
+        assert "--jobs must be a positive integer" in _manifest(out)["failure"]
+
     @pytest.mark.parametrize("mode", ["barenblatt", "rarefaction"])
     @pytest.mark.parametrize("lambdas", ["1,nan", "1,inf"])
     def test_non_finite_lambdas_exit_two_with_manifest(self, tmp_path, mode, lambdas):

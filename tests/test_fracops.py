@@ -300,6 +300,18 @@ class TestQuadratureOracle:
                 fractional_laplacian_quadrature(f, alpha, 0.3), _reference_quadrature(f, alpha, 0.3)
             )
 
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_blocks_of_points_match_the_loop(self, alpha):
+        """Probes whose nodes fill several blocks of ``_QUAD_FLOATS`` still match the loop."""
+        grid = build_grid(1000, 8.0)
+        probes = grid.x[np.abs(grid.x) <= 0.95 * grid.half_width][::5]
+        shells = np.ceil(np.log2((grid.half_width + np.abs(probes)) / (grid.spacing / 2.0))).max()
+        assert probes.size * shells * fracops.NODES_PER_SHELL > 4 * fracops._QUAD_FLOATS
+        f = random_bump_field(grid, np.random.default_rng(7))
+        assert np.array_equal(
+            fractional_laplacian_quadrature(f, alpha, probes), _reference_quadrature(f, alpha, probes)
+        )
+
     def test_empty_points_give_empty_array(self):
         grid = build_grid(256, 8.0)
         f = as_field(grid, getoor_profile(0.5, grid.x))
@@ -477,22 +489,18 @@ class TestInequalities:
 
 
 class TestLocalConvolution:
-    """The package's own fftconvolve and closed-form quadrature, against the SciPy routines they replace."""
+    """The package's windowed fftconvolve and closed-form quadrature, against SciPy routines."""
 
-    @pytest.mark.parametrize(
-        "la, lb", [(1, 1), (7, 13), (256, 511), (1000, 1999), (8192, 16383)]
-    )
-    def test_fftconvolve_bit_identical_to_scipy_signal(self, la, lb, rng):
+    @pytest.mark.parametrize("n", [8, 256, 8192])
+    def test_fftconvolve_is_the_window_of_the_linear_convolution(self, n, rng):
+        """Samples n-1 .. 2n-2 of values conv kernel, given the kernel's length-2n rfft."""
         from scipy import signal
 
-        a, b = rng.standard_normal(la), rng.standard_normal(lb)
-        assert np.array_equal(fftconvolve(a, b), signal.fftconvolve(a, b))
-
-    def test_next_fast_len_matches_scipy(self):
-        import scipy.fft
-
-        got = [fracops._next_fast_len(m) for m in range(1, 20001)]
-        assert got == [scipy.fft.next_fast_len(m, True) for m in range(1, 20001)]
+        values, kernel = rng.standard_normal(n), rng.standard_normal(2 * n - 1)
+        ref = signal.fftconvolve(values, kernel)[n - 1 : 2 * n - 1]
+        got = fftconvolve(values, np.fft.rfft(kernel, 2 * n))
+        assert got.shape == (n,)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("alpha", (0.1, 0.25, 0.5, 0.75, 0.9))
     def test_velocity_profile_U_far_tail_matches_tight_quad(self, alpha):

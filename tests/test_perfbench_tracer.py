@@ -15,6 +15,7 @@ import pytest
 
 import euler_align
 from euler_align import closedform, diagnostics, fracops, grid
+from euler_align.config import parse_config
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -55,3 +56,29 @@ def test_tracer_wraps_every_spanned_name_and_restores_it(tracing):
         assert getattr(owner, name) is original, f"{owner.__name__}.{name} was not restored"
     for name, original in exported.items():
         assert getattr(euler_align, name) is original, f"euler_align.{name} was not restored"
+
+
+SMALL_SPECTRAL_INI = """
+[model]
+alpha = 0.5
+[grid]
+n = 256
+half_width = 10.0
+[time]
+t_end = 0.5
+[scheme]
+flux_scheme = spectral
+image_correction = true
+[initial]
+mode = proportional
+g_coef = 1.0
+rho0_kind = gaussian
+rho0_width = 0.6
+"""
+
+
+def test_one_step_count_sees_both_velocity_convolutions(tracing):
+    """Both stage velocities of a spectral step go through the counted ``fracops.fftconvolve``."""
+    counts = tracing.count_one_step(parse_config(SMALL_SPECTRAL_INI))
+    assert counts["numpy_fft_calls"] == 8
+    assert counts["fftconvolve_calls"] == 2

@@ -26,7 +26,7 @@ STRICT = {
     "fraclap_semigroup": 1e-12,
     "riesz_inverse": 1e-12,
     "antiderivative_consistency": 1e-12,
-    "closedform_velocity": 1e-7,
+    "closedform_velocity": 1e-12,
     "stroock_varopoulos": 1e-8,
     "gagliardo_nirenberg": 5e-2,
 }
