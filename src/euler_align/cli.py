@@ -329,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=Path, required=True, help="INI base configuration")
     p.add_argument("--mode", choices=("rarefaction", "barenblatt"), required=True)
     p.add_argument("--lambdas", default="1,2,4,8", help="comma-separated dilation parameters")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="parallel workers for the sweep (rarefaction)")
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="worker processes; each runs its share of the λ-cases in lockstep (rarefaction)")
     p.add_argument("--q", type=float, default=2.0, help="velocity distance exponent (rarefaction)")
     p.add_argument("--radius", type=float, default=1.5, help="half-width of the comparison window (rarefaction)")
     p.add_argument("--t1", type=float, default=1.0, help="start of the comparison time window (rarefaction)")

@@ -34,6 +34,7 @@ from .solver import (
     Trajectory,
     evaluate_shape,
     run,
+    _run_lockstep,
 )
 
 __all__ = [
@@ -229,30 +230,41 @@ def _window_lq(diff: np.ndarray, mask: np.ndarray, spacing: float, q: float) -> 
     return float((spacing * (vals**q).sum()) ** (1.0 / q))
 
 
-def _rarefaction_case(
+def _rarefaction_group(
     base_cfg: SolverConfig,
-    lam: float,
+    lams: tuple[float, ...],
     q: float,
     R: float,
     sample_times: tuple[float, ...],
     epsilon: float,
-) -> tuple[float, float, float, float, float, float]:
-    """Distances for one rescaling factor lambda.
+) -> list[tuple[float, float, float, float, float, float]]:
+    """Distances for a group of rescaling factors lambda, run in lockstep.
 
-    Runs the base configuration on the lambda-dilated domain to time
+    Runs the base configuration on each lambda-dilated domain to time
     lambda * t2 with the viscosity frozen at the base value (so the rescaled
     fields solve the same system with viscosity epsilon/lambda — the
-    vanishing-viscosity limit is taken jointly with the dilation), then
-    measures rescaled fields against the rarefaction triple on [-R, R].
+    vanishing-viscosity limit is taken jointly with the dilation), all in one
+    ``_run_lockstep``, then measures rescaled fields against the rarefaction
+    triple on [-R, R].  Each run is the one it would be alone, so the
+    distances do not depend on how the lambdas are grouped.
     """
-    cfg = replace(
-        base_cfg,
-        half_width=lam * base_cfg.half_width,
-        t_end=lam * sample_times[-1],
-        output_times=tuple(lam * s for s in sample_times),
-        epsilon=epsilon,
-    )
-    traj = run(cfg)
+    cfgs = [
+        replace(
+            base_cfg,
+            half_width=lam * base_cfg.half_width,
+            t_end=lam * sample_times[-1],
+            output_times=tuple(lam * s for s in sample_times),
+            epsilon=epsilon,
+        )
+        for lam in lams
+    ]
+    return [_rarefaction_distances(traj, lam, q, R, sample_times) for traj, lam in zip(_run_lockstep(cfgs), lams)]
+
+
+def _rarefaction_distances(
+    traj: Trajectory, lam: float, q: float, R: float, sample_times: tuple[float, ...]
+) -> tuple[float, float, float, float, float, float]:
+    """The six distances of one lambda-dilated run to the rarefaction triple."""
     triple = RarefactionTriple(M_rho=float(traj.summary["mass_rho"][0]), M_G=float(traj.summary["mass_G"][0]))
     grid = traj.states[0].rho.grid
     y = grid.x / lam
@@ -314,9 +326,14 @@ def scaling_limit_experiment(
     plus time-averaged L^q distances of the mollified density and G.
 
     The lambda cases are independent runs of about equal cost (dt and the
-    horizon both grow like lambda), so they run on min(jobs, len(lambdas))
-    worker processes when that exceeds 1.
+    horizon both grow like lambda).  They are dealt into min(jobs,
+    len(lambdas)) contiguous groups, and each group runs in lockstep
+    (``_run_lockstep``): in this process when there is one group, else one
+    group per worker process.  Every run is the one it would be alone, so
+    the distances do not depend on jobs.  jobs < 1 raises DiagnosticsError.
     """
+    if jobs < 1:
+        raise DiagnosticsError(f"jobs must be a positive integer, got {jobs}")
     lams = _scale_factors(lambdas)
     _check_distance_exponent("q", q)
     if base_cfg.initial.mode != "proportional":
@@ -329,13 +346,15 @@ def scaling_limit_experiment(
         raise DiagnosticsError("R must be positive and well inside the base domain")
     samples = tuple(np.linspace(t1, t2, n_samples))
     eps = base_cfg.effective_epsilon(base_cfg.make_grid().spacing)
-    args = [(base_cfg, lam, q, R, samples, eps) for lam in lams]
-    workers = min(jobs, len(args))
+    workers = min(jobs, len(lams))
+    cuts = [len(lams) * w // workers for w in range(workers + 1)]
+    args = [(base_cfg, lams[lo:hi], q, R, samples, eps) for lo, hi in zip(cuts, cuts[1:])]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_rarefaction_case, *zip(*args)))
+            groups = list(pool.map(_rarefaction_group, *zip(*args)))
     else:
-        results = [_rarefaction_case(*a) for a in args]
+        groups = [_rarefaction_group(*args[0])]
+    results = [r for group in groups for r in group]
     du, dr, dg, du_x, dr_x, dg_x = (tuple(r[i] for r in results) for i in range(6))
     return ScalingReport(
         mode="rarefaction",

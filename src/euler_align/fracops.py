@@ -103,12 +103,19 @@ def fftconvolve(values: np.ndarray, kernel_spectrum: np.ndarray) -> np.ndarray:
 
     K lives on the offsets -(n-1) .. n-1 (index d + n - 1) and ``kernel_spectrum``
     is its length-2n rfft; the zero padding keeps the circular wrap-around out
-    of the window.  Returns a view of this thread's work array (``_work_array``).
+    of the window.  ``values`` may also stack B rows, shape (B, n), each with
+    its own kernel spectrum, shape (B, n + 1), in one call: the transforms run
+    row by row, so each row gets the floats of a one-row call.  One row is
+    transformed as a stack of one, so a run's initial velocity, its steps and
+    the image correction share one set of work arrays.  Returns a view of
+    this thread's work array (``_work_array``), of the shape of ``values``.
     """
-    n = len(values)
-    spectrum = np.fft.rfft(values, 2 * n, out=_work_array("conv_hat", (n + 1,), complex))
+    n = values.shape[-1]
+    stack = values.reshape(-1, n)
+    spectrum = np.fft.rfft(stack, 2 * n, out=_work_array("conv_hat", (len(stack), n + 1), complex))
     spectrum *= kernel_spectrum
-    return np.fft.irfft(spectrum, 2 * n, out=_work_array("conv", (2 * n,)))[n - 1 : 2 * n - 1]
+    conv = np.fft.irfft(spectrum, 2 * n, out=_work_array("conv", (len(stack), 2 * n)))[:, n - 1 : 2 * n - 1]
+    return conv if values.ndim == 2 else conv[0]
 
 
 class FracOrderError(ValueError):
@@ -156,7 +163,8 @@ class SpectralWorkspace:
     Every cached array is frozen, and building one twice gives the same
     values, so a workspace may be shared across threads and pickled.  The
     scratch arrays that the velocity and the spectral step write into are not
-    part of it: they are per thread, one set per grid size (``_work_array``).
+    part of it: they are per thread, one set per grid size and stack height
+    (``_work_array``).
     """
 
     def __init__(self, grid: Grid1D, alpha: float):
@@ -452,13 +460,36 @@ def _velocity_values(
 
     g is the G row, or the coefficient c of G = c * rho: that selects the
     kernel K_c, which carries G's cumulative trapezoid, so G is never formed.
+    It is ``_velocity_rows`` on a stack of one row.
     """
     row = isinstance(g, np.ndarray)
-    c = fftconvolve(rho, ws.velocity_kernel_spectrum(image_correction, 0.0 if row else g))
-    u = c - c[0]
-    if row:
-        u += cumulative_trapezoid(g, ws.grid.spacing)
-    u += ws.tail_anchor_weights() @ rho
+    spectrum = ws.velocity_kernel_spectrum(image_correction, 0.0 if row else g)
+    return _velocity_rows(
+        rho[None], g[None] if row else None, spectrum[None], (ws.tail_anchor_weights(),), (ws.grid.spacing,)
+    )[0]
+
+
+def _velocity_rows(
+    rho: np.ndarray, g: np.ndarray | None, spectra: np.ndarray,
+    weights: tuple[np.ndarray, ...], spacings: tuple[float, ...],
+) -> np.ndarray:
+    """Velocities of B stacked density rows rho, shape (B, n), each on its own grid.
+
+    Row b convolves with ``spectra[b]`` (a ``velocity_kernel_spectrum`` of its
+    workspace) and adds its tail anchor ``weights[b] @ rho[b]``; g holds the
+    G rows, integrated with the spacings, or is None when each spectrum
+    carries its G = c * rho.  The convolution is one ``fftconvolve`` over all
+    rows and the anchor a per-row dot, so every row gets the floats of a
+    one-row call.
+    """
+    c = fftconvolve(rho, spectra)
+    u = np.subtract(c, c[:, :1])
+    # In place on row views: ``u[b] += ...`` would also copy the row back into u.
+    if g is not None:
+        for row, g_row, h in zip(u, g, spacings):
+            row += cumulative_trapezoid(g_row, h)
+    for row, rho_row, w in zip(u, rho, weights):
+        row += w @ rho_row
     return u
 
 

@@ -26,17 +26,20 @@ Mass of rho and of G is conserved to roundoff by both schemes: the fluxes
 telescope (upwind) or have an exactly zero mean mode (spectral), and the
 diffusion operators are periodic.
 
-Both schemes run through one raw-array core, ``_advance``, that ``run`` loops
-on and ``step`` wraps; ``Field``s are built only at those API boundaries, for
-each ``step`` result and each state ``run`` records.
+Both schemes run through one raw-array core, ``_advance``, that
+``_run_lockstep`` loops on and ``step`` wraps; ``Field``s are built only at
+those API boundaries, for each ``step`` result and each state a run records.
+The core advances B runs at once as stacked rows (B, k, n), each run on its
+own grid with its own dt and constants, and gives each run the floats of its
+own step; ``run`` is the loop with one run.
 
 G solves rho's equation with the same u and eps, so G/rho is carried by the
 flow.  Only ``independent`` initial data evolve G, as a second row stacked
 under rho.  With G0 = g_coef*rho0 (``proportional``) or G0 = 0 (``zero_G``)
 the core evolves rho alone and its velocity takes g_coef in place of a G row
-(the cached velocity kernel carries G's integral).  ``run`` forms G = g_coef*rho
-(or +0.0) with ``_form_g`` once per block of steps; its margin and finiteness
-checks read rho alone, scaled by ``_peak_scale``.
+(the cached velocity kernel carries G's integral).  The run loop forms
+G = g_coef*rho (or +0.0) with ``_form_g`` once per block of steps; its margin
+and finiteness checks read rho alone, scaled by ``_peak_scale``.
 """
 from __future__ import annotations
 
@@ -44,13 +47,14 @@ import json
 import math
 import time as _time
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from ._version import __version__
 from .closedform import getoor_profile
-from .fracops import FracOrder, SpectralWorkspace, _velocity_values, _work_array
+from .fracops import FracOrder, SpectralWorkspace, _velocity_rows, _velocity_values, _work_array
 from .grid import (
     Field,
     Grid1D,
@@ -286,10 +290,16 @@ def make_initial_state(
     reconstructed as the steps do it (real-line gauge, same image option, G
     as its coefficient unless evolved), so the cached u is the one the
     stepping computes and its velocity kernel is built before the first step.
+    A workspace built for another grid or another alpha raises SolverError.
     """
     a = float(FracOrder(alpha))
     if ws is None:
         ws = SpectralWorkspace(grid, a)
+    elif ws.grid != grid or ws.alpha != a:
+        raise SolverError(
+            f"workspace (n = {ws.grid.n}, L = {ws.grid.half_width:g}, alpha = {ws.alpha:g}) does not match "
+            f"the run (n = {grid.n}, L = {grid.half_width:g}, alpha = {a:g})"
+        )
     rho0 = evaluate_shape(spec.rho0, grid, a)
     peak = float(np.abs(rho0).max())
     if float(rho0.min()) < -1e-13 * max(peak, 1.0):
@@ -412,11 +422,6 @@ def _g_coef(spec: InitialDataSpec) -> float:
     return spec.g_coef if spec.mode == "proportional" else 0.0
 
 
-def _velocity_g(y: np.ndarray, cfg: SolverConfig) -> np.ndarray | float:
-    """The G argument of the velocity of the evolved rows y: the row y[1], or the coefficient."""
-    return y[1] if len(y) == 2 else _g_coef(cfg.initial)
-
-
 def _peak_scale(cfg: SolverConfig) -> float:
     """s with max|(rho, G)| = s*max|rho| anywhere: G = c*rho (c >= 0) of one-row
     data rounds monotonically, so max|c*rho| = c*max|rho|; an evolved G is read."""
@@ -437,40 +442,78 @@ def _form_g(y: np.ndarray, cfg: SolverConfig) -> None:
             np.multiply(c, rho, out=g)
 
 
-def _spectral_step(
-    y0: np.ndarray, u: np.ndarray, dt: float,
-    ws: SpectralWorkspace, cfg: SolverConfig, eps: float, out: np.ndarray,
-) -> np.ndarray:
-    """Integrating-factor SSP-RK2 (Lawson-Heun) on the stacked evolved rows y0, into out.
+def _stack(arrays) -> np.ndarray:
+    """The arrays stacked along a new first axis; a single one is viewed, not copied."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
-    With E = exp(-eps xi^2 dt) and the flux F(Y) = i xi (Y u(Y))^:
-    S1 = E (Y^ - dt F(Y)), Y1 = irfft(S1), Y_new = irfft((E Y^ + S1 - dt F(Y1)) / 2).
-    u is the velocity of y0, so only the second stage reconstructs one.
+
+def _column(values) -> np.ndarray | float:
+    """One float per run, shaped (B, 1, 1) to broadcast over each run's rows; one run's float stays a float."""
+    return values[0] if len(values) == 1 else np.array(values)[:, None, None]
+
+
+class _Runs:
+    """The constants of B runs that advance in lockstep, stacked once.
+
+    The runs share n, the flux scheme and the number k of evolved rows; each
+    brings its own workspace, spacing h, viscosity eps and ``_peak_scale``,
+    so its own transport multipliers, velocity-kernel spectrum and
+    tail-anchor weights.  The per-run scalars are the Python floats a run
+    alone computes, held as columns that broadcast over the run's rows, so
+    every elementwise op gives each run the floats of its own step.
     """
-    n = ws.grid.n
+
+    def __init__(self, cfgs: tuple[SolverConfig, ...], workspaces: tuple[SpectralWorkspace, ...],
+                 spacings: tuple[float, ...], eps: tuple[float, ...], scales: tuple[float, ...]):
+        self.scheme, self.k = cfgs[0].flux_scheme, _evolved_rows(cfgs[0])
+        self.spacings, self.scales = spacings, scales
+        self.peak_scale = max(scales)
+        self.spectra = _stack([
+            ws.velocity_kernel_spectrum(cfg.image_correction, 0.0 if self.k == 2 else _g_coef(cfg.initial))
+            for cfg, ws in zip(cfgs, workspaces)
+        ])
+        self.weights = tuple(ws.tail_anchor_weights() for ws in workspaces)
+        if self.scheme == "spectral":
+            xi_sq, ik = zip(*(ws.transport_multipliers() for ws in workspaces))
+            self.decay_rate = np.multiply(_column([-e for e in eps]), _stack(xi_sq)[:, None])  # -eps xi^2
+            self.ik = _stack(ik)[:, None]
+        else:
+            self.eps, self.h = _column(eps), _column(spacings)
+            self.h_sq = _column([h**2 for h in spacings])
+
+    def velocity(self, y: np.ndarray) -> np.ndarray:
+        """The velocities (B, n) of the stacked evolved rows y, (B, k, n): G is the row y[:, 1] or a coefficient."""
+        return _velocity_rows(y[:, 0], y[:, 1] if self.k == 2 else None, self.spectra, self.weights, self.spacings)
+
+
+def _spectral_step(y0: np.ndarray, u: np.ndarray, dt: np.ndarray, runs: _Runs, out: np.ndarray) -> np.ndarray:
+    """Integrating-factor SSP-RK2 (Lawson-Heun) on the stacked evolved rows y0, (B, k, n), into out.
+
+    With E = exp(-eps xi^2 dt) and the flux F(Y) = i xi (Y u(Y))^, per run:
+    S1 = E (Y^ - dt F(Y)), Y1 = irfft(S1), Y_new = irfft((E Y^ + S1 - dt F(Y1)) / 2).
+    u is the velocity of y0 and dt the column of the runs' steps; only the
+    second stage reconstructs a velocity.
+    """
+    b, k, n = y0.shape
     m = n // 2 + 1
-    k = len(y0)
-    xi_sq, ik = ws.transport_multipliers()
     # Work arrays in place of temporaries, with the operations in the same
     # order, so the floats are those of the plain expressions in the docstring.
-    decay = np.multiply(-eps, xi_sq, out=_work_array("step_decay", (m,)))
-    decay *= dt
+    decay = np.multiply(runs.decay_rate, dt, out=_work_array("step_decay", (b, 1, m)))
     np.exp(decay, out=decay)
-    dt_ik = np.multiply(dt, ik, out=_work_array("step_dt_ik", (m,), complex))
+    dt_ik = np.multiply(dt, runs.ik, out=_work_array("step_dt_ik", (b, 1, m), complex))
     # Y over Y u, so one stacked rfft gives Y^ and (Y u)^: the floats of two rffts.
-    y = _work_array("step_y", (2 * k, n))
-    y[:k] = y0
-    np.multiply(y0, u, out=y[k:])
-    hats = np.fft.rfft(y, out=_work_array("step_hats", (2 * k, m), complex))
-    y_hat, s1 = hats[:k], hats[k:]
+    y = _work_array("step_y", (b, 2 * k, n))
+    y[:, :k] = y0
+    np.multiply(y0, u[:, None], out=y[:, k:])
+    hats = np.fft.rfft(y, out=_work_array("step_hats", (b, 2 * k, m), complex))
+    y_hat, s1 = hats[:, :k], hats[:, k:]
     np.multiply(dt_ik, s1, out=s1)
     np.subtract(y_hat, s1, out=s1)
     np.multiply(decay, s1, out=s1)
-    y1 = np.fft.irfft(s1, n, out=y[:k])
-    u1 = _velocity_values(y1[0], _velocity_g(y1, cfg), ws, cfg.image_correction)
-    y1 *= u1
-    f2 = np.fft.rfft(y1, out=_work_array("step_f2", (k, m), complex))
-    np.multiply(ik, f2, out=f2)
+    y1 = np.fft.irfft(s1, n, out=y[:, :k])
+    y1 *= runs.velocity(y1)[:, None]
+    f2 = np.fft.rfft(y1, out=_work_array("step_f2", (b, k, m), complex))
+    np.multiply(runs.ik, f2, out=f2)
     y_hat *= decay
     y_hat += s1
     f2 *= dt
@@ -479,49 +522,47 @@ def _spectral_step(
     return np.fft.irfft(y_hat, n, out=out)
 
 
-def _upwind_tendency(y: np.ndarray, u: np.ndarray, eps: float, h: float, out: np.ndarray) -> np.ndarray:
-    """-(F_j - F_{j-1}) / h + eps (y_{j+1} - 2 y_j + y_{j-1}) / h^2 of the stacked y, into out.
+def _upwind_tendency(y: np.ndarray, u: np.ndarray, runs: _Runs, out: np.ndarray) -> np.ndarray:
+    """-(F_j - F_{j-1}) / h + eps (y_{j+1} - 2 y_j + y_{j-1}) / h^2 of the stacked y, (B, k, n), into out.
 
     F_j = max(w_j, 0) y_j + min(w_j, 0) y_{j+1} with w_j = 0.5 (u_j + u_{j+1}), periodic in j,
     evaluated in that order on work arrays, so the floats are those of the plain expressions.
     """
     u_minus = _work_array("upwind_u_minus", u.shape)
-    np.add(u[:-1], u[1:], out=u_minus[:-1])
-    np.add(u[-1:], u[:1], out=u_minus[-1:])
+    np.add(u[:, :-1], u[:, 1:], out=u_minus[:, :-1])
+    np.add(u[:, -1:], u[:, :1], out=u_minus[:, -1:])
     u_minus *= 0.5
     u_plus = np.maximum(u_minus, 0.0, out=_work_array("upwind_u_plus", u.shape))
     np.minimum(u_minus, 0.0, out=u_minus)
-    y_next = np.concatenate((y[:, 1:], y[:, :1]), axis=1, out=_work_array("upwind_y_next", y.shape))
+    u_plus, u_minus = u_plus[:, None], u_minus[:, None]  # over the rows
+    y_next = np.concatenate((y[..., 1:], y[..., :1]), axis=-1, out=_work_array("upwind_y_next", y.shape))
     flux = np.multiply(u_plus, y, out=_work_array("upwind_flux", y.shape))
     flux += np.multiply(u_minus, y_next, out=out)
-    np.subtract(flux[:, 1:], flux[:, :-1], out=out[:, 1:])
-    np.subtract(flux[:, :1], flux[:, -1:], out=out[:, :1])
+    np.subtract(flux[..., 1:], flux[..., :-1], out=out[..., 1:])
+    np.subtract(flux[..., :1], flux[..., -1:], out=out[..., :1])
     np.negative(out, out=out)
-    out /= h
+    out /= runs.h
     diff = np.multiply(2.0, y, out=flux)
     np.subtract(y_next, diff, out=diff)
-    diff[:, 1:] += y[:, :-1]
-    diff[:, :1] += y[:, -1:]
-    diff *= eps
-    diff /= h**2
+    diff[..., 1:] += y[..., :-1]
+    diff[..., :1] += y[..., -1:]
+    diff *= runs.eps
+    diff /= runs.h_sq
     out += diff
     return out
 
 
-def _upwind_step(
-    y: np.ndarray, u: np.ndarray, dt: float,
-    ws: SpectralWorkspace, cfg: SolverConfig, eps: float, out: np.ndarray,
-) -> np.ndarray:
+def _upwind_step(y: np.ndarray, u: np.ndarray, dt: np.ndarray, runs: _Runs, out: np.ndarray) -> np.ndarray:
     """SSP-RK2 (Heun): y1 = y + dt D(y, u), y_new = (y + y1 + dt D(y1, u(y1))) / 2, into out.
 
-    D is ``_upwind_tendency`` on the stacked evolved rows y.  u is the velocity
-    of y, so only the second substep reconstructs one.
+    D is ``_upwind_tendency`` on the stacked evolved rows y, (B, k, n), and dt
+    the column of the runs' steps.  u is the velocity of y, so only the second
+    substep reconstructs one.
     """
-    h = ws.grid.spacing
-    dy = _upwind_tendency(y, u, eps, h, _work_array("upwind_dy", y.shape))
+    dy = _upwind_tendency(y, u, runs, _work_array("upwind_dy", y.shape))
     dy *= dt
     y1 = np.add(y, dy, out=_work_array("upwind_y1", y.shape))
-    _upwind_tendency(y1, _velocity_values(y1[0], _velocity_g(y1, cfg), ws, cfg.image_correction), eps, h, dy)
+    _upwind_tendency(y1, runs.velocity(y1), runs, dy)
     dy *= dt
     y1 += y
     y1 += dy
@@ -529,22 +570,23 @@ def _upwind_step(
 
 
 def _advance(
-    y: np.ndarray, u: np.ndarray, t: float, dt: float,
-    ws: SpectralWorkspace, cfg: SolverConfig, eps: float, out: np.ndarray,
+    y: np.ndarray, u: np.ndarray, t: list[float], dt: list[float], runs: _Runs, out: np.ndarray,
 ) -> np.ndarray:
-    """The raw-array step ``step`` and ``run`` share.
+    """The raw-array step ``step`` and ``_run_lockstep`` share, for B runs at once.
 
-    y stacks the ``_evolved_rows`` at t and u is their velocity.  Writes the
-    evolved rows at t + dt into out, of y's shape, and returns their u; a G
-    row that is not evolved is the caller's to form (``_form_g``).  Raises
-    SolverError on non-finite values, in that G row too; the caller has
-    checked dt.
+    y stacks each run's ``_evolved_rows``, (B, k, n), run b at time t[b], and
+    u their velocities, (B, n); run b steps by dt[b].  Writes the evolved rows
+    at t + dt into out, of y's shape, and returns their u; a G row that is not
+    evolved is the caller's to form (``_form_g``).  Raises SolverError on
+    non-finite values, in that G row too; the caller has checked dt.
     """
-    scheme = _upwind_step if cfg.flux_scheme == "upwind" else _spectral_step
-    scheme(y, u, dt, ws, cfg, eps, out)
-    if not math.isfinite(float(np.abs(out).max()) * _peak_scale(cfg)):
-        raise SolverError(f"non-finite values produced at t = {t + dt:.6g}; aborting")
-    return _velocity_values(out[0], _velocity_g(out, cfg), ws, cfg.image_correction)
+    scheme = _upwind_step if runs.scheme == "upwind" else _spectral_step
+    scheme(y, u, _column(dt), runs, out)
+    if not math.isfinite(float(np.abs(out).max()) * runs.peak_scale):  # else read the runs one by one
+        for i, (peak, scale) in enumerate(zip(np.abs(out).max(axis=(1, 2)).tolist(), runs.scales)):
+            if not math.isfinite(peak * scale):
+                raise SolverError(f"non-finite values produced at t = {t[i] + dt[i]:.6g}; aborting")
+    return runs.velocity(out)
 
 
 def _state(grid: Grid1D, y: np.ndarray, t: float, u: np.ndarray) -> State:
@@ -557,9 +599,10 @@ def step(state: State, dt: float, cfg: SolverConfig, ws: SpectralWorkspace) -> S
     state.u must be the velocity State describes; both schemes use it as
     their first-stage velocity.  Raises SolverError on a CFL violation (dt
     beyond the scheme's stability cap) or if the update produces non-finite
-    values.  It wraps the raw-array core ``run`` loops on, adding these checks
-    and the new State's 3 ``Field``s.  In proportional and zero_G modes
-    state.g is not read: the new G is formed from the new rho.
+    values.  It wraps the raw-array core ``_run_lockstep`` loops on, for one
+    run, adding these checks and the new State's 3 ``Field``s.  In
+    proportional and zero_G modes state.g is not read: the new G is formed
+    from the new rho.
     """
     if dt <= 0 or not math.isfinite(dt):
         raise SolverError(f"dt must be positive and finite, got {dt}")
@@ -576,11 +619,12 @@ def step(state: State, dt: float, cfg: SolverConfig, ws: SpectralWorkspace) -> S
             f"(||u||_inf = {u_inf:.6g}, h = {h:.6g}, eps = {eps:.6g})"
         )
     k = _evolved_rows(cfg)
-    new = np.empty((2, grid.n))
-    u = _advance(np.stack((state.rho.values, state.g.values)[:k]), state.u.values,
-                 state.t, dt, ws, cfg, eps, new[:k])
+    new = np.empty((1, 2, grid.n))
+    y = np.stack((state.rho.values, state.g.values)[:k])[None]
+    runs = _Runs((cfg,), (ws,), (h,), (eps,), (_peak_scale(cfg),))
+    u = _advance(y, state.u.values[None], [state.t], [dt], runs, new[:, :k])
     _form_g(new, cfg)
-    return _state(grid, new, state.t + dt, u)
+    return _state(grid, new[0], state.t + dt, u[0])
 
 
 # ---------------------------------------------------------------------------
@@ -643,98 +687,188 @@ def _summary_rows(tu: np.ndarray, y: np.ndarray, h: float, sandwich: tuple[float
     return rows
 
 
+class _RunLog:
+    """One run's bookkeeping in ``_run_lockstep``: its clock, dt, margin check and records.
+
+    Made at t = 0 with the initial state, its summary row and the states of
+    the output times it already reaches; ``trajectory`` closes it.
+    """
+
+    def __init__(self, cfg: SolverConfig, ws: SpectralWorkspace | None):
+        self.cfg = cfg
+        self.grid = grid = cfg.make_grid()
+        self.ws = ws if ws is not None else SpectralWorkspace(grid, cfg.alpha)
+        self.h, self.scale = grid.spacing, _peak_scale(cfg)
+        self.eps = cfg.effective_epsilon(self.h)
+        self.initial, self.report = state, report = make_initial_state(
+            cfg.initial, grid, cfg.alpha, ws=self.ws, image_correction=cfg.image_correction
+        )
+        spec = cfg.initial
+        # G = g_coef*rho is the multiply a*rho itself when b = a = g_coef != 0.
+        exact = spec.mode == "proportional" and 0.0 != spec.b_coef == spec.a_coef
+        self.sandwich = None if exact else (report.b, report.a)
+        self.peak0 = float(np.abs(state.rho.values).max())
+        # The margin zone |x| >= 3L/4 is a prefix and a suffix of the grid.
+        inner = np.flatnonzero(np.abs(grid.x) < 0.75 * grid.half_width)
+        self.lo, self.hi = int(inner[0]), int(inner[-1]) + 1
+        self.outputs = cfg.output_times if cfg.output_times is not None else (cfg.t_end,)
+        self.time_tol = 1e-9 * max(1.0, cfg.t_end)
+        self.u_inf = float(np.abs(state.u.values).max())
+        y0 = np.stack((state.rho.values, state.g.values))[None]
+        self.rows = [_summary_rows(np.array([[0.0, self.u_inf]]), y0, self.h, self.sandwich)]
+        self.states: list[State] = []
+        self.next_idx = 0
+        self.t = self.t_clock = 0.0  # t snaps to each output time it reaches; t_clock, which sets dt, does not
+        self.record(partial(replace, state))
+
+    @property
+    def done(self) -> bool:
+        return self.t_clock >= self.cfg.t_end - self.time_tol
+
+    def dt(self) -> float:
+        """The next step: the scheme's cap, cut short at the next output time (or t_end)."""
+        dt = min(_stable_dt(self.cfg, self.eps, self.h, self.u_inf), self.next_time - self.t_clock)
+        if dt < 1e-13 * max(1.0, self.cfg.t_end):
+            raise SolverError(f"time step collapsed to {dt:.3g} at t = {self.t_clock:.6g}")
+        return dt
+
+    def stepped(self, dt: float, u_inf: float, y: np.ndarray) -> bool:
+        """Take the step dt to evolved rows y with velocity bound u_inf; abort at the margin.
+
+        Returns whether the run has reached its next output time or its end.
+        """
+        self.t = self.t_clock = self.t + dt
+        self.u_inf = u_inf
+        if self.peak0 > 0:
+            margin_peak = max(float(np.abs(y[:, : self.lo]).max()), float(np.abs(y[:, self.hi :]).max())) * self.scale
+            if margin_peak > MARGIN_ABORT_LEVEL * self.peak0:
+                ringing = (", or, if the data has jumps, the spectral scheme's ringing may have put it"
+                           " there: use flux_scheme = upwind") if self.cfg.flux_scheme == "spectral" else ""
+                raise SolverError(
+                    f"support reached the boundary margin |x| >= {0.75 * self.grid.half_width:.6g} "
+                    f"at t = {self.t:.6g}; enlarge the domain{ringing}"
+                )
+        return self.t_clock >= self.next_time - self.time_tol
+
+    def flush(self, tu: np.ndarray, blk: np.ndarray, u: np.ndarray) -> bool:
+        """Close a block of steps, (m, 2) and (m, 2, n), whose last has velocity u; return ``done``.
+
+        Forms the block's G rows and summary rows and records the last
+        step's state at each output time the clock has reached.
+        """
+        _form_g(blk, self.cfg)
+        self.rows.append(_summary_rows(tu, blk, self.h, self.sandwich))
+        self.record(partial(_state, self.grid, blk[-1], u=u))
+        return self.done
+
+    def record(self, state_at) -> None:
+        """Record the State ``state_at(t=t)`` at each output time t the clock has reached.
+
+        The next output time follows, or t_end after the last: the output
+        times lie in [0, t_end], so the dt cap and the end of a block read it alone.
+        """
+        outputs = self.outputs
+        while self.next_idx < len(outputs) and self.t_clock >= outputs[self.next_idx] - self.time_tol:
+            self.t = float(outputs[self.next_idx])
+            self.states.append(state_at(t=self.t))
+            self.next_idx += 1
+        self.next_time = outputs[self.next_idx] if self.next_idx < len(outputs) else self.cfg.t_end
+
+    def trajectory(self, t_start: float) -> Trajectory:
+        table = np.concatenate(self.rows)
+        summary = {name: table[:, i].copy() for i, name in enumerate(SUMMARY_COLUMNS)}
+        for arr in summary.values():
+            arr.setflags(write=False)
+        return Trajectory(
+            config=self.cfg,
+            states=tuple(self.states),
+            summary=summary,
+            initial_report=self.report,
+            steps=len(table) - 1,
+            wall_time=_time.perf_counter() - t_start,
+        )
+
+
+def _run_lockstep(cfgs, workspaces=None) -> tuple[Trajectory, ...]:
+    """Integrate B runs at once, each exactly as ``run`` does it alone.
+
+    The runs must share n, flux_scheme and the number of evolved rows
+    (independent mode or not), else SolverError; everything else, domain,
+    horizon, output times, data and viscosity included, is per run.  Each
+    step advances all unfinished runs as stacked rows (``_advance``), every
+    transform and elementwise op one call over them, while the dt, the
+    margin abort, the summary rows and the recorded states stay per run.  A
+    run that reaches its t_end drops out of the stack.  Each run's
+    Trajectory is bit for bit the one ``run`` gives it alone; its wall time
+    runs from the start of the lockstep run to that run's end.  A run that
+    aborts (SolverError) aborts them all.  ``workspaces``, if given, holds
+    one workspace (or None) per run.
+    """
+    t_start = _time.perf_counter()
+    cfgs = tuple(cfgs)
+    workspaces = (None,) * len(cfgs) if workspaces is None else tuple(workspaces)
+    if not cfgs or len(workspaces) != len(cfgs):
+        raise SolverError("a lockstep run needs at least one config and one workspace (or None) per config")
+    if len({(cfg.n, cfg.flux_scheme, _evolved_rows(cfg)) for cfg in cfgs}) > 1:
+        raise SolverError("runs in lockstep must share n, flux_scheme and the evolved rows (independent mode or not)")
+    n, k = cfgs[0].n, _evolved_rows(cfgs[0])
+    logs = [_RunLog(cfg, ws) for cfg, ws in zip(cfgs, workspaces)]
+    # Slot 0 holds the evolved rows a block starts from; slots 1..block_steps of blk and tu its steps.
+    # Made after the initial states, whose temporaries are freed by then.
+    block_steps = max(1, 8192 // n)
+    blk = np.empty((block_steps + 1, len(cfgs), 2, n))
+    tu = np.empty((block_steps + 1, len(cfgs), 2))  # (t, u_inf)
+    u = np.empty((len(cfgs), n))
+    for y0, u0, log in zip(blk[0], u, logs):
+        y0[0], y0[1], u0[...] = log.initial.rho.values, log.initial.g.values, log.initial.u.values
+    trajectories: list[Trajectory | None] = [None] * len(logs)
+    live = list(range(len(logs)))  # the unfinished runs, in stack order
+    restack = True
+    j = 0
+    while True:
+        if restack:
+            # Close the finished runs and compact the others to the front of the
+            # stack: at the start of a block, at most B - 1 times after the first.
+            keep = [b for b, i in enumerate(live) if not logs[i].done]
+            for i in live:
+                if logs[i].done:
+                    trajectories[i], logs[i] = logs[i].trajectory(t_start), None
+            live = [live[b] for b in keep]
+            if not live:
+                return tuple(trajectories)
+            if len(live) < blk.shape[1]:
+                blk[0, : len(live)] = blk[0, keep]
+                blk, tu, u = blk[:, : len(live)], tu[:, : len(live)], u[keep]
+            active = [logs[i] for i in live]
+            runs = _Runs(*zip(*((log.cfg, log.ws, log.h, log.eps, log.scale) for log in active)))
+            restack = False
+        dts = [log.dt() for log in active]
+        u = _advance(blk[j, :, :k], u, [log.t for log in active], dts, runs, blk[j + 1, :, :k])
+        j += 1
+        close = j == block_steps
+        for b, (log, dt, u_inf) in enumerate(zip(active, dts, np.abs(u).max(axis=1).tolist())):
+            close |= log.stepped(dt, u_inf, blk[j, b, :k])
+            tu[j, b] = log.t, u_inf
+        if close:
+            for b, log in enumerate(active):
+                restack |= log.flush(tu[1 : j + 1, b], blk[1 : j + 1, b], u[b])
+            blk[0, :, :k] = blk[j, :, :k]
+            j = 0
+
+
 def run(cfg: SolverConfig, *, ws: SpectralWorkspace | None = None) -> Trajectory:
     """Integrate from t = 0 to t_end, recording states at the output times.
 
-    The loop advances raw arrays through the core ``step`` wraps and builds
-    ``Field``s only for recorded states, whose t is the output time itself.
-    Steps fill blocks of max(1, 8192 // n) steps (128 KiB of new rows), whose
-    G and summary rows are formed in one pass when full and at output times.
-    The run aborts with SolverError if the state develops non-finite values
-    or if the density/G support reaches the outer quarter of the domain
-    (|x| >= 3L/4), where the periodic truncation stops being meaningful.
+    The one-run case of ``_run_lockstep``: the loop advances raw arrays through
+    the core ``step`` wraps and builds ``Field``s only for recorded states,
+    whose t is the output time itself.  Steps fill blocks of max(1, 8192 // n)
+    steps (128 KiB of new rows per run), whose G and summary rows are formed
+    in one pass when full and at output times.  The run aborts with
+    SolverError if the state develops non-finite values or if the density/G
+    support reaches the outer quarter of the domain (|x| >= 3L/4), where the
+    periodic truncation stops being meaningful.
     """
-    t_start = _time.perf_counter()
-    grid = cfg.make_grid()
-    if ws is None:
-        ws = SpectralWorkspace(grid, cfg.alpha)
-    h = grid.spacing
-    eps = cfg.effective_epsilon(h)
-    state, report = make_initial_state(
-        cfg.initial, grid, cfg.alpha, ws=ws, image_correction=cfg.image_correction
-    )
-    # Slot 0 holds the state a block starts from; slots 1..B of blk and tu its steps.
-    block_steps = max(1, 8192 // grid.n)
-    blk = np.empty((block_steps + 1, 2, grid.n))
-    tu = np.empty((block_steps + 1, 2))  # (t, u_inf)
-    blk[0, 0], blk[0, 1] = state.rho.values, state.g.values
-    u = state.u.values
-    k, scale, spec = _evolved_rows(cfg), _peak_scale(cfg), cfg.initial
-    # G = g_coef*rho is the multiply a*rho itself when b = a = g_coef != 0.
-    exact = spec.mode == "proportional" and 0.0 != spec.b_coef == spec.a_coef
-    sandwich = None if exact else (report.b, report.a)
-    peak0 = float(np.abs(blk[0, 0]).max())
-    # The margin zone |x| >= 3L/4 is a prefix and a suffix of the grid.
-    inner = np.flatnonzero(np.abs(grid.x) < 0.75 * grid.half_width)
-    lo, hi = int(inner[0]), int(inner[-1]) + 1
-    outputs = cfg.output_times if cfg.output_times is not None else (cfg.t_end,)
-    time_tol = 1e-9 * max(1.0, cfg.t_end)
-
-    u_inf = float(np.abs(u).max())
-    states: list[State] = []
-    rows = [_summary_rows(np.array([[0.0, u_inf]]), blk[:1], h, sandwich)]
-    next_idx = 0
-    t = t_clock = 0.0  # t snaps to each output time it reaches; t_clock, which sets dt, does not
-    while next_idx < len(outputs) and outputs[next_idx] <= time_tol:
-        t = float(outputs[next_idx])
-        states.append(replace(state, t=t))
-        next_idx += 1
-
-    j = 0
-    while t_clock < cfg.t_end - time_tol:
-        dt = _stable_dt(cfg, eps, h, u_inf)
-        if next_idx < len(outputs):
-            dt = min(dt, outputs[next_idx] - t_clock)
-        dt = min(dt, cfg.t_end - t_clock)
-        if dt < 1e-13 * max(1.0, cfg.t_end):
-            raise SolverError(f"time step collapsed to {dt:.3g} at t = {t_clock:.6g}")
-        u = _advance(blk[j, :k], u, t, dt, ws, cfg, eps, blk[j + 1, :k])
-        j += 1
-        t = t_clock = t + dt
-        u_inf = float(np.abs(u).max())
-        tu[j] = t, u_inf
-        if peak0 > 0:
-            margin_peak = max(float(np.abs(blk[j, :k, :lo]).max()), float(np.abs(blk[j, :k, hi:]).max())) * scale
-            if margin_peak > MARGIN_ABORT_LEVEL * peak0:
-                ringing = (", or, if the data has jumps, the spectral scheme's ringing may have put it"
-                           " there: use flux_scheme = upwind") if cfg.flux_scheme == "spectral" else ""
-                raise SolverError(
-                    f"support reached the boundary margin |x| >= {0.75 * grid.half_width:.6g} "
-                    f"at t = {t:.6g}; enlarge the domain{ringing}"
-                )
-        reached = next_idx < len(outputs) and t_clock >= outputs[next_idx] - time_tol
-        if reached or j == block_steps or t_clock >= cfg.t_end - time_tol:
-            _form_g(blk[1 : j + 1], cfg)
-            rows.append(_summary_rows(tu[1 : j + 1], blk[1 : j + 1], h, sandwich))
-            blk[0] = blk[j]
-            j = 0
-        while next_idx < len(outputs) and t_clock >= outputs[next_idx] - time_tol:
-            t = float(outputs[next_idx])
-            states.append(_state(grid, blk[0], t, u))
-            next_idx += 1
-
-    table = np.concatenate(rows)
-    summary = {name: table[:, i].copy() for i, name in enumerate(SUMMARY_COLUMNS)}
-    for arr in summary.values():
-        arr.setflags(write=False)
-    return Trajectory(
-        config=cfg,
-        states=tuple(states),
-        summary=summary,
-        initial_report=report,
-        steps=len(table) - 1,
-        wall_time=_time.perf_counter() - t_start,
-    )
+    return _run_lockstep((cfg,), (ws,))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -275,7 +275,12 @@ class TestScalingExperiments:
 
 class TestPoolSizing:
     @pytest.fixture
-    def pool_sizes(self, monkeypatch) -> list[int]:
+    def lambda_groups(self) -> list[tuple[float, ...]]:
+        """The lambda groups that the stand-in of ``_rarefaction_group`` ran, in order."""
+        return []
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch, lambda_groups) -> list[int]:
         """Pool sizes requested, with ProcessPoolExecutor replaced by an in-process stand-in."""
         sizes: list[int] = []
 
@@ -292,8 +297,12 @@ class TestPoolSizing:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
+        def group(cfg, lams, *rest):
+            lambda_groups.append(lams)
+            return [(lam,) * 6 for lam in lams]
+
         monkeypatch.setattr(diagnostics, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(diagnostics, "_rarefaction_case", lambda cfg, lam, *rest: (lam,) * 6)
+        monkeypatch.setattr(diagnostics, "_rarefaction_group", group)
         return sizes
 
     @pytest.mark.parametrize(
@@ -307,6 +316,39 @@ class TestPoolSizing:
         assert pool_sizes == sizes
         assert report.distances == lambdas
         assert report.g_distances_no_kink == lambdas
+
+    @pytest.mark.parametrize("jobs, groups", [
+        (1, [(1.0, 2.0, 4.0, 8.0)]), (2, [(1.0, 2.0), (4.0, 8.0)]), (3, [(1.0,), (2.0,), (4.0, 8.0)]),
+        (4, [(1.0,), (2.0,), (4.0,), (8.0,)]), (9, [(1.0,), (2.0,), (4.0,), (8.0,)]),
+    ])
+    def test_lambdas_are_dealt_into_contiguous_groups(self, pool_sizes, lambda_groups, jobs, groups):
+        """One lockstep group per worker, in lambda order; one group runs in this process."""
+        report = scaling_limit_experiment(
+            _rarefaction_base(), (1.0, 2.0, 4.0, 8.0), q=2.0, R=1.5, t1=1.0, t2=2.0, jobs=jobs
+        )
+        assert lambda_groups == groups
+        assert pool_sizes == ([len(groups)] if len(groups) > 1 else [])
+        assert report.rho_distances == (1.0, 2.0, 4.0, 8.0)
+
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_below_one_raises(self, pool_sizes, lambda_groups, jobs):
+        """jobs < 1 used to run serially without a word; the CLI already exits 2 on it."""
+        with pytest.raises(DiagnosticsError, match="jobs must be a positive integer"):
+            scaling_limit_experiment(_rarefaction_base(n=256), (1.0, 2.0), q=2.0, R=1.5, t1=1.0, t2=2.0, jobs=jobs)
+        assert pool_sizes == [] and lambda_groups == []
+
+
+def test_rarefaction_distances_do_not_depend_on_grouping():
+    """One 4-run lockstep group (jobs=1), two 2-run groups on a pool (jobs=2) and
+    single-lambda calls give the same floats in all six distance series."""
+    base = _rarefaction_base()
+    lams = (1.0, 2.0, 4.0, 8.0)
+    sweep = dict(q=2.0, R=1.5, t1=1.0, t2=2.0)
+    one, two = (scaling_limit_experiment(base, lams, jobs=jobs, **sweep) for jobs in (1, 2))
+    single = [scaling_limit_experiment(base, (lam,), jobs=1, **sweep) for lam in lams]
+    for series in ("distances", "rho_distances", "g_distances",
+                   "distances_no_kink", "rho_distances_no_kink", "g_distances_no_kink"):
+        assert getattr(one, series) == getattr(two, series) == tuple(getattr(s, series)[0] for s in single)
 
 
 def test_barenblatt_sweep_is_one_run_matching_per_lambda_runs(monkeypatch):

@@ -39,6 +39,7 @@ from euler_align import (
     step,
     write_field_csv,
 )
+from euler_align.solver import _run_lockstep
 from euler_align import cli, solver
 from euler_align.grid import Field
 from euler_align.solver import SUMMARY_COLUMNS
@@ -414,9 +415,9 @@ class TestStep:
         ws = SpectralWorkspace(grid, cfg.alpha)
         state, _ = make_initial_state(cfg.initial, grid, cfg.alpha, ws=ws)
 
-        def overflowing(y, u, dt, ws, cfg, eps, out):
+        def overflowing(y, u, dt, runs, out):
             out[...] = y
-            out[0, grid.n // 2] = 1e308
+            out[0, 0, grid.n // 2] = 1e308
 
         monkeypatch.setattr(solver, "_spectral_step", overflowing)
         with pytest.raises(SolverError, match="non-finite values"):
@@ -476,20 +477,25 @@ class TestStep:
         grid = cfg.make_grid()
         ws = SpectralWorkspace(grid, cfg.alpha)
         state, _ = make_initial_state(cfg.initial, grid, cfg.alpha, ws=ws)
-        count = [0]
-        core = fracops._velocity_values
+        count = Counter()
 
-        def counted(*args, **kwargs):
-            count[0] += 1
-            return core(*args, **kwargs)
+        def counter(name, core):
+            def counted(*args, **kwargs):
+                count[name] += 1
+                return core(*args, **kwargs)
+            return counted
 
-        # Every reconstruction, raw or Field-wrapped, goes through the core.
-        monkeypatch.setattr(fracops, "_velocity_values", counted)
-        monkeypatch.setattr(solver, "_velocity_values", counted)
+        # Every reconstruction, one row or stacked, raw or Field-wrapped, enters
+        # through one of these names; the one-row form calls the stacked core
+        # by its fracops name, so no call is counted twice.
+        monkeypatch.setattr(fracops, "_velocity_values", counter("row", fracops._velocity_values))
+        monkeypatch.setattr(solver, "_velocity_values", counter("row", solver._velocity_values))
+        monkeypatch.setattr(solver, "_velocity_rows", counter("rows", solver._velocity_rows))
         eps = cfg.effective_epsilon(grid.spacing)
         u_inf = float(np.abs(state.u.values).max())
         step(state, 0.5 * solver._stable_dt(cfg, eps, grid.spacing, u_inf), cfg, ws)
-        assert count[0] == calls
+        assert sum(count.values()) == calls
+        assert count == Counter(rows=calls)  # the stepping's stacked core makes them all
 
     @pytest.mark.parametrize("image_correction", [True, False])
     @pytest.mark.parametrize("n", [256, 1000])
@@ -606,6 +612,17 @@ class TestRun:
         assert len(traj.states) == 1 and traj.states[0].t == 0.0
         assert traj.summary["t"].shape == (1,)
 
+    @pytest.mark.parametrize("change", [dict(half_width=8.0), dict(alpha=0.3), dict(n=128)])
+    def test_workspace_of_another_grid_or_alpha_is_rejected(self, change):
+        """A workspace built for another domain or order used to step with its kernels without a word."""
+        cfg = _gaussian_proportional(n=256, t_end=0.05)
+        other = replace(cfg, **change)
+        ws = SpectralWorkspace(other.make_grid(), other.alpha)
+        with pytest.raises(SolverError, match="workspace .* does not match the run"):
+            run(cfg, ws=ws)
+        with pytest.raises(SolverError, match="workspace .* does not match the run"):
+            make_initial_state(cfg.initial, cfg.make_grid(), cfg.alpha, ws=ws)
+
     @pytest.mark.parametrize("scheme", ["spectral", "upwind"])
     def test_mass_conservation(self, scheme):
         traj = run(_gaussian_proportional(flux_scheme=scheme, t_end=0.5))
@@ -656,7 +673,8 @@ class TestRun:
     def test_spectral_run_step_transforms(self, monkeypatch, mode, rows):
         """Each run() step: 4 transforms stacked over the evolved rows, 4 velocity transforms of length 2n.
 
-        The first stage transforms the rows and their fluxes as one (2k, n) rfft.
+        A run is a stack of one run: the first stage transforms the rows and
+        their fluxes as one (1, 2k, n) rfft, and each velocity one (1, n) row.
 
         Only an evolved G row is integrated, once per velocity; one-row data
         take no antiderivative.
@@ -699,8 +717,8 @@ class TestRun:
         monkeypatch.setattr(solver, "_advance", spanned)
         traj = run(cfg)
         expected = Counter({
-            ("rfft", (2 * rows,), n): 1, ("rfft", (rows,), n): 1, ("irfft", (rows,), n): 2,
-            ("rfft", (), 2 * n): 2, ("irfft", (), 2 * n): 2,
+            ("rfft", (1, 2 * rows), n): 1, ("rfft", (1, rows), n): 1, ("irfft", (1, rows), n): 2,
+            ("rfft", (1,), 2 * n): 2, ("irfft", (1,), 2 * n): 2,
             "cumulative_trapezoid": 2 * (rows - 1),
         })
         assert traj.steps >= 2
@@ -983,6 +1001,51 @@ def _round_trip_initial(case: str, tmp_path: Path) -> InitialDataSpec:
         write_field_csv(path, as_field(grid, np.exp(-grid.x**2 / 0.72)))
         return InitialDataSpec(rho0=ShapeSpec(kind="csv", path=str(path)), mode="zero_G")
     return _initial_of_mode("proportional")
+
+
+class TestLockstep:
+    """_run_lockstep advances several runs as stacked rows; each is the run it would be alone."""
+
+    @pytest.mark.parametrize("mode", ["proportional", "independent"])
+    @pytest.mark.parametrize("scheme", ["spectral", "upwind"])
+    def test_each_run_is_bit_identical_to_its_own_run(self, monkeypatch, scheme, mode):
+        """Runs that differ in half_width, t_end, output_times, viscosity and alpha; one finishes first.
+
+        The run with t_end = 0 takes no step.  The stack is built once for the
+        other three and compacted as each of the first two drops out.
+        """
+        base = _gaussian_proportional(n=256, flux_scheme=scheme, initial=_initial_of_mode(mode))
+        cfgs = (
+            replace(base, t_end=0.3, output_times=(0.1, 0.3)),
+            replace(base, half_width=8.0, t_end=0.1),
+            replace(base, half_width=12.0, t_end=0.4, output_times=(0.0, 0.15, 0.35), epsilon=0.02, alpha=0.3),
+            replace(base, t_end=0.0),
+        )
+        stacks = []
+        runs = solver._Runs
+
+        def counted(cfgs, *rest):
+            stacks.append(len(cfgs))
+            return runs(cfgs, *rest)
+
+        monkeypatch.setattr(solver, "_Runs", counted)
+        trajs = _run_lockstep(cfgs)
+        assert stacks == [3, 2, 1]
+        monkeypatch.undo()
+        assert trajs[3].steps == 0 < trajs[1].steps < min(trajs[0].steps, trajs[2].steps)
+        for traj, cfg in zip(trajs, cfgs):
+            alone = run(cfg)
+            assert traj.config == cfg
+            assert traj.initial_report == alone.initial_report
+            _assert_run_matches(traj, alone.states, np.column_stack([alone.summary[c] for c in SUMMARY_COLUMNS]))
+
+    @pytest.mark.parametrize("change", [
+        dict(n=512), dict(flux_scheme="upwind"), dict(initial=_initial_of_mode("independent")),
+    ])
+    def test_runs_must_share_n_scheme_and_evolved_rows(self, change):
+        base = _gaussian_proportional(n=256)
+        with pytest.raises(SolverError, match="must share n, flux_scheme and the evolved rows"):
+            _run_lockstep((base, replace(base, **change)))
 
 
 class TestPersistence:
