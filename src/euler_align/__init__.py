@@ -20,7 +20,6 @@ from .grid import (
     Grid1D,
     GridError,
     antiderivative,
-    as_field,
     build_grid,
     integrate,
     lp_norm,

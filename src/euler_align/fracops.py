@@ -30,21 +30,23 @@ Hilbert transform -i |xi|^0, d_x^{-1} Lambda^alpha is -i |xi|^(alpha-1) and the
 derivative i xi.  The odd multipliers need no zeroed Nyquist entry: irfft
 discards the imaginary part of the zero and Nyquist bins.
 
-The velocity reconstruction is the solver's hot path.  Its one gauge is the
-real line's: u is the antiderivative that vanishes at -inf.  Its whole rho
-part -- the periodic primitive, the cumulative integral of the periodic-image
-correction and, through the offset c - c[0], the left-edge pinning -- is one
-linear convolution of rho with a pre-integrated kernel that the workspace
-builds once and keeps (see ``SpectralWorkspace.velocity_kernel_spectrum``);
-the tail anchor then moves the left-edge value from 0 to the integral over
-(-inf, -L).  When G = g_coef * rho (the solver's proportional and zero-G
-data) the kernel carries G's integral too.  ``periodic_image_correction``
+The velocity reconstruction is the solver's hot path, and ``_velocity_rows``
+is its one routine: the steps call it on their stacked rows and
+``velocity_from_state`` on a stack of one.  Its one gauge is the real line's:
+u is the antiderivative that vanishes at -inf.  Its whole rho part -- the
+periodic primitive, the cumulative integral of the periodic-image correction
+and, through the offset c - c[0], the left-edge pinning -- is one linear
+convolution of rho with a pre-integrated kernel that the workspace builds
+once and keeps (see ``SpectralWorkspace.velocity_kernel_spectrum``); the tail
+anchor then moves the left-edge value from 0 to the integral over (-inf, -L).
+G = g_coef * rho (the solver's proportional and zero-G data) is passed as
+g_coef, and the kernel carries its integral too.  ``periodic_image_correction``
 (the independent reference the tests check that kernel against, and the
 correction ``fractional_laplacian_spectral`` adds) is the same operation with
 the raw image kernel: the n-point window of a linear convolution with a
-kernel on the offsets -(n-1) .. n-1.  ``fftconvolve`` is that one routine, a
-length-2n real-FFT product with the kernel's cached spectrum; it is a
-module-level name so that call counters see every such product.
+kernel on the offsets -(n-1) .. n-1.  ``fftconvolve`` is that one routine, on
+stacked rows, a length-2n real-FFT product with the kernel's cached
+spectrum; it is a module-level name so that call counters see every product.
 
 Every transform runs on ``numpy.fft``, not ``scipy.fft``.  Both wrap the
 same pocketfft C++ code and give the same floats, but importing
@@ -99,23 +101,20 @@ def _work_array(name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
 
 
 def fftconvolve(values: np.ndarray, kernel_spectrum: np.ndarray) -> np.ndarray:
-    """Samples n-1 .. 2n-2 of the linear convolution of ``values`` (length n) with a kernel K.
+    """Samples n-1 .. 2n-2 of the linear convolution of each row of ``values``, (B, n), with a kernel K.
 
     K lives on the offsets -(n-1) .. n-1 (index d + n - 1) and ``kernel_spectrum``
-    is its length-2n rfft; the zero padding keeps the circular wrap-around out
-    of the window.  ``values`` may also stack B rows, shape (B, n), each with
-    its own kernel spectrum, shape (B, n + 1), in one call: the transforms run
-    row by row, so each row gets the floats of a one-row call.  One row is
-    transformed as a stack of one, so a run's initial velocity, its steps and
-    the image correction share one set of work arrays.  Returns a view of
-    this thread's work array (``_work_array``), of the shape of ``values``.
+    is its length-2n rfft, one per row, shape (B, n + 1), or one shared by all
+    rows, shape (n + 1,); the zero padding keeps the circular wrap-around out
+    of the window.  The transforms run row by row, so each row gets the
+    floats of a stack of one.  A run's initial velocity, its steps and the
+    image correction (one row as a stack of one) share one set of work
+    arrays.  Returns a (B, n) view of this thread's work array (``_work_array``).
     """
-    n = values.shape[-1]
-    stack = values.reshape(-1, n)
-    spectrum = np.fft.rfft(stack, 2 * n, out=_work_array("conv_hat", (len(stack), n + 1), complex))
+    b, n = values.shape
+    spectrum = np.fft.rfft(values, 2 * n, out=_work_array("conv_hat", (b, n + 1), complex))
     spectrum *= kernel_spectrum
-    conv = np.fft.irfft(spectrum, 2 * n, out=_work_array("conv", (len(stack), 2 * n)))[:, n - 1 : 2 * n - 1]
-    return conv if values.ndim == 2 else conv[0]
+    return np.fft.irfft(spectrum, 2 * n, out=_work_array("conv", (b, 2 * n)))[:, n - 1 : 2 * n - 1]
 
 
 class FracOrderError(ValueError):
@@ -311,7 +310,7 @@ def periodic_image_correction(f: Field, ws: SpectralWorkspace) -> Field:
     of Q (``SpectralWorkspace.image_kernel_spectrum``).
     """
     _check_ws(f, ws)
-    return Field(f.grid, f.grid.spacing * fftconvolve(f.values, ws.image_kernel_spectrum()))
+    return Field(f.grid, f.grid.spacing * fftconvolve(f.values[None], ws.image_kernel_spectrum())[0])
 
 
 def fractional_laplacian_spectral(
@@ -425,48 +424,36 @@ def left_tail_anchor(f: Field, alpha: float) -> float:
 
 def velocity_from_state(
     rho: Field,
-    g: Field,
+    g: Field | float,
     ws: SpectralWorkspace,
     image_correction: bool = False,
 ) -> Field:
     """Velocity u = d_x^{-1}(G + Lambda^alpha rho), the antiderivative that vanishes at -inf.
 
-    The G part is the cumulative trapezoid integral (so u at the right edge
-    approaches integrate(G)).  The rho part is one ``fftconvolve``, c = rho * K,
-    with the workspace's pre-integrated kernel (see
-    ``SpectralWorkspace.velocity_kernel_spectrum``); c - c[0] is the spectral
-    primitive of Lambda^alpha rho pinned to 0 at the left edge.
-    ``image_correction=True`` selects the kernel that also carries the
-    cumulative periodic-image term, so interior velocities match the
-    real-line operator.  The tail anchor
+    g is the G field, whose part is its cumulative trapezoid integral (so u
+    at the right edge approaches integrate(G)), or the coefficient c of
+    G = c * rho, whose kernel K_c carries that integral.  The rho part is one
+    ``fftconvolve``, c = rho * K, with the workspace's pre-integrated kernel
+    (``SpectralWorkspace.velocity_kernel_spectrum``; with ``image_correction``
+    it carries the cumulative periodic-image term, so interior velocities
+    match the real-line operator); c - c[0] is the spectral primitive of
+    Lambda^alpha rho pinned to 0 at the left edge.  The tail anchor
     ``left_tail_anchor(rho, alpha)``, the integral of Lambda^alpha rho over
     (-inf, -L) for the zero-extended density, is then added: for compactly
     supported states this is the real-line gauge, in which the velocity is
     odd for even rho and transports profiles without drift.  The result
     equals the composition of the -i |xi|^(alpha-1) multiplier,
     ``antiderivative(periodic_image_correction(rho))`` and
-    ``left_tail_anchor`` to round-off; that composition is kept as the
-    reference the tests compare against.
+    ``left_tail_anchor`` to round-off (the tests' reference).
     """
     _check_ws(rho, ws)
-    _check_ws(g, ws)
-    return Field(rho.grid, _velocity_values(rho.values, g.values, ws, image_correction))
-
-
-def _velocity_values(
-    rho: np.ndarray, g: np.ndarray | float, ws: SpectralWorkspace, image_correction: bool
-) -> np.ndarray:
-    """Raw-array core of ``velocity_from_state``; the caller has checked the grids.
-
-    g is the G row, or the coefficient c of G = c * rho: that selects the
-    kernel K_c, which carries G's cumulative trapezoid, so G is never formed.
-    It is ``_velocity_rows`` on a stack of one row.
-    """
-    row = isinstance(g, np.ndarray)
+    row = isinstance(g, Field)
+    if row:
+        _check_ws(g, ws)
     spectrum = ws.velocity_kernel_spectrum(image_correction, 0.0 if row else g)
-    return _velocity_rows(
-        rho[None], g[None] if row else None, spectrum[None], (ws.tail_anchor_weights(),), (ws.grid.spacing,)
-    )[0]
+    u = _velocity_rows(rho.values[None], g.values[None] if row else None, spectrum[None],
+                       (ws.tail_anchor_weights(),), (ws.grid.spacing,))
+    return Field(rho.grid, u[0])
 
 
 def _velocity_rows(

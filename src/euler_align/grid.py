@@ -42,9 +42,16 @@ class Grid1D:
             raise GridError(f"grid size must be an even integer >= 8, got {self.n}")
         if not (self.half_width > 0 and math.isfinite(self.half_width)):
             raise GridError(f"half_width must be positive and finite, got {self.half_width}")
-        x = -self.half_width + self.spacing * np.arange(self.n)
-        # Angular frequencies pi*k/L for k = 0 .. n/2, in rfft (half-spectrum) layout.
-        xi = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.spacing)
+        h = self.spacing
+        if not (h > 0 and math.isfinite(h) and math.isfinite(math.pi / h)):
+            raise GridError(f"grid spacing h = 2L/n = {h:g} (L = {self.half_width:g}, n = {self.n}) "
+                            "must be positive and finite, and so must pi/h")
+        try:
+            x = -self.half_width + h * np.arange(self.n)
+            # Angular frequencies pi*k/L for k = 0 .. n/2, in rfft (half-spectrum) layout.
+            xi = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=h)
+        except (ValueError, MemoryError) as exc:  # numpy refuses or fails the allocation
+            raise GridError(f"cannot allocate a grid of n = {self.n} points: {exc}") from exc
         x.setflags(write=False)
         xi.setflags(write=False)
         object.__setattr__(self, "x", x)
@@ -83,11 +90,6 @@ class Field:
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-
-def as_field(grid: Grid1D, values) -> Field:
-    """Wrap an array of samples on ``grid.x`` as a Field."""
-    return Field(grid, np.asarray(values, dtype=float))
 
 
 def integrate(f: Field) -> float:

@@ -39,7 +39,7 @@ from .fracops import (
     stroock_varopoulos_check,
     velocity_from_state,
 )
-from .grid import Field, Grid1D, as_field, build_grid
+from .grid import Field, Grid1D, build_grid
 
 __all__ = [
     "CheckRecord",
@@ -125,7 +125,7 @@ def random_bump_field(grid: Grid1D, rng: np.random.Generator) -> Field:
     [0.3, 1], so the field is both well resolved and comfortably inside the
     support margin at the default geometries.
     """
-    return as_field(grid, _bump_values(grid.x, _bump_params(rng, grid.half_width)))
+    return Field(grid, _bump_values(grid.x, _bump_params(rng, grid.half_width)))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +150,7 @@ def _check_kernel_constant() -> float:
 def _check_getoor_spectral(alpha: float) -> float:
     grid = build_grid(8192, 8.0)
     ws = SpectralWorkspace(grid, alpha)
-    phi = as_field(grid, getoor_profile(alpha, grid.x))
+    phi = Field(grid, getoor_profile(alpha, grid.x))
     lam = fractional_laplacian_spectral(phi, ws, image_correction=True)
     inner = np.abs(grid.x) <= 0.9
     return float(np.abs(lam.values[inner] - 1.0).max())
@@ -158,7 +158,7 @@ def _check_getoor_spectral(alpha: float) -> float:
 
 def _check_getoor_quadrature(alpha: float) -> float:
     grid = build_grid(4096, 8.0)
-    phi = as_field(grid, getoor_profile(alpha, grid.x))
+    phi = Field(grid, getoor_profile(alpha, grid.x))
     probes = grid.x[np.abs(grid.x) <= 0.9][:: grid.n // 256]
     vals = fractional_laplacian_quadrature(phi, alpha, probes)
     return float(np.abs(vals - 1.0).max())
@@ -187,7 +187,7 @@ def cross_validation_errors(alpha: float, rng: np.random.Generator, trials: int)
     for trial in range(trials):
         params = _bump_params(rng, half_width)
         for out, grid, ws, probes in levels:
-            f = as_field(grid, _bump_values(grid.x, params))
+            f = Field(grid, _bump_values(grid.x, params))
             spec = fractional_laplacian_spectral(f, ws, image_correction=True)
             quad = fractional_laplacian_quadrature(f, alpha, probes)
             spec_at = np.interp(probes, grid.x, spec.values)
@@ -206,7 +206,7 @@ def _check_hilbert_sine(inject_sign_error: bool) -> float:
     err = 0.0
     for k in (1, 5, 17):
         xi = np.pi * k / grid.half_width
-        f = as_field(grid, np.sin(xi * grid.x))
+        f = Field(grid, np.sin(xi * grid.x))
         h = hilbert_transform(f, ws).values
         if inject_sign_error:
             h = -h
@@ -218,7 +218,7 @@ def _check_hilbert_involution(rng: np.random.Generator) -> float:
     grid = build_grid(2048, 8.0)
     ws = SpectralWorkspace(grid, 0.5)
     f = random_bump_field(grid, rng)
-    mean_free = as_field(grid, f.values - f.values.mean())
+    mean_free = Field(grid, f.values - f.values.mean())
     twice = hilbert_transform(hilbert_transform(mean_free, ws), ws)
     return np.abs(twice.values + mean_free.values).max() / np.abs(mean_free.values).max()
 
@@ -246,11 +246,10 @@ def _check_riesz_inverse(alpha: float, rng: np.random.Generator) -> float:
 
 
 def _check_antiderivative_consistency(alpha: float, rng: np.random.Generator) -> float:
-    grid = build_grid(2048, 8.0)
-    ws = SpectralWorkspace(grid, alpha)
-    f = random_bump_field(grid, rng)
+    ws = SpectralWorkspace(build_grid(2048, 8.0), alpha)
+    f = random_bump_field(ws.grid, rng)
     # The real-line velocity; the spectral derivative removes its constant tail anchor.
-    u = velocity_from_state(f, as_field(grid, np.zeros(grid.n)), ws, image_correction=False)
+    u = velocity_from_state(f, 0.0, ws)  # G = 0 * rho
     rebuilt = derivative(u).values
     direct = fractional_laplacian_spectral(f, ws).values
     return np.abs(rebuilt - direct).max() / np.abs(direct).max()
@@ -286,7 +285,7 @@ def _check_gagliardo_nirenberg(alpha: float, rng: np.random.Generator) -> float:
     params = _bump_params(rng, grid.half_width)
     ratios = []
     for s in (1.0, 2.0, 4.0):
-        v = as_field(grid, _bump_values(grid.x, params, dilation=s))
+        v = Field(grid, _bump_values(grid.x, params, dilation=s))
         ratios.append(gagliardo_nirenberg_check(v, r=3.0, q=2.0, ws=ws)[2])
     return float(np.abs(np.asarray(ratios) / ratios[0] - 1.0).max())
 

@@ -31,7 +31,8 @@ Both schemes run through one raw-array core, ``_advance``, that
 those API boundaries, for each ``step`` result and each state a run records.
 The core advances B runs at once as stacked rows (B, k, n), each run on its
 own grid with its own dt and constants, and gives each run the floats of its
-own step; ``run`` is the loop with one run.
+own step; ``run`` is the loop with one run.  ``_workspace`` builds or checks
+each run's workspace: ``make_initial_state``, ``run`` and ``step`` call it.
 
 G solves rho's equation with the same u and eps, so G/rho is carried by the
 flow.  Only ``independent`` initial data evolve G, as a second row stacked
@@ -46,7 +47,7 @@ from __future__ import annotations
 import json
 import math
 import time as _time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -54,11 +55,10 @@ import numpy as np
 
 from ._version import __version__
 from .closedform import getoor_profile
-from .fracops import FracOrder, SpectralWorkspace, _velocity_rows, _velocity_values, _work_array
+from .fracops import FracOrder, SpectralWorkspace, _velocity_rows, _work_array, velocity_from_state
 from .grid import (
     Field,
     Grid1D,
-    as_field,
     build_grid,
     read_field_csv,
     _write_csv,
@@ -96,7 +96,9 @@ SUPPORT_LEVEL = 1e-8
 #: floor while remaining four orders of magnitude below any physical peak.
 MARGIN_ABORT_LEVEL = 1e-4
 
-_SHAPE_KINDS = ("gaussian", "bump", "getoor", "csv")
+#: The ShapeSpec fields each kind reads, besides ``kind``.
+_SHAPE_READS = {"gaussian": ("mass", "width", "center"), "bump": ("mass", "width", "center"),
+                "getoor": ("center", "amplitude"), "csv": ("path",)}
 _MODES = ("proportional", "independent", "zero_G")
 _SCHEMES = ("spectral", "upwind")
 
@@ -129,7 +131,7 @@ SUMMARY_COLUMNS = (
 class ShapeSpec:
     """Named analytic bump family (or CSV file) for one scalar profile.
 
-    kinds:
+    kinds (a field its kind does not read must keep its default, else SolverError):
       * ``gaussian``: mass / (width*sqrt(2*pi)) * exp(-(x-center)^2/(2*width^2))
       * ``bump``: compactly supported C^inf bump on |x-center| < width,
         exp(1 - 1/(1 - y^2)) normalized on the grid to the requested mass
@@ -145,8 +147,8 @@ class ShapeSpec:
     path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _SHAPE_KINDS:
-            raise SolverError(f"unknown shape kind {self.kind!r}; expected one of {_SHAPE_KINDS}")
+        if self.kind not in _SHAPE_READS:
+            raise SolverError(f"unknown shape kind {self.kind!r}; expected one of {tuple(_SHAPE_READS)}")
         for name in ("mass", "width", "center", "amplitude"):
             v = float(getattr(self, name))
             if not math.isfinite(v):
@@ -159,6 +161,10 @@ class ShapeSpec:
             raise SolverError("getoor shape requires amplitude > 0")
         if self.path == "":  # as the INI key ``rho0_path = `` parses back
             object.__setattr__(self, "path", None)
+        unread = [f.name for f in fields(self)
+                  if f.name not in ("kind", *_SHAPE_READS[self.kind]) and getattr(self, f.name) != f.default]
+        if unread:
+            raise SolverError(f"a {self.kind} shape does not read {', '.join(unread)}; leave it out or at its default")
         if self.kind == "csv" and not self.path:
             raise SolverError("csv shape requires a path")
 
@@ -178,8 +184,7 @@ def evaluate_shape(shape: ShapeSpec, grid: Grid1D, alpha: float) -> np.ndarray:
         return vals * (shape.mass / total)
     if shape.kind == "getoor":
         return shape.amplitude * np.asarray(getoor_profile(alpha, x - shape.center))
-    f = read_field_csv(shape.path, grid)
-    return np.array(f.values)
+    return np.array(read_field_csv(shape.path, grid).values)
 
 
 @dataclass(frozen=True)
@@ -293,13 +298,7 @@ def make_initial_state(
     A workspace built for another grid or another alpha raises SolverError.
     """
     a = float(FracOrder(alpha))
-    if ws is None:
-        ws = SpectralWorkspace(grid, a)
-    elif ws.grid != grid or ws.alpha != a:
-        raise SolverError(
-            f"workspace (n = {ws.grid.n}, L = {ws.grid.half_width:g}, alpha = {ws.alpha:g}) does not match "
-            f"the run (n = {grid.n}, L = {grid.half_width:g}, alpha = {a:g})"
-        )
+    ws = _workspace(grid, a, ws)
     rho0 = evaluate_shape(spec.rho0, grid, a)
     peak = float(np.abs(rho0).max())
     if float(rho0.min()) < -1e-13 * max(peak, 1.0):
@@ -325,11 +324,21 @@ def make_initial_state(
         ):
             raise SolverError("initial G support extends beyond [-L/2, L/2]")
         b, a_c = _sandwich_constants(rho0, g0)
-    rho_f = as_field(grid, rho0)
-    g_f = as_field(grid, g0)
-    g_arg = g0 if spec.mode == "independent" else _g_coef(spec)
-    u_f = Field(grid, _velocity_values(rho0, g_arg, ws, image_correction))
+    rho_f, g_f = Field(grid, rho0), Field(grid, g0)
+    u_f = velocity_from_state(rho_f, g_f if spec.mode == "independent" else _g_coef(spec), ws, image_correction)
     return State(rho=rho_f, g=g_f, t=0.0, u=u_f), InitialReport(b=b, a=a_c)
+
+
+def _workspace(grid: Grid1D, alpha: float, ws: SpectralWorkspace | None) -> SpectralWorkspace:
+    """ws, or a new workspace for (grid, alpha) when it is None; SolverError if ws is for another pair."""
+    if ws is None:
+        return SpectralWorkspace(grid, alpha)
+    if ws.grid != grid or ws.alpha != alpha:
+        raise SolverError(
+            f"workspace (n = {ws.grid.n}, L = {ws.grid.half_width:g}, alpha = {ws.alpha:g}) does not match "
+            f"the run (n = {grid.n}, L = {grid.half_width:g}, alpha = {alpha:g})"
+        )
+    return ws
 
 
 # ---------------------------------------------------------------------------
@@ -597,10 +606,11 @@ def step(state: State, dt: float, cfg: SolverConfig, ws: SpectralWorkspace) -> S
     """Advance one time step of size dt; mass-conservative, u recomputed.
 
     state.u must be the velocity State describes; both schemes use it as
-    their first-stage velocity.  Raises SolverError on a CFL violation (dt
-    beyond the scheme's stability cap) or if the update produces non-finite
-    values.  It wraps the raw-array core ``_run_lockstep`` loops on, for one
-    run, adding these checks and the new State's 3 ``Field``s.  In
+    their first-stage velocity.  Raises SolverError if ws is not for the
+    state's grid or for cfg's grid and alpha (``_workspace``), on a CFL
+    violation (dt beyond the scheme's stability cap) or if the update
+    produces non-finite values.  It wraps the raw-array core ``_run_lockstep``
+    loops on, for one run, adding these checks and the new State's 3 ``Field``s.  In
     proportional and zero_G modes state.g is not read: the new G is formed
     from the new rho.
     """
@@ -609,6 +619,7 @@ def step(state: State, dt: float, cfg: SolverConfig, ws: SpectralWorkspace) -> S
     grid = ws.grid
     if state.rho.grid != grid:
         raise SolverError("state and workspace grids differ")
+    _workspace(cfg.make_grid(), cfg.alpha, ws)
     h = grid.spacing
     eps = cfg.effective_epsilon(h)
     u_inf = float(np.abs(state.u.values).max())
@@ -697,7 +708,7 @@ class _RunLog:
     def __init__(self, cfg: SolverConfig, ws: SpectralWorkspace | None):
         self.cfg = cfg
         self.grid = grid = cfg.make_grid()
-        self.ws = ws if ws is not None else SpectralWorkspace(grid, cfg.alpha)
+        self.ws = _workspace(grid, cfg.alpha, ws)
         self.h, self.scale = grid.spacing, _peak_scale(cfg)
         self.eps = cfg.effective_epsilon(self.h)
         self.initial, self.report = state, report = make_initial_state(
@@ -929,7 +940,7 @@ def load_trajectory(directory: str | Path) -> Trajectory:
         x, rho, g, u = arr.T
         if abs(x[0] - grid.x[0]) > 1e-12 * max(1.0, grid.half_width):
             raise SolverError(f"state file {entry['file']} grid does not match the manifest config")
-        states.append(State(as_field(grid, rho), as_field(grid, g), float(entry["t"]), as_field(grid, u)))
+        states.append(State(Field(grid, rho), Field(grid, g), float(entry["t"]), Field(grid, u)))
     table = np.loadtxt(d / manifest["summary_file"], delimiter=",", ndmin=2)
     if table.shape[1] != len(SUMMARY_COLUMNS):
         raise SolverError(

@@ -16,12 +16,12 @@ import numpy as np
 import pytest
 
 from euler_align import (
+    Field,
     InitialDataSpec,
     RarefactionTriple,
     ShapeSpec,
     SolverConfig,
     SpectralWorkspace,
-    as_field,
     barenblatt_limit_experiment,
     build_grid,
     cross_validation_errors,
@@ -86,7 +86,7 @@ def test_criterion_01_profile_identity():
     for alpha in ALPHAS:
         grid = build_grid(8192, 8.0)
         ws = SpectralWorkspace(grid, alpha)
-        phi = as_field(grid, getoor_profile(alpha, grid.x))
+        phi = Field(grid, getoor_profile(alpha, grid.x))
         inner = np.abs(grid.x) <= 0.9
         spec = fractional_laplacian_spectral(phi, ws, image_correction=True)
         err_spec = float(np.abs(spec.values[inner] - 1.0).max())
@@ -378,7 +378,7 @@ def test_criterion_10_inequality_oracles():
         ws = SpectralWorkspace(gn_grid, alpha)
         ratios = []
         for s in (1.0, 2.0, 4.0):
-            v = as_field(gn_grid, s * np.exp(-0.5 * (s * gn_grid.x) ** 2))
+            v = Field(gn_grid, s * np.exp(-0.5 * (s * gn_grid.x) ** 2))
             ratios.append(gagliardo_nirenberg_check(v, r=3.0, q=2.0, ws=ws)[2])
         worst_gn = max(worst_gn, max(abs(r / ratios[0] - 1.0) for r in ratios))
     ok = failures == 0 and worst_gn <= 5e-2

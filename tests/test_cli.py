@@ -150,6 +150,30 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(_write(tmp_path, "g.ini", text)), "--out", str(out)]) == 2
         assert "proportional mode only" in _manifest(out)["failure"]
 
+    def test_shape_key_the_kind_ignores_exits_two_with_manifest(self, tmp_path):
+        cfg = _write(tmp_path, "ignored.ini", SMALL_RUN.replace("rho0_kind = gaussian", "rho0_kind = getoor"))
+        out = tmp_path / "ignored"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "a getoor shape does not read width" in _manifest(out)["failure"]
+
+    @pytest.mark.parametrize(
+        "old, new, cause",
+        [
+            ("n = 256", "n = 1e20", "cannot allocate a grid of n = 100000000000000000000 points"),
+            ("n = 256", f"n = {1 << 62}", f"cannot allocate a grid of n = {1 << 62} points"),
+            ("half_width = 8.0", "half_width = 1e308", "grid spacing h = 2L/n = inf"),
+        ],
+        ids=["n_beyond_intp", "n_beyond_bytes", "infinite_spacing"],
+    )
+    def test_grid_that_cannot_be_built_exits_two_with_one_error_line(self, tmp_path, capsys, old, new, cause):
+        """numpy refuses these sizes before it allocates anything; the spacing overflows to inf."""
+        cfg = _write(tmp_path, "grid.ini", SMALL_RUN.replace(old, new))
+        out = tmp_path / "grid"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {cause}")
+        assert cause in _manifest(out)["failure"]
+
     def test_infinite_grid_size_exits_two_with_manifest(self, tmp_path):
         cfg = _write(tmp_path, "inf.ini", SMALL_RUN.replace("n = 256", "n = inf"))
         out = tmp_path / "inf"
@@ -178,8 +202,8 @@ class TestSimulateCommand:
             values[100] = bad_sample
             rows = "".join(f"{xv:.17g},{v}\n" for xv, v in zip(x, values))
             (tmp_path / "rho0.csv").write_text("# x,value\n" + rows)
-        cfg = _write(tmp_path, "csv.ini", SMALL_RUN.replace(
-            "rho0_kind = gaussian", "rho0_kind = csv\nrho0_path = rho0.csv"))
+        cfg = _write(tmp_path, "csv.ini", SMALL_RUN.replace(  # a csv shape reads no width
+            "rho0_kind = gaussian\nrho0_width = 0.5", "rho0_kind = csv\nrho0_path = rho0.csv"))
         out = tmp_path / "csv"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         manifest = _manifest(out)
@@ -190,8 +214,8 @@ class TestSimulateCommand:
         # path is resolved against it; the CSV itself is never read.
         folder = tmp_path / "runs #1"
         folder.mkdir()
-        cfg = _write(folder, "csv.ini", SMALL_RUN.replace(
-            "rho0_kind = gaussian", "rho0_kind = csv\nrho0_path = rho0.csv"))
+        cfg = _write(folder, "csv.ini", SMALL_RUN.replace(  # a csv shape reads no width
+            "rho0_kind = gaussian\nrho0_width = 0.5", "rho0_kind = csv\nrho0_path = rho0.csv"))
         out = tmp_path / "csv"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         manifest = _manifest(out)
@@ -406,7 +430,7 @@ class TestScalingCommand:
     )
     def test_missing_initial_csv_exits_two_with_manifest(self, tmp_path, mode, initial):
         base = SCALING_BASE.replace("mode = proportional", initial).replace(
-            "rho0_kind = bump", "rho0_kind = csv\nrho0_path = rho0.csv"
+            "rho0_kind = bump\nrho0_width = 2.0", "rho0_kind = csv\nrho0_path = rho0.csv"  # a csv shape reads no width
         )
         cfg = _write(tmp_path, "csv.ini", base)
         out = tmp_path / "sccsv"

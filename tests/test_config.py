@@ -13,11 +13,11 @@ import pytest
 
 from euler_align import (
     ConfigError,
+    Field,
     InitialDataSpec,
     ShapeSpec,
     SolverConfig,
     SolverError,
-    as_field,
     build_grid,
     dump_config,
     load_config,
@@ -151,6 +151,31 @@ class TestParse:
         with pytest.raises(ConfigError, match=message):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("gaussian", "amplitude", "9.0"),
+            ("gaussian", "path", "data.csv"),
+            ("bump", "amplitude", "9.0"),
+            ("bump", "path", "data.csv"),
+            ("getoor", "mass", "7.0"),
+            ("getoor", "width", "5.0"),
+            ("getoor", "path", "data.csv"),
+            ("csv", "mass", "2.0"),
+            ("csv", "width", "2.0"),
+            ("csv", "amplitude", "2.0"),
+            ("csv", "center", "0.5"),
+        ],
+    )
+    def test_rejects_shape_keys_the_kind_does_not_read(self, kind, key, value):
+        """A shape key the kind would not read is an error, not silently dropped; its default is accepted."""
+        shape = f"rho0_kind = {kind}" + ("\nrho0_path = data.csv" if kind == "csv" else "")
+        text = MINIMAL.replace("rho0_kind = gaussian", shape).replace("mode = proportional", "mode = zero_G")
+        default = {"mass": "1.0", "width": "1.0", "center": "0.0", "amplitude": "1.0", "path": ""}[key]
+        assert parse_config(text + f"rho0_{key} = {default}\n") == parse_config(text)
+        with pytest.raises(ConfigError, match=f"invalid rho0 shape: a {kind} shape does not read {key}"):
+            parse_config(text + f"rho0_{key} = {value}\n")
+
     def test_missing_required_key(self):
         text = MINIMAL.replace("t_end = 1.0", "cfl = 0.4")
         with pytest.raises(ConfigError, match="t_end"):
@@ -162,7 +187,7 @@ class TestParse:
 
     def test_relative_csv_path_resolves_against_base_dir(self, tmp_path):
         grid = build_grid(128, 6.0)
-        write_field_csv(tmp_path / "data.csv", as_field(grid, np.exp(-grid.x**2)))
+        write_field_csv(tmp_path / "data.csv", Field(grid, np.exp(-grid.x**2)))
         text = MINIMAL.replace(
             "rho0_kind = gaussian", "rho0_kind = csv\nrho0_path = data.csv"
         ).replace("mode = proportional", "mode = zero_G")
@@ -269,14 +294,12 @@ class TestDump:
 _POSITIVE = st.floats(min_value=5e-324, max_value=1e300)
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
-_SHAPES = st.builds(
-    ShapeSpec,
-    kind=st.sampled_from(("gaussian", "bump", "getoor", "csv")),
-    mass=_POSITIVE,
-    width=_POSITIVE,
-    center=_FINITE,
-    amplitude=_POSITIVE,
-    path=st.from_regex(r"(\.?/)?[a-z0-9_]{1,8}(//?[a-z0-9_]{1,8})?\.csv/?", fullmatch=True),
+# Each kind draws only the fields it reads: ShapeSpec rejects any other at a non-default value.
+_SHAPES = st.one_of(
+    st.builds(ShapeSpec, kind=st.sampled_from(("gaussian", "bump")), mass=_POSITIVE, width=_POSITIVE, center=_FINITE),
+    st.builds(ShapeSpec, kind=st.just("getoor"), center=_FINITE, amplitude=_POSITIVE),
+    st.builds(ShapeSpec, kind=st.just("csv"),
+              path=st.from_regex(r"(\.?/)?[a-z0-9_]{1,8}(//?[a-z0-9_]{1,8})?\.csv/?", fullmatch=True)),
 )
 
 

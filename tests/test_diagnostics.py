@@ -11,6 +11,7 @@ import pytest
 
 from euler_align import (
     DiagnosticsError,
+    Field,
     InitialDataSpec,
     InitialReport,
     RarefactionTriple,
@@ -18,7 +19,6 @@ from euler_align import (
     SolverConfig,
     State,
     Trajectory,
-    as_field,
     attractor_density,
     barenblatt_limit_experiment,
     build_grid,
@@ -108,8 +108,8 @@ def _synthetic_trajectory(grid, times, u_of_t, rho_of_t=None, report=None) -> Tr
             if rho_of_t is not None
             else np.zeros(grid.n)
         )
-        f_rho = as_field(grid, rho)
-        f_u = as_field(grid, u)
+        f_rho = Field(grid, rho)
+        f_u = Field(grid, u)
         states.append(State(rho=f_rho, g=f_rho, t=float(t), u=f_u))
         rows.append([float(t)] + [0.0] * (len(SUMMARY_COLUMNS) - 1))
     table = np.asarray(rows)

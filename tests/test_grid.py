@@ -10,7 +10,6 @@ from euler_align import (
     Field,
     GridError,
     antiderivative,
-    as_field,
     build_grid,
     integrate,
     lp_norm,
@@ -57,18 +56,18 @@ class TestField:
     def test_length_mismatch_rejected(self):
         grid = build_grid(16, 1.0)
         with pytest.raises(GridError):
-            as_field(grid, np.zeros(17))
+            Field(grid, np.zeros(17))
 
     def test_non_finite_rejected(self):
         grid = build_grid(16, 1.0)
         values = np.zeros(16)
         values[3] = np.nan
         with pytest.raises(GridError):
-            as_field(grid, values)
+            Field(grid, values)
 
     def test_equality_and_hash_are_identity(self):
         grid = build_grid(16, 1.0)
-        f, g = as_field(grid, np.ones(16)), as_field(grid, np.ones(16))
+        f, g = Field(grid, np.ones(16)), Field(grid, np.ones(16))
         assert f == f and f != g and not (f == g)
         assert hash(f) == hash(f)
         assert {f: "f", g: "g"}[g] == "g"
@@ -78,7 +77,7 @@ class TestField:
 class TestNorms:
     def test_constant_field_exact(self):
         grid = build_grid(128, 3.0)
-        f = as_field(grid, np.ones(128))
+        f = Field(grid, np.ones(128))
         assert integrate(f) == pytest.approx(6.0, rel=1e-14)
         assert lp_norm(f, 1) == pytest.approx(6.0, rel=1e-14)
         assert lp_norm(f, 2) == pytest.approx(np.sqrt(6.0), rel=1e-14)
@@ -86,13 +85,13 @@ class TestNorms:
 
     def test_periodic_mode_l2(self):
         grid = build_grid(256, np.pi)
-        f = as_field(grid, np.sin(grid.x))
+        f = Field(grid, np.sin(grid.x))
         # ||sin||_2^2 over one period = pi
         assert lp_norm(f, 2) == pytest.approx(np.sqrt(np.pi), rel=1e-12)
 
     def test_antiderivative_of_cosine(self):
         grid = build_grid(512, np.pi)
-        f = as_field(grid, np.cos(grid.x))
+        f = Field(grid, np.cos(grid.x))
         F = antiderivative(f)
         target = np.sin(grid.x) - np.sin(grid.x[0])
         npt.assert_allclose(F.values, target, atol=5e-5)
@@ -102,7 +101,7 @@ class TestNorms:
 class TestCsv:
     def test_round_trip_exact(self, tmp_path, rng):
         grid = build_grid(128, 4.0)
-        f = as_field(grid, rng.normal(size=128))
+        f = Field(grid, rng.normal(size=128))
         path = tmp_path / "field.csv"
         write_field_csv(path, f)
         back = read_field_csv(path, grid)
@@ -110,6 +109,6 @@ class TestCsv:
 
     def test_grid_mismatch_rejected(self, tmp_path):
         grid = build_grid(128, 4.0)
-        write_field_csv(tmp_path / "f.csv", as_field(grid, np.ones(128)))
+        write_field_csv(tmp_path / "f.csv", Field(grid, np.ones(128)))
         with pytest.raises(GridError):
             read_field_csv(tmp_path / "f.csv", build_grid(128, 5.0))

@@ -3,7 +3,9 @@
 Importing the package, loading a config, building a workspace, making the
 initial state, the self-test and the ``profiles`` command load no scipy
 module: every transform runs on ``numpy.fft``, and the closed forms on one
-numpy Gauss-Legendre rule.  No module of the package imports scipy.
+numpy Gauss-Legendre rule.  No module of the package imports scipy.  The
+benchmark's set-up probe (``perfbench/setup_probe.py``) runs as it is, in a
+fresh interpreter, on the shipped configs and on the operator grid.
 """
 
 from __future__ import annotations
@@ -11,6 +13,10 @@ from __future__ import annotations
 import ast
 import json
 from pathlib import Path
+import subprocess
+import sys
+
+import pytest
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src" / "euler_align"
@@ -58,6 +64,17 @@ def test_set_up_of_shipped_configs_loads_no_scipy(fresh_python):
         )
     )
     assert loaded == []
+
+
+@pytest.mark.parametrize("operators", [False, True], ids=["shipped_configs", "operators"])
+def test_benchmark_setup_probe_runs(operators):
+    """The benchmark's ``setup_s`` is what ``perfbench/setup_probe.py`` prints: run the script itself, not a copy."""
+    args = ["--operators"] if operators else sorted(str(p) for p in CONFIG_DIR.glob("*.ini"))
+    assert args
+    probe = SRC_DIR.parents[1] / "perfbench" / "setup_probe.py"
+    proc = subprocess.run([sys.executable, str(probe), *args], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout.splitlines()[-1]) > 0
 
 
 def test_selftest_and_profiles_leave_heavy_scipy_unloaded(fresh_python, tmp_path):

@@ -26,7 +26,6 @@ from euler_align import (
     SolverError,
     SpectralWorkspace,
     State,
-    as_field,
     build_grid,
     evaluate_shape,
     evolved_profile_density,
@@ -37,6 +36,7 @@ from euler_align import (
     run,
     save_trajectory,
     step,
+    velocity_from_state,
     write_field_csv,
 )
 from euler_align.solver import _run_lockstep
@@ -68,7 +68,8 @@ def _rolled_upwind_rhs(rho, g, ws, cfg, eps, g_coef=None):
     With g_coef given, the velocity takes G = g_coef * rho in coefficient form.
     """
     h = ws.grid.spacing
-    u = fracops._velocity_values(rho, g if g_coef is None else g_coef, ws, cfg.image_correction)
+    g_arg = Field(ws.grid, g) if g_coef is None else g_coef
+    u = velocity_from_state(Field(ws.grid, rho), g_arg, ws, cfg.image_correction).values
     u_face = 0.5 * (u + np.roll(u, -1))
     u_plus = np.maximum(u_face, 0.0)
     u_minus = np.minimum(u_face, 0.0)
@@ -113,7 +114,7 @@ def _reference_strang_step(rho, g, dt, ws, cfg, eps):
         return scipy.fft.irfft(half * scipy.fft.rfft(y), n)
 
     def transport_rhs(y):
-        u = fracops._velocity_values(y[0], y[1], ws, cfg.image_correction)
+        u = velocity_from_state(Field(ws.grid, y[0]), Field(ws.grid, y[1]), ws, cfg.image_correction).values
         return -scipy.fft.irfft(ik * scipy.fft.rfft(y * u), n)
 
     y = diffuse(np.stack((rho, g)))
@@ -142,13 +143,13 @@ class TestShapes:
     def test_gaussian_mass_and_center(self):
         grid = build_grid(1024, 12.0)
         vals = evaluate_shape(ShapeSpec(kind="gaussian", mass=2.5, width=0.7, center=1.0), grid, 0.5)
-        assert integrate(as_field(grid, vals)) == pytest.approx(2.5, rel=1e-10)
+        assert integrate(Field(grid, vals)) == pytest.approx(2.5, rel=1e-10)
         assert grid.x[int(np.argmax(vals))] == pytest.approx(1.0, abs=grid.spacing)
 
     def test_bump_is_normalized_on_grid(self):
         grid = build_grid(512, 8.0)
         vals = evaluate_shape(ShapeSpec(kind="bump", mass=3.0, width=1.5), grid, 0.5)
-        assert integrate(as_field(grid, vals)) == pytest.approx(3.0, rel=1e-13)
+        assert integrate(Field(grid, vals)) == pytest.approx(3.0, rel=1e-13)
         assert np.all(vals[np.abs(grid.x) >= 1.5] == 0.0)
 
     def test_getoor_shape_scales_amplitude(self):
@@ -162,7 +163,7 @@ class TestShapes:
         grid = build_grid(128, 5.0)
         ref = np.exp(-grid.x**2)
         path = tmp_path / "field.csv"
-        write_field_csv(path, as_field(grid, ref))
+        write_field_csv(path, Field(grid, ref))
         vals = evaluate_shape(ShapeSpec(kind="csv", path=str(path)), grid, 0.5)
         npt.assert_array_equal(vals, ref)
 
@@ -247,7 +248,7 @@ class TestInitialData:
         vals = np.exp(-grid.x**2)
         vals[10] = -0.05
         path = tmp_path / "neg.csv"
-        write_field_csv(path, as_field(grid, vals))
+        write_field_csv(path, Field(grid, vals))
         spec = InitialDataSpec(rho0=ShapeSpec(kind="csv", path=str(path)), mode="zero_G")
         with pytest.raises(SolverError, match="negative"):
             make_initial_state(spec, grid, 0.5)
@@ -261,7 +262,7 @@ class TestInitialData:
     def test_rejects_trivial_proportional_density(self, tmp_path):
         grid = build_grid(128, 6.0)
         path = tmp_path / "zero.csv"
-        write_field_csv(path, as_field(grid, np.zeros(grid.n)))
+        write_field_csv(path, Field(grid, np.zeros(grid.n)))
         spec = InitialDataSpec(rho0=ShapeSpec(kind="csv", path=str(path)), mode="proportional")
         with pytest.raises(SolverError, match="nontrivial"):
             make_initial_state(spec, grid, 0.5)
@@ -485,11 +486,11 @@ class TestStep:
                 return core(*args, **kwargs)
             return counted
 
-        # Every reconstruction, one row or stacked, raw or Field-wrapped, enters
-        # through one of these names; the one-row form calls the stacked core
-        # by its fracops name, so no call is counted twice.
-        monkeypatch.setattr(fracops, "_velocity_values", counter("row", fracops._velocity_values))
-        monkeypatch.setattr(solver, "_velocity_values", counter("row", solver._velocity_values))
+        # Every reconstruction, one row or stacked, enters through one of these
+        # names; the one-row entry calls the stacked core by its fracops name,
+        # so no call is counted twice.
+        monkeypatch.setattr(fracops, "velocity_from_state", counter("row", fracops.velocity_from_state))
+        monkeypatch.setattr(solver, "velocity_from_state", counter("row", solver.velocity_from_state))
         monkeypatch.setattr(solver, "_velocity_rows", counter("rows", solver._velocity_rows))
         eps = cfg.effective_epsilon(grid.spacing)
         u_inf = float(np.abs(state.u.values).max())
@@ -622,6 +623,18 @@ class TestRun:
             run(cfg, ws=ws)
         with pytest.raises(SolverError, match="workspace .* does not match the run"):
             make_initial_state(cfg.initial, cfg.make_grid(), cfg.alpha, ws=ws)
+        # step: the state and its own workspace under a cfg that names another grid or alpha,
+        # then the state under its cfg with the other workspace.
+        own = SpectralWorkspace(cfg.make_grid(), cfg.alpha)
+        state, _ = make_initial_state(cfg.initial, own.grid, cfg.alpha, ws=own)
+        with pytest.raises(SolverError, match="workspace .* does not match the run"):
+            step(state, 1e-4, other, own)
+        if ws.grid == own.grid:  # a workspace for another alpha
+            with pytest.raises(SolverError, match="workspace .* does not match the run"):
+                step(state, 1e-4, cfg, ws)
+        else:  # the state's own check comes first
+            with pytest.raises(SolverError, match="state and workspace grids differ"):
+                step(state, 1e-4, cfg, ws)
 
     @pytest.mark.parametrize("scheme", ["spectral", "upwind"])
     def test_mass_conservation(self, scheme):
@@ -892,7 +905,7 @@ class TestRun:
         """rho0 = 0.5 on |x| < 1 as csv data: bounded, integrable, discontinuous and at vacuum."""
         grid = build_grid(1024, 16.0)
         path = tmp_path / "box.csv"
-        write_field_csv(path, as_field(grid, np.where(np.abs(grid.x) < 1.0, 0.5, 0.0)))
+        write_field_csv(path, Field(grid, np.where(np.abs(grid.x) < 1.0, 0.5, 0.0)))
         return SolverConfig(
             alpha=0.5,
             n=1024,
@@ -998,7 +1011,7 @@ def _round_trip_initial(case: str, tmp_path: Path) -> InitialDataSpec:
     if case == "csv_rho0":
         grid = build_grid(512, 10.0)
         path = tmp_path / "rho0.csv"
-        write_field_csv(path, as_field(grid, np.exp(-grid.x**2 / 0.72)))
+        write_field_csv(path, Field(grid, np.exp(-grid.x**2 / 0.72)))
         return InitialDataSpec(rho0=ShapeSpec(kind="csv", path=str(path)), mode="zero_G")
     return _initial_of_mode("proportional")
 
