@@ -78,6 +78,7 @@ from .grid import (
 )
 
 N_IMAGES = 64  # image pairs SpectralWorkspace.image_kernel sums before its analytic tail
+WORKSPACE_BUDGET = 32 << 20  # bytes the workspaces ``workspace`` keeps may hold, lazily built arrays included
 NODES_PER_SHELL = 48  # midpoint nodes per dyadic shell in fractional_laplacian_quadrature
 _QUAD_FLOATS = 1 << 13  # node values per block there: 64 KiB, half glibc's mmap and trim thresholds
 
@@ -160,16 +161,19 @@ class SpectralWorkspace:
     the transport multipliers are all built on first use, so a workspace that
     never reconstructs a velocity never pays for the velocity's arrays.
     Every cached array is frozen, and building one twice gives the same
-    values, so a workspace may be shared across threads and pickled.  The
-    scratch arrays that the velocity and the spectral step write into are not
-    part of it: they are per thread, one set per grid size and stack height
-    (``_work_array``).
+    values, so a workspace is shared per process via ``workspace(grid,
+    alpha)``, one per (n, L, alpha) within ``WORKSPACE_BUDGET`` bytes, and
+    across threads, and it pickles.  ``nbytes`` counts the arrays it holds,
+    its grid's included.  The scratch arrays that the velocity and the
+    spectral step write into are not part of it: they are per thread, one set
+    per grid size and stack height (``_work_array``).
     """
 
     def __init__(self, grid: Grid1D, alpha: float):
         self.grid = grid
         self.alpha = float(FracOrder(alpha))
         self._cache: dict[tuple, np.ndarray | tuple[np.ndarray, ...]] = {}
+        self.nbytes = grid.x.nbytes + grid.wavenumbers.nbytes
 
     def _cached(self, key: tuple, build):
         """The value stored under key; on first use ``build()`` makes it and its arrays are frozen."""
@@ -178,6 +182,7 @@ class SpectralWorkspace:
             value = build()
             for arr in value if isinstance(value, tuple) else (value,):
                 arr.setflags(write=False)
+                self.nbytes += arr.nbytes
             self._cache[key] = value
         return value
 
@@ -289,6 +294,26 @@ class SpectralWorkspace:
             return xi**2, 1j * xi * (xi <= (2.0 / 3.0) * xi.max())
 
         return self._cached(("transport",), build)
+
+
+_SHARED: dict[tuple[int, float, float], SpectralWorkspace] = {}  # least recently used first
+
+
+def workspace(grid: Grid1D, alpha: float) -> SpectralWorkspace:
+    """The process's shared SpectralWorkspace for (grid.n, grid.half_width, alpha), built on first use.
+
+    Equal grids share it, also when built apart.  Each call keeps the most
+    recently used workspaces while their ``nbytes``, lazily built arrays
+    included, fit in ``WORKSPACE_BUDGET``, and always the one it returns.  No
+    lock is held while building, so a racing thread or a fork costs at most a
+    duplicate build.  ``SpectralWorkspace(grid, alpha)`` gives a private one.
+    """
+    key = (grid.n, float(grid.half_width), float(FracOrder(alpha)))
+    ws = _SHARED.pop(key, None) or SpectralWorkspace(grid, alpha)
+    _SHARED[key] = ws  # reinserted last, as the most recently used
+    while len(_SHARED) > 1 and sum(w.nbytes for w in list(_SHARED.values())) > WORKSPACE_BUDGET:
+        _SHARED.pop(list(_SHARED)[0], None)  # the least recently used
+    return ws
 
 
 def apply_multiplier(f: Field, multiplier: np.ndarray) -> Field:

@@ -28,7 +28,6 @@ import numpy as np
 
 from .closedform import _moments, getoor_constant, getoor_profile, velocity_profile_U
 from .fracops import (
-    SpectralWorkspace,
     derivative,
     fractional_laplacian_quadrature,
     fractional_laplacian_spectral,
@@ -38,6 +37,7 @@ from .fracops import (
     singular_kernel_constant,
     stroock_varopoulos_check,
     velocity_from_state,
+    workspace,
 )
 from .grid import Field, Grid1D, build_grid
 
@@ -149,7 +149,7 @@ def _check_kernel_constant() -> float:
 
 def _check_getoor_spectral(alpha: float) -> float:
     grid = build_grid(8192, 8.0)
-    ws = SpectralWorkspace(grid, alpha)
+    ws = workspace(grid, alpha)
     phi = Field(grid, getoor_profile(alpha, grid.x))
     lam = fractional_laplacian_spectral(phi, ws, image_correction=True)
     inner = np.abs(grid.x) <= 0.9
@@ -173,8 +173,8 @@ def cross_validation_errors(alpha: float, rng: np.random.Generator, trials: int)
     one is a corrected Fourier multiplier, the other a fixed dyadic-shell
     midpoint rule (``fracops.NODES_PER_SHELL`` nodes per shell) for the
     singular integral of the difference kernel, so agreement validates both.
-    Each resolution's grid and workspace are built once and shared by all
-    trials.
+    Each resolution's grid is built once, and its workspace is the process's
+    shared one (``fracops.workspace``), for all trials and all calls.
     """
     half_width = 8.0
     coarse = np.empty(trials)
@@ -183,7 +183,7 @@ def cross_validation_errors(alpha: float, rng: np.random.Generator, trials: int)
     for out, n in ((coarse, 1024), (fine, 2048)):
         grid = build_grid(n, half_width)
         probes = grid.x[np.abs(grid.x) <= 0.75 * half_width][:: n // 64]
-        levels.append((out, grid, SpectralWorkspace(grid, alpha), probes))
+        levels.append((out, grid, workspace(grid, alpha), probes))
     for trial in range(trials):
         params = _bump_params(rng, half_width)
         for out, grid, ws, probes in levels:
@@ -202,7 +202,7 @@ def _check_cross_validation(alpha: float, rng: np.random.Generator) -> tuple[flo
 
 def _check_hilbert_sine(inject_sign_error: bool) -> float:
     grid = build_grid(2048, 8.0)
-    ws = SpectralWorkspace(grid, 0.5)
+    ws = workspace(grid, 0.5)
     err = 0.0
     for k in (1, 5, 17):
         xi = np.pi * k / grid.half_width
@@ -216,7 +216,7 @@ def _check_hilbert_sine(inject_sign_error: bool) -> float:
 
 def _check_hilbert_involution(rng: np.random.Generator) -> float:
     grid = build_grid(2048, 8.0)
-    ws = SpectralWorkspace(grid, 0.5)
+    ws = workspace(grid, 0.5)
     f = random_bump_field(grid, rng)
     mean_free = Field(grid, f.values - f.values.mean())
     twice = hilbert_transform(hilbert_transform(mean_free, ws), ws)
@@ -226,9 +226,9 @@ def _check_hilbert_involution(rng: np.random.Generator) -> float:
 def _check_fraclap_semigroup(rng: np.random.Generator) -> float:
     grid = build_grid(2048, 8.0)
     f = random_bump_field(grid, rng)
-    ws_a = SpectralWorkspace(grid, 0.25)
-    ws_b = SpectralWorkspace(grid, 0.5)
-    ws_ab = SpectralWorkspace(grid, 0.75)
+    ws_a = workspace(grid, 0.25)
+    ws_b = workspace(grid, 0.5)
+    ws_ab = workspace(grid, 0.75)
     composed = fractional_laplacian_spectral(
         fractional_laplacian_spectral(f, ws_a), ws_b
     ).values
@@ -238,7 +238,7 @@ def _check_fraclap_semigroup(rng: np.random.Generator) -> float:
 
 def _check_riesz_inverse(alpha: float, rng: np.random.Generator) -> float:
     grid = build_grid(2048, 8.0)
-    ws = SpectralWorkspace(grid, alpha)
+    ws = workspace(grid, alpha)
     f = random_bump_field(grid, rng)
     back = fractional_laplacian_spectral(riesz_potential(f, alpha, ws), ws).values
     target = f.values - f.values.mean()
@@ -246,7 +246,7 @@ def _check_riesz_inverse(alpha: float, rng: np.random.Generator) -> float:
 
 
 def _check_antiderivative_consistency(alpha: float, rng: np.random.Generator) -> float:
-    ws = SpectralWorkspace(build_grid(2048, 8.0), alpha)
+    ws = workspace(build_grid(2048, 8.0), alpha)
     f = random_bump_field(ws.grid, rng)
     # The real-line velocity; the spectral derivative removes its constant tail anchor.
     u = velocity_from_state(f, 0.0, ws)  # G = 0 * rho
@@ -267,7 +267,7 @@ def _check_closedform_velocity(alpha: float) -> tuple[float, bool]:
 
 def _check_stroock_varopoulos(alpha: float, rng: np.random.Generator) -> tuple[float, bool]:
     grid = build_grid(2048, 16.0)
-    ws = SpectralWorkspace(grid, alpha)
+    ws = workspace(grid, alpha)
     worst = 0.0
     ok = True
     for _ in range(5):
@@ -281,7 +281,7 @@ def _check_stroock_varopoulos(alpha: float, rng: np.random.Generator) -> tuple[f
 
 def _check_gagliardo_nirenberg(alpha: float, rng: np.random.Generator) -> float:
     grid = build_grid(4096, 16.0)
-    ws = SpectralWorkspace(grid, alpha)
+    ws = workspace(grid, alpha)
     params = _bump_params(rng, grid.half_width)
     ratios = []
     for s in (1.0, 2.0, 4.0):

@@ -31,8 +31,8 @@ Both schemes run through one raw-array core, ``_advance``, that
 those API boundaries, for each ``step`` result and each state a run records.
 The core advances B runs at once as stacked rows (B, k, n), each run on its
 own grid with its own dt and constants, and gives each run the floats of its
-own step; ``run`` is the loop with one run.  ``_workspace`` builds or checks
-each run's workspace: ``make_initial_state``, ``run`` and ``step`` call it.
+own step; ``run`` is the loop with one run.  Runs step with the process's
+shared workspaces (``fracops.workspace``); ``_workspace`` checks one passed in.
 
 G solves rho's equation with the same u and eps, so G/rho is carried by the
 flow.  Only ``independent`` initial data evolve G, as a second row stacked
@@ -55,7 +55,7 @@ import numpy as np
 
 from ._version import __version__
 from .closedform import getoor_profile
-from .fracops import FracOrder, SpectralWorkspace, _velocity_rows, _work_array, velocity_from_state
+from .fracops import FracOrder, SpectralWorkspace, _velocity_rows, _work_array, velocity_from_state, workspace
 from .grid import (
     Field,
     Grid1D,
@@ -295,7 +295,8 @@ def make_initial_state(
     reconstructed as the steps do it (real-line gauge, same image option, G
     as its coefficient unless evolved), so the cached u is the one the
     stepping computes and its velocity kernel is built before the first step.
-    A workspace built for another grid or another alpha raises SolverError.
+    ws defaults to the shared workspace for (grid, alpha) (``fracops.workspace``);
+    one built for another grid or another alpha raises SolverError.
     """
     a = float(FracOrder(alpha))
     ws = _workspace(grid, a, ws)
@@ -330,9 +331,9 @@ def make_initial_state(
 
 
 def _workspace(grid: Grid1D, alpha: float, ws: SpectralWorkspace | None) -> SpectralWorkspace:
-    """ws, or a new workspace for (grid, alpha) when it is None; SolverError if ws is for another pair."""
+    """ws, or the shared workspace for (grid, alpha) when it is None; SolverError if ws is for another pair."""
     if ws is None:
-        return SpectralWorkspace(grid, alpha)
+        return workspace(grid, alpha)
     if ws.grid != grid or ws.alpha != alpha:
         raise SolverError(
             f"workspace (n = {ws.grid.n}, L = {ws.grid.half_width:g}, alpha = {ws.alpha:g}) does not match "
@@ -705,10 +706,10 @@ class _RunLog:
     the output times it already reaches; ``trajectory`` closes it.
     """
 
-    def __init__(self, cfg: SolverConfig, ws: SpectralWorkspace | None):
+    def __init__(self, cfg: SolverConfig):
         self.cfg = cfg
         self.grid = grid = cfg.make_grid()
-        self.ws = _workspace(grid, cfg.alpha, ws)
+        self.ws = workspace(grid, cfg.alpha)
         self.h, self.scale = grid.spacing, _peak_scale(cfg)
         self.eps = cfg.effective_epsilon(self.h)
         self.initial, self.report = state, report = make_initial_state(
@@ -800,7 +801,7 @@ class _RunLog:
         )
 
 
-def _run_lockstep(cfgs, workspaces=None) -> tuple[Trajectory, ...]:
+def _run_lockstep(cfgs) -> tuple[Trajectory, ...]:
     """Integrate B runs at once, each exactly as ``run`` does it alone.
 
     The runs must share n, flux_scheme and the number of evolved rows
@@ -812,18 +813,16 @@ def _run_lockstep(cfgs, workspaces=None) -> tuple[Trajectory, ...]:
     run that reaches its t_end drops out of the stack.  Each run's
     Trajectory is bit for bit the one ``run`` gives it alone; its wall time
     runs from the start of the lockstep run to that run's end.  A run that
-    aborts (SolverError) aborts them all.  ``workspaces``, if given, holds
-    one workspace (or None) per run.
+    aborts (SolverError) aborts them all.
     """
     t_start = _time.perf_counter()
     cfgs = tuple(cfgs)
-    workspaces = (None,) * len(cfgs) if workspaces is None else tuple(workspaces)
-    if not cfgs or len(workspaces) != len(cfgs):
-        raise SolverError("a lockstep run needs at least one config and one workspace (or None) per config")
+    if not cfgs:
+        raise SolverError("a lockstep run needs at least one config")
     if len({(cfg.n, cfg.flux_scheme, _evolved_rows(cfg)) for cfg in cfgs}) > 1:
         raise SolverError("runs in lockstep must share n, flux_scheme and the evolved rows (independent mode or not)")
     n, k = cfgs[0].n, _evolved_rows(cfgs[0])
-    logs = [_RunLog(cfg, ws) for cfg, ws in zip(cfgs, workspaces)]
+    logs = [_RunLog(cfg) for cfg in cfgs]
     # Slot 0 holds the evolved rows a block starts from; slots 1..block_steps of blk and tu its steps.
     # Made after the initial states, whose temporaries are freed by then.
     block_steps = max(1, 8192 // n)
@@ -867,7 +866,7 @@ def _run_lockstep(cfgs, workspaces=None) -> tuple[Trajectory, ...]:
             j = 0
 
 
-def run(cfg: SolverConfig, *, ws: SpectralWorkspace | None = None) -> Trajectory:
+def run(cfg: SolverConfig) -> Trajectory:
     """Integrate from t = 0 to t_end, recording states at the output times.
 
     The one-run case of ``_run_lockstep``: the loop advances raw arrays through
@@ -877,9 +876,11 @@ def run(cfg: SolverConfig, *, ws: SpectralWorkspace | None = None) -> Trajectory
     in one pass when full and at output times.  The run aborts with
     SolverError if the state develops non-finite values or if the density/G
     support reaches the outer quarter of the domain (|x| >= 3L/4), where the
-    periodic truncation stops being meaningful.
+    periodic truncation stops being meaningful.  A run steps with the
+    process's shared workspace (``fracops.workspace``), so a second run of the
+    same grid and alpha builds no kernel.
     """
-    return _run_lockstep((cfg,), (ws,))[0]
+    return _run_lockstep((cfg,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -917,6 +918,8 @@ def load_trajectory(directory: str | Path) -> Trajectory:
     it raises SolverError) and the wall time is its ``run_wall_time_seconds``.
     The %.17g CSV format round-trips float64 exactly, so the reloaded states
     (including the cached velocity) are bit-identical to the saved ones.
+    An x column off the config's grid by over 1e-12 * max(1, L) anywhere
+    raises SolverError, as in ``read_field_csv``.
     """
     from .config import parse_config
 
@@ -938,7 +941,7 @@ def load_trajectory(directory: str | Path) -> Trajectory:
                 f"state file {entry['file']} has shape {arr.shape}, expected ({grid.n}, 4)"
             )
         x, rho, g, u = arr.T
-        if abs(x[0] - grid.x[0]) > 1e-12 * max(1.0, grid.half_width):
+        if not np.allclose(x, grid.x, rtol=0, atol=1e-12 * max(1.0, grid.half_width)):
             raise SolverError(f"state file {entry['file']} grid does not match the manifest config")
         states.append(State(Field(grid, rho), Field(grid, g), float(entry["t"]), Field(grid, u)))
     table = np.loadtxt(d / manifest["summary_file"], delimiter=",", ndmin=2)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import euler_align
+from euler_align import fracops
 from euler_align import (
     InitialDataSpec,
     ShapeSpec,
@@ -23,6 +24,17 @@ from euler_align import (
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def fresh_workspaces(monkeypatch):
+    """An empty cache of shared workspaces (``fracops.workspace``) for one test; the process's cache returns after.
+
+    Tests that count workspace or kernel builds use it, so that their counts
+    do not depend on what earlier tests left in the cache.
+    """
+    monkeypatch.setattr(fracops, "_SHARED", {})
+    return fracops._SHARED
 
 
 @pytest.fixture

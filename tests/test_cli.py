@@ -309,6 +309,21 @@ class TestVerifyCommand:
         failure = _manifest(out)["failure"]
         assert "cannot load run directory" in failure and "'config_ini'" in failure
 
+    def test_state_file_with_a_wrong_interior_x_exits_two(self, rundir, tmp_path):
+        """Only x[0] of a state file used to be compared with the grid, so this run loaded without a word."""
+        shifted = tmp_path / "shifted"
+        shutil.copytree(rundir, shifted)
+        name = _manifest(shifted)["states"][-1]["file"]
+        lines = (shifted / name).read_text().splitlines(keepends=True)
+        row = len(lines) // 2
+        x, rest = lines[row].split(",", 1)
+        lines[row] = f"{float(x) + 1e-3!r},{rest}"
+        (shifted / name).write_text("".join(lines))
+        out = tmp_path / "vshifted"
+        assert main(["verify", str(shifted), "--out", str(out)]) == 2
+        failure = _manifest(out)["failure"]
+        assert "cannot load run directory" in failure and f"state file {name} grid does not match" in failure
+
     def test_oleinik_on_too_few_states_exits_two(self, rundir, tmp_path):
         """The run stores t = 0 and t = 0.25 only: no growth exponent, so no pass."""
         out = tmp_path / "voleinik"

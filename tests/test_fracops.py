@@ -16,6 +16,7 @@ from euler_align import (
     FracOrderError,
     SpectralWorkspace,
     build_grid,
+    cross_validation_errors,
     fractional_laplacian_quadrature,
     fractional_laplacian_spectral,
     gagliardo_nirenberg_check,
@@ -27,13 +28,14 @@ from euler_align import (
     periodic_image_correction,
     random_bump_field,
     riesz_potential,
+    run_selftest,
     singular_kernel_constant,
     stroock_varopoulos_check,
     velocity_from_state,
     velocity_profile_U,
 )
 from euler_align import closedform, fracops
-from euler_align.fracops import N_IMAGES, apply_multiplier, derivative, fftconvolve
+from euler_align.fracops import N_IMAGES, apply_multiplier, derivative, fftconvolve, workspace
 from euler_align.grid import antiderivative
 from oracles import getoor_tail_hyp2f1, velocity_profile_U_hyp2f1
 
@@ -93,6 +95,61 @@ class TestSpectralOperator:
         f = Field(build_grid(64, 5.0), np.zeros(64))
         with pytest.raises(Exception):
             fractional_laplacian_spectral(f, ws)
+
+
+class TestSharedWorkspace:
+    """``fracops.workspace``: one workspace per (n, L, alpha) per process, within a byte budget."""
+
+    def test_equal_grid_and_alpha_give_the_same_workspace(self, fresh_workspaces):
+        ws = workspace(build_grid(256, 8.0), 0.5)
+        assert (ws.grid, ws.alpha) == (build_grid(256, 8.0), 0.5)
+        assert workspace(build_grid(256, 8.0), 0.5) is ws  # a grid built apart
+        assert workspace(build_grid(256, 8), 0.5) is ws  # an int half-width of the same value
+        assert workspace(ws.grid, 0.5) is ws
+
+    @pytest.mark.parametrize("n, half_width, alpha", [(256, 8.0, 0.3), (256, 10.0, 0.5), (512, 8.0, 0.5)])
+    def test_another_alpha_or_grid_gives_another_workspace(self, fresh_workspaces, n, half_width, alpha):
+        ws = workspace(build_grid(256, 8.0), 0.5)
+        other = workspace(build_grid(n, half_width), alpha)
+        assert other is not ws
+        assert (other.grid, other.alpha) == (build_grid(n, half_width), alpha)
+        assert workspace(build_grid(256, 8.0), 0.5) is ws
+        assert workspace(build_grid(n, half_width), alpha) is other
+
+    def test_budget_evicts_the_least_recently_used_and_keeps_the_newest(self, fresh_workspaces, monkeypatch):
+        grid = build_grid(256, 8.0)
+        a, b = workspace(grid, 0.3), workspace(grid, 0.5)
+        assert a.nbytes == b.nbytes == grid.x.nbytes + grid.wavenumbers.nbytes
+        monkeypatch.setattr(fracops, "WORKSPACE_BUDGET", 2 * a.nbytes)
+        assert workspace(grid, 0.3) is a  # now b is the least recently used
+        c = workspace(grid, 0.7)
+        assert list(fresh_workspaces.values()) == [a, c]
+        # An array built later counts: a's image kernel takes it past the budget.
+        a.image_kernel()
+        assert a.nbytes > 2 * c.nbytes
+        assert workspace(grid, 0.7) is c
+        assert list(fresh_workspaces.values()) == [c]
+        # The newest stays even when it alone exceeds the budget.
+        c.image_kernel()
+        assert workspace(grid, 0.7) is c
+        assert list(fresh_workspaces.values()) == [c]
+        assert workspace(grid, 0.3) is not a
+
+    def test_selftest_and_cross_validation_build_one_workspace_per_grid_and_alpha(self, fresh_workspaces, monkeypatch):
+        """A cold self-test plus the benchmark's three cross-validations used to build 32 workspaces."""
+        built = []
+        init = SpectralWorkspace.__init__
+
+        def counted(ws, grid, alpha):
+            built.append((grid.n, grid.half_width, alpha))
+            init(ws, grid, alpha)
+
+        monkeypatch.setattr(SpectralWorkspace, "__init__", counted)
+        run_selftest(seed=0)
+        rng = np.random.default_rng(20240817)
+        for alpha in (0.25, 0.5, 0.75):
+            cross_validation_errors(alpha, rng, trials=2)
+        assert len(built) == len(set(built)) == 15
 
 
 def _abs_power(xi, p):

@@ -205,10 +205,8 @@ def test_every_public_definition_has_a_caller():
 
 
 # Defaulted parameters that no call in the package or the benchmark passes, and why.
-UNPASSED_BY_DESIGN = {
-    # A test passes a warm workspace to `run`, so that its memory peak leaves out the workspace build.
-    ("solver.py", "run", "ws"),
-}
+# (module, callee, parameter) of defaults kept although no call overrides them, each with its reason.
+UNPASSED_BY_DESIGN: set[tuple[str, str, str]] = set()
 
 
 def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:

@@ -12,7 +12,7 @@ from euler_align import (
     random_bump_field,
     run_selftest,
 )
-from euler_align import selftest
+from euler_align import fracops, selftest
 
 # Tighter bounds, about twice the measured headroom of the current operators:
 # a regression in accuracy fails these before it reaches the run's tolerances.
@@ -112,15 +112,18 @@ class TestRandomFields:
         assert fine.max() < coarse.max()
         assert coarse.max() < 5e-2
 
-    def test_cross_validation_builds_one_workspace_per_resolution(self, monkeypatch):
-        expected = cross_validation_errors(0.5, np.random.default_rng(11), trials=4)
+    def test_cross_validation_builds_one_workspace_per_resolution(self, monkeypatch, fresh_workspaces):
+        """The workspaces come from the shared cache (``fracops.workspace``): one build per
+        resolution on the first call, none on the next, with the same errors."""
         built = []
 
         def counting_workspace(*args, **kwargs):
             built.append(SpectralWorkspace(*args, **kwargs))
             return built[-1]
 
-        monkeypatch.setattr(selftest, "SpectralWorkspace", counting_workspace)
+        monkeypatch.setattr(fracops, "SpectralWorkspace", counting_workspace)
+        expected = cross_validation_errors(0.5, np.random.default_rng(11), trials=4)
+        assert [(ws.grid.n, ws.alpha) for ws in built] == [(1024, 0.5), (2048, 0.5)]
         coarse, fine = cross_validation_errors(0.5, np.random.default_rng(11), trials=4)
         assert len(built) == 2
         assert np.array_equal(coarse, expected[0])

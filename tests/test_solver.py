@@ -607,6 +607,24 @@ class TestStep:
 
 
 class TestRun:
+    def test_second_run_builds_no_image_kernel_and_is_bit_identical(self, monkeypatch, fresh_workspaces):
+        """Runs of one grid and alpha share the process's workspace: only the first builds its kernels."""
+        cfg = _gaussian_proportional(n=256, t_end=0.1, output_times=(0.0, 0.05, 0.1))
+        builds = []
+        image_kernel = SpectralWorkspace.image_kernel
+
+        def counted(ws):
+            builds.append(ws)
+            return image_kernel(ws)
+
+        monkeypatch.setattr(SpectralWorkspace, "image_kernel", counted)
+        first = run(cfg)
+        assert len(builds) == 1
+        second = run(cfg)
+        assert len(builds) == 1
+        assert second.steps == first.steps and second.initial_report == first.initial_report
+        _assert_run_matches(second, first.states, np.column_stack([first.summary[c] for c in SUMMARY_COLUMNS]))
+
     def test_zero_horizon_returns_initial_state(self):
         traj = run(_gaussian_proportional(t_end=0.0))
         assert traj.steps == 0
@@ -619,8 +637,6 @@ class TestRun:
         cfg = _gaussian_proportional(n=256, t_end=0.05)
         other = replace(cfg, **change)
         ws = SpectralWorkspace(other.make_grid(), other.alpha)
-        with pytest.raises(SolverError, match="workspace .* does not match the run"):
-            run(cfg, ws=ws)
         with pytest.raises(SolverError, match="workspace .* does not match the run"):
             make_initial_state(cfg.initial, cfg.make_grid(), cfg.alpha, ws=ws)
         # step: the state and its own workspace under a cfg that names another grid or alpha,
@@ -750,8 +766,7 @@ class TestRun:
         cfg = _gaussian_proportional(
             n=n, flux_scheme="upwind", t_end=0.02, initial=_initial_of_mode("independent")
         )
-        ws = SpectralWorkspace(cfg.make_grid(), cfg.alpha)
-        run(cfg, ws=ws)
+        run(cfg)  # builds the shared workspace the warm run takes
         blocks = []
         summary_rows = solver._summary_rows
 
@@ -762,7 +777,7 @@ class TestRun:
         monkeypatch.setattr(solver, "_summary_rows", recorded)
         tracemalloc.start()
         try:
-            run(cfg, ws=ws)
+            run(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
