@@ -10,7 +10,11 @@ Two independent routes to the fractional Laplacian of order alpha in (0,1):
       c_alpha * int_0^inf (2 f(x) - f(x+z) - f(x-z)) / z^(1+alpha) dz
 
   with zero extension of f outside the grid, by a fixed dyadic-shell midpoint
-  rule vectorized over points and shells (the oracle path).
+  rule vectorized over points and shells (the oracle path).  It takes one
+  field or a stack of fields on one grid: the nodes and an interpolation
+  plan that reproduces ``np.interp`` bit for bit are built once per block of
+  points, and each field then costs two gathers, a multiply and an add per
+  node, so the cross-validation trials of one resolution are one call.
 
 Both realize the operator with Fourier symbol |xi|^alpha; the singular-integral
 form therefore carries the normalization constant
@@ -56,11 +60,13 @@ package's start-up time, and only ``numpy.fft`` (numpy >= 2.0) takes an
 transforms and elementwise intermediates into per-thread work arrays (see
 ``_work_array``) that persist between calls: at n >= 8192 each is >= 128 KiB,
 and fresh ones would make the allocator trim and re-fault the heap top on
-every step.  Call sites name ``np.fft.rfft`` through the module attribute,
-so call counters can patch it.
+every step.  The quadrature oracle keeps its interpolation plan and samples
+in such arrays too, for the same reason.  Call sites name ``np.fft.rfft``
+through the module attribute, so call counters can patch it.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 import math
 import sys
@@ -357,7 +363,64 @@ def fractional_laplacian_spectral(
     return out
 
 
-def fractional_laplacian_quadrature(f: Field, alpha: float, x) -> np.ndarray:
+def _interp_plan(grid: Grid1D, p: np.ndarray, j: np.ndarray, d: np.ndarray):
+    """How ``np.interp(p, grid.x, fp, left=0.0, right=0.0)`` samples any fp on ``grid``.
+
+    Fills j (intp) and d, shaped like p, and returns the plan (j, d, on,
+    j_on) that ``_interp_apply`` reads.  For p in [x_j, x_{j+1}), d = p - x_j.
+    Off [x_0, x_{n-1}] j = n, where the tables of ``_interp_tables`` hold
+    zeros, so the sample is 0 * d + 0 = +0.0.  On a node (x_{n-1} included)
+    numpy returns fp[j] itself, not slope * 0 + fp[j] (whose sign of zero
+    may differ), so the flat indices ``on`` of those positions and their
+    nodes ``j_on`` are kept apart.  j comes from the uniform spacing: the
+    quotient (p - x_0) / h is off by far less than a cell, so its floor is
+    j - 1, j or j + 1, and one exact comparison with each neighbouring node
+    settles it.  d doubles as the scratch of those comparisons, so the
+    plan allocates only boolean masks.
+    """
+    xp, n = grid.x, grid.n
+    np.subtract(p, xp[0], out=d)
+    d /= grid.spacing
+    np.clip(d, 0, n - 2, out=d)
+    j[...] = d  # truncation: the floor, once clipped to >= 0
+    j += xp[1:].take(j, out=d, mode="clip") <= p  # x_{j+1}; p = x_{n-1} ends at j = n - 1
+    j -= xp.take(j, out=d, mode="clip") > p  # p < x_0 ends at j = -1, outside
+    np.subtract(p, xp.take(j, out=d, mode="wrap"), out=d)
+    outside = (p < xp[0]) | (p > xp[-1])
+    on = np.flatnonzero((d == 0.0) & ~outside)
+    j[outside] = n
+    return j, d, on, j.reshape(-1)[on]
+
+
+def _interp_tables(values: np.ndarray, dx: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """Write one row's (slopes, values) into ``tables``, shape (2, n + 1), and return it.
+
+    slopes[j] = (fp[j+1] - fp[j]) / (x[j+1] - x[j]) for j < n - 1, with
+    dx = diff(x): numpy's interp slopes.  Entry n - 1 of the slopes and
+    both entries n must hold zeros (see ``_interp_plan``); this writes
+    neither.  slopes[n-1] is read only on the node x_{n-1}, whose sample
+    ``_interp_apply`` overwrites.
+    """
+    n = values.size
+    slopes = np.subtract(values[1:], values[:-1], out=tables[0, : n - 1])
+    slopes /= dx
+    tables[1, :n] = values
+    return tables
+
+
+def _interp_apply(plan, tables: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """One row's samples at a plan's positions, slopes[j] * d + values[j], in ``out`` (``tmp`` is scratch)."""
+    j, d, on, j_on = plan
+    slopes, values = tables
+    slopes.take(j, out=out, mode="clip")
+    out *= d
+    out += values.take(j, out=tmp, mode="clip")
+    if on.size:
+        out.reshape(-1)[on] = values[j_on]
+    return out
+
+
+def fractional_laplacian_quadrature(f: Field | Sequence[Field], alpha: float, x) -> np.ndarray:
     """Singular-integral oracle for the fractional Laplacian at points x.
 
     Uses the symmetrized form on the fixed dyadic shells [z, 2z] from
@@ -367,31 +430,65 @@ def fractional_laplacian_quadrature(f: Field, alpha: float, x) -> np.ndarray:
     discarded core |z| < h/2 contributes O(h^(2-alpha) * max|f''|), below the
     tolerance of every consumer.
 
-    Vectorized over points and shells, with the nodes taken in blocks of
-    points: a block's nodes form one (block, shells, NODES_PER_SHELL) array
-    of at most ``_QUAD_FLOATS`` values, so whatever the number of points the
-    temporaries stay well below the sizes at which the allocator maps fresh
-    pages or trims the heap (and re-faults it on the next call).  A point's
-    shells beyond its own R are masked out, and the shell sums are added to
-    each point's total in shell order, so every value is the same float the
-    point-by-point loop gives.
+    f is one Field, giving values of shape (P,) at the P points x (a scalar
+    x gives P = 1), or a sequence of B Fields on one grid, giving (B, P); a
+    single field is a stack of one.  What does not depend on the field is
+    built once per block of points and applied to every row: the nodes, the
+    weights, the shell mask, z^(1+alpha), and one interpolation plan for the
+    node positions x + z and x - z (``_interp_plan``).  Each row then samples
+    its field there with two gathers, a multiply and an add per position,
+
+        f(p) = slope[j] * (p - x_j) + f[j],  slope[j] = (f[j+1] - f[j]) / (x_{j+1} - x_j),
+
+    which are ``np.interp``'s operations in ``np.interp``'s order, with its
+    branches (0 off the grid, f[j] itself on a node).  The tests check this
+    against ``np.interp`` bit for bit on this x86-64 numpy build, which does
+    not fuse that multiply-add.
+
+    Memory stays bounded per row: a block's nodes form one (block, shells,
+    NODES_PER_SHELL) array of at most ``_QUAD_FLOATS`` values.  The plan and
+    the two rows of samples live in per-thread arrays of twice that size
+    that persist between calls (``_work_array``), and each row's slope and
+    value tables are rebuilt in one (2, n + 1) array per block, so no array
+    is (B, block) or (B, n); the largest that grows with B is the (B, P,
+    shells) shell sums.  Held for all rows, the tables (0.6 MiB for 20 rows
+    at n = 2048), or fresh plan arrays, would grow the heap top past the
+    allocator's trim threshold on every call and re-fault it on the next.
+
+    A point's shells beyond its own R are masked out, and the shell sums are
+    added to each point's total in shell order, so every value is the same
+    float the point-by-point loop with ``np.interp`` gives for that field
+    alone.
 
     Deliberately independent of the FFT route: no periodicity, no multipliers.
-    Returns a plain array of values at ``x`` (scalar x gives a length-1 array).
+    Raises ``GridError`` for fields on different grids and ``ValueError``
+    for an empty sequence, or for points that are not a scalar or 1-D or not
+    inside (-L, L).
     """
+    single = isinstance(f, Field)
+    fields = [f] if single else list(f)
+    if not fields:
+        raise ValueError("quadrature oracle needs at least one field")
+    grid = fields[0].grid
+    if any(g.grid != grid for g in fields):
+        raise GridError("fields in one quadrature stack must share one grid")
     a = float(FracOrder(alpha))
     c_a = singular_kernel_constant(a)
-    grid = f.grid
     h, L = grid.spacing, grid.half_width
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1:
+        raise ValueError(f"quadrature points must be a scalar or 1-D, got shape {xs.shape}")
+    xs = np.atleast_1d(xs)
     if not np.all(np.abs(xs) < L):
         raise ValueError("quadrature oracle requires evaluation points inside (-L, L)")
 
-    def sample(pts: np.ndarray) -> np.ndarray:
-        return np.interp(pts, grid.x, f.values, left=0.0, right=0.0)
-
+    dx = np.diff(grid.x)
+    tables = np.zeros((2, grid.n + 1))
+    at_x = _interp_plan(grid, xs, np.empty(xs.size, np.intp), np.empty(xs.size))
+    fx = np.empty((len(fields), xs.size))
+    for row, g in enumerate(fields):
+        _interp_apply(at_x, _interp_tables(g.values, dx, tables), fx[row], np.empty(xs.size))
     z_min = h / 2.0
-    fx = sample(xs)
     big_r = L + np.abs(xs)
     n_shells = np.ceil(np.log2(big_r / z_min)).astype(int)
     m = np.arange(n_shells.max(initial=0))
@@ -399,20 +496,36 @@ def fractional_laplacian_quadrature(f: Field, alpha: float, x) -> np.ndarray:
     hi = np.minimum(np.ldexp(z_min, m + 1), big_r[:, None])
     active = (m < n_shells[:, None]) & (lo < hi)
     w = (hi - lo) / NODES_PER_SHELL
-    shell_sums = np.empty_like(w)
+    shell_sums = np.empty((len(fields),) + w.shape)
     step = _QUAD_FLOATS // (NODES_PER_SHELL * max(m.size, 1))  # points per block
+    work = _work_array("quad", (3, 2 * _QUAD_FLOATS))
+    work_j = _work_array("quad_j", (2 * _QUAD_FLOATS,), np.intp)
     for i in range(0, xs.size, step):
         block = slice(i, i + step)
         z = lo[:, None] + (np.arange(NODES_PER_SHELL) + 0.5) * w[block, :, None]
+        z_pow = z ** (1.0 + a)
+        pm = (2,) + z.shape  # the positions x + z and x - z, stacked
+        d, samples, tmp = (buf[: 2 * z.size].reshape(pm) for buf in work)
         xv = xs[block, None, None]
-        shell_sums[block] = ((2.0 * fx[block, None, None] - sample(xv + z) - sample(xv - z)) / z ** (1.0 + a)).sum(-1)
-    terms = np.where(active, w * shell_sums, 0.0)
-    total = np.zeros_like(xs)
-    for shell in terms.T:
+        np.add(xv, z, out=samples[0])
+        np.subtract(xv, z, out=samples[1])
+        plan = _interp_plan(grid, samples, work_j[: 2 * z.size].reshape(pm), d)
+        for row, g in enumerate(fields):
+            s_plus, s_minus = _interp_apply(plan, _interp_tables(g.values, dx, tables), samples, tmp)
+            # (2 f(x) - f(x+z) - f(x-z)) / z^(1+alpha), operation by operation.
+            num = np.subtract(2.0 * fx[row, block, None, None], s_plus, out=s_plus)
+            num -= s_minus
+            num /= z_pow
+            num.sum(-1, out=shell_sums[row, block])
+    shell_sums *= w
+    shell_sums[:, ~active] = 0.0
+    total = np.zeros(fx.shape)
+    for shell in np.moveaxis(shell_sums, -1, 0):
         total += shell
     # Scalar powers: numpy's vectorized pow may differ from the scalar one by an ulp.
     total += 2.0 * fx * np.array([r ** -a for r in big_r.tolist()]) / a
-    return c_a * total
+    out = c_a * total
+    return out[0] if single else out
 
 
 def hilbert_transform(f: Field, ws: SpectralWorkspace) -> Field:

@@ -173,23 +173,25 @@ def cross_validation_errors(alpha: float, rng: np.random.Generator, trials: int)
     one is a corrected Fourier multiplier, the other a fixed dyadic-shell
     midpoint rule (``fracops.NODES_PER_SHELL`` nodes per shell) for the
     singular integral of the difference kernel, so agreement validates both.
-    Each resolution's grid is built once, and its workspace is the process's
-    shared one (``fracops.workspace``), for all trials and all calls.
+    Every trial's bump parameters are drawn first, in trial order (the rng
+    sequence of drawing them trial by trial); each resolution then builds
+    its grid once, takes the process's shared workspace
+    (``fracops.workspace``) and passes all trials' fields to the oracle as
+    one stack, so the quadrature's nodes and interpolation plan are built
+    once per level, not once per trial.
     """
     half_width = 8.0
+    params = [_bump_params(rng, half_width) for _ in range(trials)]
     coarse = np.empty(trials)
     fine = np.empty(trials)
-    levels = []
     for out, n in ((coarse, 1024), (fine, 2048)):
         grid = build_grid(n, half_width)
+        ws = workspace(grid, alpha)
         probes = grid.x[np.abs(grid.x) <= 0.75 * half_width][:: n // 64]
-        levels.append((out, grid, workspace(grid, alpha), probes))
-    for trial in range(trials):
-        params = _bump_params(rng, half_width)
-        for out, grid, ws, probes in levels:
-            f = Field(grid, _bump_values(grid.x, params))
+        fields = [Field(grid, _bump_values(grid.x, p)) for p in params]
+        quads = fractional_laplacian_quadrature(fields, alpha, probes) if fields else ()
+        for trial, (f, quad) in enumerate(zip(fields, quads)):
             spec = fractional_laplacian_spectral(f, ws, image_correction=True)
-            quad = fractional_laplacian_quadrature(f, alpha, probes)
             spec_at = np.interp(probes, grid.x, spec.values)
             out[trial] = np.abs(spec_at - quad).max() / np.abs(f.values).max()
     return coarse, fine

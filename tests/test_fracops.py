@@ -6,6 +6,7 @@ import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -14,6 +15,7 @@ from euler_align import (
     Field,
     FracOrder,
     FracOrderError,
+    GridError,
     SpectralWorkspace,
     build_grid,
     cross_validation_errors,
@@ -309,6 +311,80 @@ def _reference_quadrature(f, alpha, x, nodes_per_shell=48):
     return out
 
 
+def _three_rows(grid, alpha, bumps):
+    """The Getoor profile, a bump field and a compactly supported field whose zeros are all -0.0."""
+    signed = np.where(np.abs(grid.x) < 0.25 * grid.half_width, -bumps.values, -0.0)
+    return [Field(grid, getoor_profile(alpha, grid.x)), bumps, Field(grid, signed)]
+
+
+def _assert_stack_matches_the_loop(fields, alpha, x):
+    """Each row of the stacked call is the one-field call's bytes, and that call is the loop's values."""
+    stacked = fractional_laplacian_quadrature(fields, alpha, x)
+    assert stacked.shape == (len(fields), np.size(x))
+    for f, row in zip(fields, stacked):
+        one = fractional_laplacian_quadrature(f, alpha, x)
+        assert one.shape == (np.size(x),)
+        assert row.tobytes() == one.tobytes()
+        assert np.array_equal(one, _reference_quadrature(f, alpha, x))
+
+
+_ON_GRID = build_grid(1000, 8.0)
+
+
+def _positions(grid):
+    """Interpolation positions: anywhere, on and next to nodes, at both ends, in (x_{n-1}, L) and off [-L, L)."""
+    x, L = grid.x, grid.half_width
+    node = st.integers(0, grid.n - 1).map(lambda k: float(x[k]))
+    return st.one_of(
+        st.floats(-L, L, exclude_max=True),
+        node,
+        node.map(lambda v: float(np.nextafter(v, np.inf))),
+        node.map(lambda v: float(np.nextafter(v, -np.inf))),
+        st.sampled_from([float(x[0]), float(x[-1]), L]),
+        st.floats(float(x[-1]), L, exclude_min=True, exclude_max=True),
+        st.floats(-2.0 * L, -L, exclude_max=True),
+        st.floats(L, 2.0 * L),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=hnp.arrays(np.float64, _ON_GRID.n, elements=st.one_of(
+        st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))),
+    positions=st.lists(_positions(_ON_GRID), min_size=1, max_size=300),
+)
+def test_interpolation_plan_is_np_interp_bit_for_bit(values, positions):
+    """The oracle's plan samples exactly as ``np.interp(..., left=0, right=0)``, signed zeros included.
+
+    Values span the finite floats, so slopes may overflow to inf: numpy's
+    ufuncs warn there and ``np.interp``'s C loop does not, and the floats
+    agree either way.
+    """
+    grid = _ON_GRID
+    p = np.array(positions)
+    plan = fracops._interp_plan(grid, p, np.empty(p.size, np.intp), np.empty(p.size))
+    with np.errstate(over="ignore"):
+        tables = fracops._interp_tables(values, np.diff(grid.x), np.zeros((2, grid.n + 1)))
+        got = fracops._interp_apply(plan, tables, np.empty(p.size), np.empty(p.size))
+    assert got.tobytes() == np.interp(p, grid.x, values, left=0, right=0).tobytes()
+
+
+def test_stacked_quadrature_peak_memory():
+    """20 rows at n = 2048 (a cross-validation level) hold no (rows, block) temporaries:
+    measured 533,156 bytes (numpy 2.4), about 5 KiB per row above a 431 KiB base."""
+    grid = build_grid(2048, 8.0)
+    probes = grid.x[np.abs(grid.x) <= 6.0][::32]
+    fields = [random_bump_field(grid, np.random.default_rng(seed)) for seed in range(20)]
+    fractional_laplacian_quadrature(fields, 0.5, probes)  # the per-thread block arrays persist
+    tracemalloc.start()
+    try:
+        fractional_laplacian_quadrature(fields, 0.5, probes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 600 << 10
+
+
 class TestQuadratureOracle:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_agrees_with_spectral_on_bump(self, alpha, rng):
@@ -349,13 +425,8 @@ class TestQuadratureOracle:
         shells = np.ceil(np.log2((L + np.abs(probes)) / (grid.spacing / 2.0)))
         assert len(np.unique(shells)) > 1  # points with different shell counts share one call
         bumps = random_bump_field(grid, np.random.default_rng(n + int(100 * alpha)))
-        for f in (Field(grid, getoor_profile(alpha, grid.x)), bumps):
-            assert np.array_equal(
-                fractional_laplacian_quadrature(f, alpha, probes), _reference_quadrature(f, alpha, probes)
-            )
-            assert np.array_equal(
-                fractional_laplacian_quadrature(f, alpha, 0.3), _reference_quadrature(f, alpha, 0.3)
-            )
+        _assert_stack_matches_the_loop(_three_rows(grid, alpha, bumps), alpha, probes)
+        _assert_stack_matches_the_loop(_three_rows(grid, alpha, bumps), alpha, 0.3)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_blocks_of_points_match_the_loop(self, alpha):
@@ -365,9 +436,20 @@ class TestQuadratureOracle:
         shells = np.ceil(np.log2((grid.half_width + np.abs(probes)) / (grid.spacing / 2.0))).max()
         assert probes.size * shells * fracops.NODES_PER_SHELL > 4 * fracops._QUAD_FLOATS
         f = random_bump_field(grid, np.random.default_rng(7))
-        assert np.array_equal(
-            fractional_laplacian_quadrature(f, alpha, probes), _reference_quadrature(f, alpha, probes)
-        )
+        _assert_stack_matches_the_loop(_three_rows(grid, alpha, f), alpha, probes)
+
+    def test_points_must_be_a_scalar_or_one_dimensional(self):
+        grid = build_grid(256, 8.0)
+        f = Field(grid, getoor_profile(0.5, grid.x))
+        with pytest.raises(ValueError, match=r"points must be a scalar or 1-D, got shape \(1, 2\)"):
+            fractional_laplacian_quadrature(f, 0.5, np.array([[0.0, 0.5]]))
+
+    def test_a_stack_must_share_one_grid(self):
+        fields = [random_bump_field(build_grid(n, 8.0), np.random.default_rng(n)) for n in (256, 512)]
+        with pytest.raises(GridError, match="share one grid"):
+            fractional_laplacian_quadrature(fields, 0.5, np.array([0.0, 0.5]))
+        with pytest.raises(ValueError, match="at least one field"):
+            fractional_laplacian_quadrature([], 0.5, 0.0)
 
     def test_empty_points_give_empty_array(self):
         grid = build_grid(256, 8.0)

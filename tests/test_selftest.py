@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from euler_align import (
     TOLERANCES,
+    Field,
     SpectralWorkspace,
     build_grid,
     cross_validation_errors,
+    fractional_laplacian_quadrature,
+    fractional_laplacian_spectral,
     random_bump_field,
     run_selftest,
 )
@@ -30,6 +34,27 @@ STRICT = {
     "stroock_varopoulos": 1e-8,
     "gagliardo_nirenberg": 5e-2,
 }
+
+
+def _reference_cross_validation(alpha, rng, trials):
+    """``cross_validation_errors`` as a per-trial loop: one oracle call per trial and resolution."""
+    half_width = 8.0
+    coarse = np.empty(trials)
+    fine = np.empty(trials)
+    levels = []
+    for out, n in ((coarse, 1024), (fine, 2048)):
+        grid = build_grid(n, half_width)
+        probes = grid.x[np.abs(grid.x) <= 0.75 * half_width][:: n // 64]
+        levels.append((out, grid, SpectralWorkspace(grid, alpha), probes))
+    for trial in range(trials):
+        params = selftest._bump_params(rng, half_width)
+        for out, grid, ws, probes in levels:
+            f = Field(grid, selftest._bump_values(grid.x, params))
+            spec = fractional_laplacian_spectral(f, ws, image_correction=True)
+            quad = fractional_laplacian_quadrature(f, alpha, probes)
+            spec_at = np.interp(probes, grid.x, spec.values)
+            out[trial] = np.abs(spec_at - quad).max() / np.abs(f.values).max()
+    return coarse, fine
 
 
 class TestRunSelftest:
@@ -111,6 +136,18 @@ class TestRandomFields:
         assert coarse.shape == fine.shape == (4,)
         assert fine.max() < coarse.max()
         assert coarse.max() < 5e-2
+
+    @pytest.mark.parametrize("alpha, trials", [(0.25, 3), (0.75, 5), (0.5, 0)])
+    def test_cross_validation_errors_match_the_per_trial_loop(self, alpha, trials):
+        """One stacked oracle call per resolution gives the loop's errors bit for bit,
+        and the rng ends in the loop's state."""
+        rng, ref_rng = np.random.default_rng(29), np.random.default_rng(29)
+        coarse, fine = cross_validation_errors(alpha, rng, trials)
+        ref_coarse, ref_fine = _reference_cross_validation(alpha, ref_rng, trials)
+        assert coarse.shape == fine.shape == (trials,)
+        assert coarse.tobytes() == ref_coarse.tobytes()
+        assert fine.tobytes() == ref_fine.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_cross_validation_builds_one_workspace_per_resolution(self, monkeypatch, fresh_workspaces):
         """The workspaces come from the shared cache (``fracops.workspace``): one build per
