@@ -11,9 +11,10 @@ Two independent routes to the fractional Laplacian of order alpha in (0,1):
 
   with zero extension of f outside the grid, by a fixed dyadic-shell midpoint
   rule vectorized over points and shells (the oracle path).  It takes one
-  field or a stack of fields on one grid: the nodes and an interpolation
-  plan that reproduces ``np.interp`` bit for bit are built once per block of
-  points, and each field then costs two gathers, a multiply and an add per
+  field or a stack of fields on one grid: its shells and an interpolation
+  plan that reproduces ``np.interp`` bit for bit are built once per (grid,
+  points) per process, for every order, and kept with the shared
+  workspaces; each field then costs two gathers, a multiply and an add per
   node, so the cross-validation trials of one resolution are one call.
 
 Both realize the operator with Fourier symbol |xi|^alpha; the singular-integral
@@ -60,9 +61,12 @@ package's start-up time, and only ``numpy.fft`` (numpy >= 2.0) takes an
 transforms and elementwise intermediates into per-thread work arrays (see
 ``_work_array``) that persist between calls: at n >= 8192 each is >= 128 KiB,
 and fresh ones would make the allocator trim and re-fault the heap top on
-every step.  The quadrature oracle keeps its interpolation plan and samples
-in such arrays too, for the same reason.  Call sites name ``np.fft.rfft``
-through the module attribute, so call counters can patch it.
+every step.  The quadrature oracle keeps its samples and node offsets in
+such arrays too, and the stacked ``fractional_laplacian_spectral`` its
+spectra, for the same reason.  Each is a view of a per-thread buffer that
+only grows, so calls that alternate between stack heights and grid sizes
+reuse one buffer.  Call sites name ``np.fft.rfft`` through the module
+attribute, so call counters can patch it.
 """
 from __future__ import annotations
 
@@ -84,7 +88,7 @@ from .grid import (
 )
 
 N_IMAGES = 64  # image pairs SpectralWorkspace.image_kernel sums before its analytic tail
-WORKSPACE_BUDGET = 32 << 20  # bytes the workspaces ``workspace`` keeps may hold, lazily built arrays included
+WORKSPACE_BUDGET = 32 << 20  # bytes the shared workspaces and quadrature plans (``_shared``) may hold, lazily built arrays included
 NODES_PER_SHELL = 48  # midpoint nodes per dyadic shell in fractional_laplacian_quadrature
 _QUAD_FLOATS = 1 << 13  # node values per block there: 64 KiB, half glibc's mmap and trim thresholds
 
@@ -93,18 +97,26 @@ _work = threading.local()
 
 
 def _work_array(name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
-    """This thread's work array ``name``, allocated anew only when its shape changes.
+    """This thread's work array ``name``, of ``shape``: a view of a flat buffer that only grows.
 
-    The contents are scratch: every caller overwrites the array before it
-    reads it (``fftconvolve`` returns a view that its callers use at once).
-    Keeping the arrays per thread, and out of ``SpectralWorkspace``, lets
-    threads share one workspace, which stays immutable and picklable.
+    The buffer is allocated anew only when ``shape`` needs more entries than
+    it holds, so calls that alternate between stack heights or grid sizes
+    reuse it, and it keeps the largest size asked for.  A call with the
+    shape of the previous one returns the same view, as cheaply as a lookup:
+    the solver calls this about 15 times per step.  The contents are
+    scratch: every caller overwrites the array before it reads it
+    (``fftconvolve`` returns a view that its callers use at once), and a
+    later call under the same name overwrites it.  Keeping the arrays per
+    thread, and out of ``SpectralWorkspace``, lets threads share one
+    workspace, which stays immutable and picklable.
     """
-    arr = getattr(_work, name, None)
-    if arr is None or arr.shape != shape:
-        arr = np.empty(shape, dtype)
-        setattr(_work, name, arr)
-    return arr
+    entry = getattr(_work, name, None)  # (the buffer, the view last returned)
+    if entry is None or entry[1].shape != shape:
+        size = math.prod(shape)
+        buf = entry[0] if entry is not None and entry[0].size >= size else np.empty(size, dtype)
+        entry = (buf, buf[:size].reshape(shape))
+        setattr(_work, name, entry)
+    return entry[1]
 
 
 def fftconvolve(values: np.ndarray, kernel_spectrum: np.ndarray) -> np.ndarray:
@@ -168,11 +180,12 @@ class SpectralWorkspace:
     never reconstructs a velocity never pays for the velocity's arrays.
     Every cached array is frozen, and building one twice gives the same
     values, so a workspace is shared per process via ``workspace(grid,
-    alpha)``, one per (n, L, alpha) within ``WORKSPACE_BUDGET`` bytes, and
-    across threads, and it pickles.  ``nbytes`` counts the arrays it holds,
-    its grid's included.  The scratch arrays that the velocity and the
-    spectral step write into are not part of it: they are per thread, one set
-    per grid size and stack height (``_work_array``).
+    alpha)``, one per (n, L, alpha) within ``WORKSPACE_BUDGET`` bytes (which
+    the quadrature oracle's plans share), and across threads, and it
+    pickles.  ``nbytes`` counts the arrays it holds, its grid's included.
+    The scratch arrays that the velocity and the spectral step write into
+    are not part of it: they are per thread, one buffer per name, grown to
+    the largest size asked for (``_work_array``).
     """
 
     def __init__(self, grid: Grid1D, alpha: float):
@@ -302,24 +315,34 @@ class SpectralWorkspace:
         return self._cached(("transport",), build)
 
 
-_SHARED: dict[tuple[int, float, float], SpectralWorkspace] = {}  # least recently used first
+_SHARED: dict[tuple, SpectralWorkspace | _QuadraturePlan] = {}  # least recently used first
+
+
+def _shared(key: tuple, build):
+    """The value the process keeps under key, built by ``build()`` on first use.
+
+    Each call keeps the most recently used values while their ``nbytes``,
+    lazily built arrays included, fit in ``WORKSPACE_BUDGET``, and always the
+    one it returns.  No lock is held while building, so a racing thread or a
+    fork costs at most a duplicate build.
+    """
+    value = _SHARED.pop(key, None) or build()
+    _SHARED[key] = value  # reinserted last, as the most recently used
+    while len(_SHARED) > 1 and sum(v.nbytes for v in list(_SHARED.values())) > WORKSPACE_BUDGET:
+        _SHARED.pop(list(_SHARED)[0], None)  # the least recently used
+    return value
 
 
 def workspace(grid: Grid1D, alpha: float) -> SpectralWorkspace:
     """The process's shared SpectralWorkspace for (grid.n, grid.half_width, alpha), built on first use.
 
-    Equal grids share it, also when built apart.  Each call keeps the most
-    recently used workspaces while their ``nbytes``, lazily built arrays
-    included, fit in ``WORKSPACE_BUDGET``, and always the one it returns.  No
-    lock is held while building, so a racing thread or a fork costs at most a
-    duplicate build.  ``SpectralWorkspace(grid, alpha)`` gives a private one.
+    Equal grids share it, also when built apart.  It is kept by the rule of
+    ``_shared``: within ``WORKSPACE_BUDGET`` bytes, together with the
+    quadrature oracle's interpolation plans, least recently used evicted
+    first.  ``SpectralWorkspace(grid, alpha)`` gives a private one.
     """
-    key = (grid.n, float(grid.half_width), float(FracOrder(alpha)))
-    ws = _SHARED.pop(key, None) or SpectralWorkspace(grid, alpha)
-    _SHARED[key] = ws  # reinserted last, as the most recently used
-    while len(_SHARED) > 1 and sum(w.nbytes for w in list(_SHARED.values())) > WORKSPACE_BUDGET:
-        _SHARED.pop(list(_SHARED)[0], None)  # the least recently used
-    return ws
+    a = float(FracOrder(alpha))
+    return _shared((grid.n, float(grid.half_width), a), lambda: SpectralWorkspace(grid, alpha))
 
 
 def apply_multiplier(f: Field, multiplier: np.ndarray) -> Field:
@@ -344,23 +367,50 @@ def periodic_image_correction(f: Field, ws: SpectralWorkspace) -> Field:
     return Field(f.grid, f.grid.spacing * fftconvolve(f.values[None], ws.image_kernel_spectrum())[0])
 
 
+def _field_stack(f: Field | Sequence[Field], what: str) -> tuple[bool, list[Field]]:
+    """Whether f is one Field, and its fields as a list: a single field is a stack of one."""
+    single = isinstance(f, Field)
+    fields = [f] if single else list(f)
+    if not fields:
+        raise ValueError(f"{what} needs at least one field")
+    return single, fields
+
+
 def fractional_laplacian_spectral(
-    f: Field, ws: SpectralWorkspace, image_correction: bool = False
-) -> Field:
+    f: Field | Sequence[Field], ws: SpectralWorkspace, image_correction: bool = False
+) -> Field | np.ndarray:
     """Fractional Laplacian via the |xi|^alpha multiplier.
 
     With ``image_correction=False`` (default) this is exactly the field whose
     Fourier coefficients are |xi_k|^alpha f_hat_k; its mean vanishes to machine
-    precision.  With ``image_correction=True`` the periodic-image term is added,
-    which approximates the real-line operator on the grid window for fields
-    supported away from the boundary (the corrected output has the positive
-    interior mean the real-line operator actually produces there).
+    precision.  With ``image_correction=True`` the periodic-image term
+    (``periodic_image_correction``) is added, which approximates the
+    real-line operator on the grid window for fields supported away from the
+    boundary (the corrected output has the positive interior mean the
+    real-line operator actually produces there).
+
+    f is one Field, giving a Field, or a sequence of B Fields on the
+    workspace's grid, giving their values as one (B, n) array; a single
+    field is a stack of one.  The multiplier is one rfft/irfft of the stack,
+    which runs row by row, and the correction one
+    ``periodic_image_correction`` per row, so every row is the one-field
+    call's bytes and the convolution's work arrays stay one row high.
+    Raises ``GridError`` for a field on another grid than ``ws`` and
+    ``ValueError`` for an empty sequence.
     """
-    _check_ws(f, ws)
-    out = apply_multiplier(f, ws.abs_power_multiplier(ws.alpha))
+    single, fields = _field_stack(f, "fractional_laplacian_spectral")
+    for g in fields:
+        _check_ws(g, ws)
+    n = ws.grid.n
+    # The output array holds the stack first: the rfft reads it before the irfft writes it.
+    out = np.stack([g.values for g in fields])
+    hat = np.fft.rfft(out, out=_work_array("lap_hat", (len(fields), n // 2 + 1), complex))
+    hat *= ws.abs_power_multiplier(ws.alpha)
+    np.fft.irfft(hat, n, out=out)
     if image_correction:
-        out = Field(f.grid, out.values + periodic_image_correction(f, ws).values)
-    return out
+        for row, g in zip(out, fields):
+            row += periodic_image_correction(g, ws).values
+    return Field(ws.grid, out[0]) if single else out
 
 
 def _interp_plan(grid: Grid1D, p: np.ndarray, j: np.ndarray, d: np.ndarray):
@@ -420,6 +470,73 @@ def _interp_apply(plan, tables: np.ndarray, out: np.ndarray, tmp: np.ndarray) ->
     return out
 
 
+class _QuadraturePlan:
+    """What ``fractional_laplacian_quadrature`` needs of (grid, points) that no field and no order changes.
+
+    For the points x (1-D): their radii R = L + |x|, the dyadic shells
+    [z_min 2^m, min(z_min 2^(m+1), R)] from z_min = h/2 (``lo``, the node
+    weights ``w`` and the ``active`` mask), the interpolation plan of x
+    itself (``at_x``) and, per block of points whose nodes fit in
+    ``_QUAD_FLOATS`` values, the cells of the node positions x + z and x - z
+    (``blocks``: ``_interp_plan``'s j, off-grid sentinel included, in the
+    smallest unsigned dtype that holds n, with its on-node positions ``on``
+    and their nodes ``j_on``).  The nodes z, the positions and their offsets
+    p - x_j are recomputed per call (``nodes``, ``positions``): a few passes
+    per block, where keeping them would take 24 more bytes per node than the
+    4 that the two cells take.  Built once per (n, L, points) per process and
+    kept by ``_quadrature_plan``; its arrays are frozen and ``nbytes`` counts
+    them.
+    """
+
+    def __init__(self, grid: Grid1D, xs: np.ndarray):
+        self.xs = xs.copy()  # the caller's array may change; the plan outlives the call
+        self.at_x = _interp_plan(grid, xs, np.empty(xs.size, np.intp), np.empty(xs.size))
+        z_min = grid.spacing / 2.0
+        self.big_r = grid.half_width + np.abs(xs)
+        n_shells = np.ceil(np.log2(self.big_r / z_min)).astype(int)
+        m = np.arange(n_shells.max(initial=0))
+        self.lo = np.ldexp(z_min, m)
+        hi = np.minimum(np.ldexp(z_min, m + 1), self.big_r[:, None])
+        self.active = (m < n_shells[:, None]) & (self.lo < hi)
+        self.w = (hi - self.lo) / NODES_PER_SHELL
+        step = _QUAD_FLOATS // (NODES_PER_SHELL * max(m.size, 1))  # points per block
+        cell = np.min_scalar_type(grid.n)
+        self.blocks = []
+        for i in range(0, xs.size, step):
+            block = slice(i, i + step)
+            z = self.nodes(block)
+            p = self.positions(block, z, np.empty((2,) + z.shape))
+            j, _, on, j_on = _interp_plan(grid, p, np.empty(p.shape, np.intp), np.empty(p.shape))
+            self.blocks.append((block, j.astype(cell), on, j_on))
+        arrays = [self.xs, self.big_r, self.lo, self.active, self.w, *self.at_x]
+        arrays += [arr for _, *plan in self.blocks for arr in plan]
+        for arr in arrays:
+            arr.setflags(write=False)
+        self.nbytes = sum(arr.nbytes for arr in arrays)
+
+    def nodes(self, block: slice) -> np.ndarray:
+        """The midpoint nodes z of a block of points, shape (points, shells, ``NODES_PER_SHELL``)."""
+        return self.lo[:, None] + (np.arange(NODES_PER_SHELL) + 0.5) * self.w[block, :, None]
+
+    def positions(self, block: slice, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The node positions x + z and x - z of a block, stacked in ``out``, shape (2,) + z.shape."""
+        xv = self.xs[block, None, None]
+        np.add(xv, z, out=out[0])
+        np.subtract(xv, z, out=out[1])
+        return out
+
+
+def _quadrature_plan(grid: Grid1D, xs: np.ndarray) -> _QuadraturePlan:
+    """The process's shared ``_QuadraturePlan`` for (grid.n, grid.half_width, xs), built on first use.
+
+    Keyed without the order, so every alpha shares it.  It is kept beside the
+    shared workspaces by the rule of ``_shared``: within ``WORKSPACE_BUDGET``
+    bytes, least recently used evicted first.
+    """
+    key = ("quadrature", grid.n, float(grid.half_width), xs.tobytes())
+    return _shared(key, lambda: _QuadraturePlan(grid, xs))
+
+
 def fractional_laplacian_quadrature(f: Field | Sequence[Field], alpha: float, x) -> np.ndarray:
     """Singular-integral oracle for the fractional Laplacian at points x.
 
@@ -432,11 +549,15 @@ def fractional_laplacian_quadrature(f: Field | Sequence[Field], alpha: float, x)
 
     f is one Field, giving values of shape (P,) at the P points x (a scalar
     x gives P = 1), or a sequence of B Fields on one grid, giving (B, P); a
-    single field is a stack of one.  What does not depend on the field is
-    built once per block of points and applied to every row: the nodes, the
-    weights, the shell mask, z^(1+alpha), and one interpolation plan for the
-    node positions x + z and x - z (``_interp_plan``).  Each row then samples
-    its field there with two gathers, a multiply and an add per position,
+    single field is a stack of one.  What depends on neither the field nor
+    the order -- the shells, the weights, the shell mask and one
+    interpolation plan for x and for the node positions x + z and x - z
+    (``_interp_plan``) -- is the process's ``_QuadraturePlan`` for (n, L,
+    points), built on first use and kept with the shared workspaces within
+    ``WORKSPACE_BUDGET``, so every order and every call at that geometry
+    reuses it.  Per call and block of points, the nodes and z^(1+alpha) are
+    recomputed, and each row samples its field at the positions with two
+    gathers, a multiply and an add,
 
         f(p) = slope[j] * (p - x_j) + f[j],  slope[j] = (f[j+1] - f[j]) / (x_{j+1} - x_j),
 
@@ -446,14 +567,17 @@ def fractional_laplacian_quadrature(f: Field | Sequence[Field], alpha: float, x)
     not fuse that multiply-add.
 
     Memory stays bounded per row: a block's nodes form one (block, shells,
-    NODES_PER_SHELL) array of at most ``_QUAD_FLOATS`` values.  The plan and
-    the two rows of samples live in per-thread arrays of twice that size
-    that persist between calls (``_work_array``), and each row's slope and
-    value tables are rebuilt in one (2, n + 1) array per block, so no array
-    is (B, block) or (B, n); the largest that grows with B is the (B, P,
-    shells) shell sums.  Held for all rows, the tables (0.6 MiB for 20 rows
-    at n = 2048), or fresh plan arrays, would grow the heap top past the
-    allocator's trim threshold on every call and re-fault it on the next.
+    NODES_PER_SHELL) array of at most ``_QUAD_FLOATS`` values.  The kept plan
+    holds about 4 bytes per node (the cells of x + z and x - z, 2 bytes each
+    below n = 65536) and the indices of the positions that fall on a node.
+    The offsets, the cells widened to indices and the two rows of samples
+    live in per-thread arrays of twice ``_QUAD_FLOATS`` entries that persist
+    between calls (``_work_array``), and each row's slope and value tables
+    are rebuilt in one (2, n + 1) array per block, so no array is (B, block)
+    or (B, n); the largest that grows with B is the (B, P, shells) shell
+    sums.  Held for all rows, the tables (0.6 MiB for 20 rows at n = 2048),
+    or fresh sample arrays, would grow the heap top past the allocator's trim
+    threshold on every call and re-fault it on the next.
 
     A point's shells beyond its own R are masked out, and the shell sums are
     added to each point's total in shell order, so every value is the same
@@ -465,65 +589,50 @@ def fractional_laplacian_quadrature(f: Field | Sequence[Field], alpha: float, x)
     for an empty sequence, or for points that are not a scalar or 1-D or not
     inside (-L, L).
     """
-    single = isinstance(f, Field)
-    fields = [f] if single else list(f)
-    if not fields:
-        raise ValueError("quadrature oracle needs at least one field")
+    single, fields = _field_stack(f, "quadrature oracle")
     grid = fields[0].grid
     if any(g.grid != grid for g in fields):
         raise GridError("fields in one quadrature stack must share one grid")
     a = float(FracOrder(alpha))
     c_a = singular_kernel_constant(a)
-    h, L = grid.spacing, grid.half_width
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1:
         raise ValueError(f"quadrature points must be a scalar or 1-D, got shape {xs.shape}")
     xs = np.atleast_1d(xs)
-    if not np.all(np.abs(xs) < L):
+    if not np.all(np.abs(xs) < grid.half_width):
         raise ValueError("quadrature oracle requires evaluation points inside (-L, L)")
 
+    plan = _quadrature_plan(grid, xs)
     dx = np.diff(grid.x)
     tables = np.zeros((2, grid.n + 1))
-    at_x = _interp_plan(grid, xs, np.empty(xs.size, np.intp), np.empty(xs.size))
     fx = np.empty((len(fields), xs.size))
     for row, g in enumerate(fields):
-        _interp_apply(at_x, _interp_tables(g.values, dx, tables), fx[row], np.empty(xs.size))
-    z_min = h / 2.0
-    big_r = L + np.abs(xs)
-    n_shells = np.ceil(np.log2(big_r / z_min)).astype(int)
-    m = np.arange(n_shells.max(initial=0))
-    lo = np.ldexp(z_min, m)
-    hi = np.minimum(np.ldexp(z_min, m + 1), big_r[:, None])
-    active = (m < n_shells[:, None]) & (lo < hi)
-    w = (hi - lo) / NODES_PER_SHELL
-    shell_sums = np.empty((len(fields),) + w.shape)
-    step = _QUAD_FLOATS // (NODES_PER_SHELL * max(m.size, 1))  # points per block
-    work = _work_array("quad", (3, 2 * _QUAD_FLOATS))
-    work_j = _work_array("quad_j", (2 * _QUAD_FLOATS,), np.intp)
-    for i in range(0, xs.size, step):
-        block = slice(i, i + step)
-        z = lo[:, None] + (np.arange(NODES_PER_SHELL) + 0.5) * w[block, :, None]
+        _interp_apply(plan.at_x, _interp_tables(g.values, dx, tables), fx[row], np.empty(xs.size))
+    shell_sums = np.empty((len(fields),) + plan.w.shape)
+    for block, cells, on, j_on in plan.blocks:
+        z = plan.nodes(block)
         z_pow = z ** (1.0 + a)
-        pm = (2,) + z.shape  # the positions x + z and x - z, stacked
-        d, samples, tmp = (buf[: 2 * z.size].reshape(pm) for buf in work)
-        xv = xs[block, None, None]
-        np.add(xv, z, out=samples[0])
-        np.subtract(xv, z, out=samples[1])
-        plan = _interp_plan(grid, samples, work_j[: 2 * z.size].reshape(pm), d)
+        d, samples, tmp = _work_array("quad", (3,) + cells.shape)
+        j = _work_array("quad_j", cells.shape, np.intp)
+        j[...] = cells
+        # The offsets p - x_j; off the grid j = n clips to x_{n-1}, and any finite offset samples +0.0 there.
+        plan.positions(block, z, d)
+        d -= grid.x.take(j, out=tmp, mode="clip")
+        interp = (j, d, on, j_on)
         for row, g in enumerate(fields):
-            s_plus, s_minus = _interp_apply(plan, _interp_tables(g.values, dx, tables), samples, tmp)
+            s_plus, s_minus = _interp_apply(interp, _interp_tables(g.values, dx, tables), samples, tmp)
             # (2 f(x) - f(x+z) - f(x-z)) / z^(1+alpha), operation by operation.
             num = np.subtract(2.0 * fx[row, block, None, None], s_plus, out=s_plus)
             num -= s_minus
             num /= z_pow
             num.sum(-1, out=shell_sums[row, block])
-    shell_sums *= w
-    shell_sums[:, ~active] = 0.0
+    shell_sums *= plan.w
+    shell_sums[:, ~plan.active] = 0.0
     total = np.zeros(fx.shape)
     for shell in np.moveaxis(shell_sums, -1, 0):
         total += shell
     # Scalar powers: numpy's vectorized pow may differ from the scalar one by an ulp.
-    total += 2.0 * fx * np.array([r ** -a for r in big_r.tolist()]) / a
+    total += 2.0 * fx * np.array([r ** -a for r in plan.big_r.tolist()]) / a
     out = c_a * total
     return out[0] if single else out
 

@@ -175,25 +175,27 @@ def cross_validation_errors(alpha: float, rng: np.random.Generator, trials: int)
     singular integral of the difference kernel, so agreement validates both.
     Every trial's bump parameters are drawn first, in trial order (the rng
     sequence of drawing them trial by trial); each resolution then builds
-    its grid once, takes the process's shared workspace
-    (``fracops.workspace``) and passes all trials' fields to the oracle as
-    one stack, so the quadrature's nodes and interpolation plan are built
-    once per level, not once per trial.
+    its grid once and passes all trials' fields as one stack to both
+    routes: one oracle call, whose interpolation plan the process keeps
+    for every order (``fracops._quadrature_plan``), and one
+    ``fractional_laplacian_spectral`` call with the process's shared
+    workspace (``fracops.workspace``).  Raises ``ValueError`` for fewer than
+    one trial, before drawing anything.
     """
+    if trials < 1:
+        raise ValueError(f"cross_validation_errors needs trials >= 1, got {trials}")
     half_width = 8.0
     params = [_bump_params(rng, half_width) for _ in range(trials)]
     coarse = np.empty(trials)
     fine = np.empty(trials)
     for out, n in ((coarse, 1024), (fine, 2048)):
         grid = build_grid(n, half_width)
-        ws = workspace(grid, alpha)
         probes = grid.x[np.abs(grid.x) <= 0.75 * half_width][:: n // 64]
         fields = [Field(grid, _bump_values(grid.x, p)) for p in params]
-        quads = fractional_laplacian_quadrature(fields, alpha, probes) if fields else ()
-        for trial, (f, quad) in enumerate(zip(fields, quads)):
-            spec = fractional_laplacian_spectral(f, ws, image_correction=True)
-            spec_at = np.interp(probes, grid.x, spec.values)
-            out[trial] = np.abs(spec_at - quad).max() / np.abs(f.values).max()
+        quads = fractional_laplacian_quadrature(fields, alpha, probes)
+        specs = fractional_laplacian_spectral(fields, workspace(grid, alpha), image_correction=True)
+        for trial, (f, spec, quad) in enumerate(zip(fields, specs, quads)):
+            out[trial] = np.abs(np.interp(probes, grid.x, spec) - quad).max() / np.abs(f.values).max()
     return coarse, fine
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import tracemalloc
 
 from hypothesis import given, settings
@@ -36,7 +37,7 @@ from euler_align import (
     velocity_from_state,
     velocity_profile_U,
 )
-from euler_align import closedform, fracops
+from euler_align import closedform, fracops, selftest
 from euler_align.fracops import N_IMAGES, apply_multiplier, derivative, fftconvolve, workspace
 from euler_align.grid import antiderivative
 from oracles import getoor_tail_hyp2f1, velocity_profile_U_hyp2f1
@@ -98,6 +99,32 @@ class TestSpectralOperator:
         with pytest.raises(Exception):
             fractional_laplacian_spectral(f, ws)
 
+    @pytest.mark.parametrize("image_correction", [False, True])
+    @pytest.mark.parametrize("n, alpha", [(1000, 0.25), (2048, 0.75)])
+    def test_stack_is_the_per_field_call_row_for_row(self, n, alpha, image_correction):
+        """Each row of a stacked call is the one-field call's bytes, and those are the bytes of
+        the multiplier and the image correction applied apart and added."""
+        grid = build_grid(n, 8.0)
+        ws = SpectralWorkspace(grid, alpha)
+        fields = [random_bump_field(grid, np.random.default_rng(seed)) for seed in range(4)]
+        stacked = fractional_laplacian_spectral(fields, ws, image_correction=image_correction)
+        assert stacked.shape == (4, n)
+        for f, row in zip(fields, stacked):
+            one = fractional_laplacian_spectral(f, ws, image_correction=image_correction)
+            assert isinstance(one, Field) and row.tobytes() == one.values.tobytes()
+            ref = apply_multiplier(f, ws.abs_power_multiplier(alpha)).values
+            if image_correction:
+                ref = ref + periodic_image_correction(f, ws).values
+            assert row.tobytes() == ref.tobytes()
+
+    def test_stack_must_lie_on_the_workspace_grid(self):
+        ws = SpectralWorkspace(build_grid(64, 4.0), 0.5)
+        fields = [Field(ws.grid, np.zeros(64)), Field(build_grid(64, 5.0), np.zeros(64))]
+        with pytest.raises(GridError, match="different grids"):
+            fractional_laplacian_spectral(fields, ws)
+        with pytest.raises(ValueError, match="at least one field"):
+            fractional_laplacian_spectral([], ws)
+
 
 class TestSharedWorkspace:
     """``fracops.workspace``: one workspace per (n, L, alpha) per process, within a byte budget."""
@@ -152,6 +179,76 @@ class TestSharedWorkspace:
         for alpha in (0.25, 0.5, 0.75):
             cross_validation_errors(alpha, rng, trials=2)
         assert len(built) == len(set(built)) == 15
+
+
+class TestSharedQuadraturePlan:
+    """The oracle's interpolation plan: one per (n, L, points) per process, shared by every order."""
+
+    def test_cold_selftest_builds_one_plan_per_geometry_and_a_second_none(self, fresh_workspaces, monkeypatch):
+        """``run_selftest`` makes 9 oracle calls at 3 geometries (its Getoor probes and the two
+        cross-validation levels); each call used to build its own plan."""
+        built, calls = [], []
+        init = fracops._QuadraturePlan.__init__
+
+        def counted_init(plan, grid, xs):
+            built.append((grid.n, xs.size))
+            init(plan, grid, xs)
+
+        def counted_oracle(f, alpha, x):
+            calls.append(alpha)
+            return fractional_laplacian_quadrature(f, alpha, x)
+
+        monkeypatch.setattr(fracops._QuadraturePlan, "__init__", counted_init)
+        monkeypatch.setattr(selftest, "fractional_laplacian_quadrature", counted_oracle)
+        first = run_selftest(seed=0)
+        assert len(calls) == 9
+        assert len(built) == len(set(built)) == 3
+        assert {n for n, _ in built} == {1024, 2048, 4096}
+        second = run_selftest(seed=0)
+        assert len(calls) == 18 and len(built) == 3
+        assert second.records == first.records
+
+    @pytest.mark.parametrize("n", [1000, 2048])
+    def test_warm_cold_and_single_field_calls_are_byte_equal(self, fresh_workspaces, n):
+        grid = build_grid(n, 8.0)
+        probes = grid.x[np.abs(grid.x) <= 6.0][:: n // 64]
+        fields = _three_rows(grid, 0.5, random_bump_field(grid, np.random.default_rng(n)))
+        cold = fractional_laplacian_quadrature(fields, 0.5, probes)
+        [plan] = fresh_workspaces.values()
+        assert isinstance(plan, fracops._QuadraturePlan)
+        for alpha in (0.25, 0.75):  # another order reuses the plan
+            fractional_laplacian_quadrature(fields, alpha, probes)
+        warm = fractional_laplacian_quadrature(fields, 0.5, probes)
+        singles = [fractional_laplacian_quadrature(f, 0.5, list(probes)) for f in fields]
+        assert list(fresh_workspaces.values()) == [plan]
+        fresh_workspaces.clear()
+        rebuilt = fractional_laplacian_quadrature(fields, 0.5, probes)
+        assert list(fresh_workspaces.values()) != [plan]
+        assert warm.tobytes() == cold.tobytes() == rebuilt.tobytes()
+        assert np.stack(singles).tobytes() == cold.tobytes()
+
+    def test_plan_bytes_count_toward_the_workspace_budget(self, fresh_workspaces, monkeypatch):
+        grid = build_grid(1024, 8.0)
+        probes = grid.x[np.abs(grid.x) <= 6.0][::16]
+        f = random_bump_field(grid, np.random.default_rng(5))
+        ws = workspace(grid, 0.5)
+        fractional_laplacian_quadrature(f, 0.5, probes)
+        assert list(fresh_workspaces.values())[0] is ws
+        plan = list(fresh_workspaces.values())[1]
+        assert plan.nbytes >= sum(cells.nbytes for _, cells, _, _ in plan.blocks) > 0
+        monkeypatch.setattr(fracops, "WORKSPACE_BUDGET", ws.nbytes + plan.nbytes)
+        assert workspace(grid, 0.5) is ws  # both fit
+        assert list(fresh_workspaces.values()) == [plan, ws]
+        # One byte less: the plan, now the most recently used, evicts the workspace.
+        monkeypatch.setattr(fracops, "WORKSPACE_BUDGET", ws.nbytes + plan.nbytes - 1)
+        fractional_laplacian_quadrature(f, 0.5, probes)
+        assert list(fresh_workspaces.values()) == [plan]
+        # The newest stays even when it alone exceeds the budget.
+        monkeypatch.setattr(fracops, "WORKSPACE_BUDGET", 1)
+        fractional_laplacian_quadrature(f, 0.25, probes)
+        assert list(fresh_workspaces.values()) == [plan]
+        assert workspace(grid, 0.5) is not ws
+        assert len(fresh_workspaces) == 1
 
 
 def _abs_power(xi, p):
@@ -625,6 +722,17 @@ class TestInequalities:
             gagliardo_nirenberg_check(v, r=2.0, q=1.5, ws=ws)  # needs r > 2
         with pytest.raises(ValueError):
             gagliardo_nirenberg_check(v, r=5.0, q=2.0, ws=ws)  # needs r < 2q
+
+
+def test_work_array_buffer_grows_and_is_reused_across_shapes(monkeypatch):
+    """Calls that alternate between shapes share one buffer; only a larger one reallocates it."""
+    monkeypatch.setattr(fracops, "_work", threading.local())
+    big = fracops._work_array("buffer", (3, 4))
+    small = fracops._work_array("buffer", (5,), float)
+    assert small.shape == (5,) and np.shares_memory(small, big)
+    bigger = fracops._work_array("buffer", (4, 4))
+    assert bigger.shape == (4, 4) and not np.shares_memory(bigger, big)
+    assert np.shares_memory(fracops._work_array("buffer", (3, 4)), bigger)
 
 
 class TestLocalConvolution:

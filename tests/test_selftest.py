@@ -137,10 +137,10 @@ class TestRandomFields:
         assert fine.max() < coarse.max()
         assert coarse.max() < 5e-2
 
-    @pytest.mark.parametrize("alpha, trials", [(0.25, 3), (0.75, 5), (0.5, 0)])
+    @pytest.mark.parametrize("alpha, trials", [(0.25, 3), (0.75, 5)])
     def test_cross_validation_errors_match_the_per_trial_loop(self, alpha, trials):
-        """One stacked oracle call per resolution gives the loop's errors bit for bit,
-        and the rng ends in the loop's state."""
+        """One stacked oracle call and one stacked spectral call per resolution give the loop's
+        errors bit for bit, and the rng ends in the loop's state."""
         rng, ref_rng = np.random.default_rng(29), np.random.default_rng(29)
         coarse, fine = cross_validation_errors(alpha, rng, trials)
         ref_coarse, ref_fine = _reference_cross_validation(alpha, ref_rng, trials)
@@ -148,6 +148,16 @@ class TestRandomFields:
         assert coarse.tobytes() == ref_coarse.tobytes()
         assert fine.tobytes() == ref_fine.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("trials", [-1, 0])
+    def test_cross_validation_needs_at_least_one_trial(self, trials):
+        """Below one trial there is no error to report: -1 used to fail inside numpy, 0 to give
+        empty arrays that the self-test's maximum could not reduce."""
+        rng = np.random.default_rng(11)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"trials >= 1, got {trials}"):
+            cross_validation_errors(0.5, rng, trials)
+        assert rng.bit_generator.state == state
 
     def test_cross_validation_builds_one_workspace_per_resolution(self, monkeypatch, fresh_workspaces):
         """The workspaces come from the shared cache (``fracops.workspace``): one build per
