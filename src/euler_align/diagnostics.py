@@ -15,7 +15,6 @@ fan kinks excluded, since pointwise convergence fails at discontinuities.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,6 +47,8 @@ __all__ = [
     "scaling_limit_experiment",
     "barenblatt_limit_experiment",
 ]
+
+RAREFACTION_SAMPLES = 9  # equally spaced times s in [t1, t2] that scaling_limit_experiment compares at
 
 
 class DiagnosticsError(ValueError):
@@ -313,7 +314,6 @@ def scaling_limit_experiment(
     t1: float,
     t2: float,
     *,
-    n_samples: int = 9,
     jobs: int = 1,
 ) -> ScalingReport:
     """Rarefaction-limit experiment: distances of rescaled runs to the triple.
@@ -321,9 +321,10 @@ def scaling_limit_experiment(
     For each lambda the solver runs on the dilated domain [-lambda*L,
     lambda*L] (same n, same viscosity) to time lambda*t2, and the rescaled
     fields rho^lam(y,s) = lam*rho(lam*y, lam*s), u^lam(y,s) = u(lam*y, lam*s)
-    are compared with the rarefaction triple of the initial masses:
-    sup over sampled s in [t1, t2] of the L^q([-R, R]) velocity distance,
-    plus time-averaged L^q distances of the mollified density and G.
+    are compared with the rarefaction triple of the initial masses at
+    ``RAREFACTION_SAMPLES`` equally spaced times s in [t1, t2]: the sup over
+    them of the L^q([-R, R]) velocity distance, plus the averages over them
+    of the L^q distances of the mollified density and G.
 
     The lambda cases are independent runs of about equal cost (dt and the
     horizon both grow like lambda).  They are dealt into min(jobs,
@@ -331,6 +332,8 @@ def scaling_limit_experiment(
     (``_run_lockstep``): in this process when there is one group, else one
     group per worker process.  Every run is the one it would be alone, so
     the distances do not depend on jobs.  jobs < 1 raises DiagnosticsError.
+    ``concurrent.futures``' process pool is imported only when it is used,
+    so that importing the package loads no ``multiprocessing``.
     """
     if jobs < 1:
         raise DiagnosticsError(f"jobs must be a positive integer, got {jobs}")
@@ -344,12 +347,14 @@ def scaling_limit_experiment(
         raise DiagnosticsError(f"need 0 < t1 < t2, got ({t1}, {t2})")
     if not (0 < R < 0.9 * base_cfg.half_width):
         raise DiagnosticsError("R must be positive and well inside the base domain")
-    samples = tuple(np.linspace(t1, t2, n_samples))
+    samples = tuple(np.linspace(t1, t2, RAREFACTION_SAMPLES))
     eps = base_cfg.effective_epsilon(base_cfg.make_grid().spacing)
     workers = min(jobs, len(lams))
     cuts = [len(lams) * w // workers for w in range(workers + 1)]
     args = [(base_cfg, lams[lo:hi], q, R, samples, eps) for lo, hi in zip(cuts, cuts[1:])]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             groups = list(pool.map(_rarefaction_group, *zip(*args)))
     else:

@@ -11,11 +11,13 @@ Two independent routes to the fractional Laplacian of order alpha in (0,1):
 
   with zero extension of f outside the grid, by a fixed dyadic-shell midpoint
   rule vectorized over points and shells (the oracle path).  It takes one
-  field or a stack of fields on one grid: its shells and an interpolation
-  plan that reproduces ``np.interp`` bit for bit are built once per (grid,
-  points) per process, for every order, and kept with the shared
-  workspaces; each field then costs two gathers, a multiply and an add per
-  node, so the cross-validation trials of one resolution are one call.
+  field or a stack of fields on one grid: its shells and the cells of its
+  nodes, found by ``np.searchsorted`` as ``np.interp`` finds them, are built
+  once per (grid, points) per process, for every order, and kept with the
+  shared workspaces; each field is then sampled by ``np.interp`` at the
+  points and, bit for bit as ``np.interp`` would, with two gathers, a
+  multiply and an add per node, so the cross-validation trials of one
+  resolution are one call.
 
 Both realize the operator with Fourier symbol |xi|^alpha; the singular-integral
 form therefore carries the normalization constant
@@ -413,32 +415,23 @@ def fractional_laplacian_spectral(
     return Field(ws.grid, out[0]) if single else out
 
 
-def _interp_plan(grid: Grid1D, p: np.ndarray, j: np.ndarray, d: np.ndarray):
+def _interp_plan(grid: Grid1D, p: np.ndarray):
     """How ``np.interp(p, grid.x, fp, left=0.0, right=0.0)`` samples any fp on ``grid``.
 
-    Fills j (intp) and d, shaped like p, and returns the plan (j, d, on,
-    j_on) that ``_interp_apply`` reads.  For p in [x_j, x_{j+1}), d = p - x_j.
-    Off [x_0, x_{n-1}] j = n, where the tables of ``_interp_tables`` hold
-    zeros, so the sample is 0 * d + 0 = +0.0.  On a node (x_{n-1} included)
-    numpy returns fp[j] itself, not slope * 0 + fp[j] (whose sign of zero
-    may differ), so the flat indices ``on`` of those positions and their
-    nodes ``j_on`` are kept apart.  j comes from the uniform spacing: the
-    quotient (p - x_0) / h is off by far less than a cell, so its floor is
-    j - 1, j or j + 1, and one exact comparison with each neighbouring node
-    settles it.  d doubles as the scratch of those comparisons, so the
-    plan allocates only boolean masks.
+    Returns the plan (j, d, on, j_on), j and d shaped like p, that
+    ``_interp_apply`` reads.  j is numpy's own cell search, the last node
+    x_j <= p (``np.searchsorted``), and d = p - x_j.  Off [x_0, x_{n-1}]
+    j = n, where the tables of ``_interp_tables`` hold zeros, so the sample
+    is 0 * d + 0 = +0.0.  On a node (x_{n-1} included) numpy returns fp[j]
+    itself, not slope * 0 + fp[j] (whose sign of zero may differ), so the
+    flat indices ``on`` of those positions and their nodes ``j_on`` are kept
+    apart.
     """
     xp, n = grid.x, grid.n
-    np.subtract(p, xp[0], out=d)
-    d /= grid.spacing
-    np.clip(d, 0, n - 2, out=d)
-    j[...] = d  # truncation: the floor, once clipped to >= 0
-    j += xp[1:].take(j, out=d, mode="clip") <= p  # x_{j+1}; p = x_{n-1} ends at j = n - 1
-    j -= xp.take(j, out=d, mode="clip") > p  # p < x_0 ends at j = -1, outside
-    np.subtract(p, xp.take(j, out=d, mode="wrap"), out=d)
-    outside = (p < xp[0]) | (p > xp[-1])
-    on = np.flatnonzero((d == 0.0) & ~outside)
-    j[outside] = n
+    j = np.searchsorted(xp, p, side="right") - 1
+    j[(p < xp[0]) | (p > xp[-1])] = n
+    d = p - xp.take(j, mode="clip")  # off the grid j = n clips to x_{n-1}, and d != 0 there
+    on = np.flatnonzero(d == 0.0)
     return j, d, on, j.reshape(-1)[on]
 
 
@@ -475,22 +468,21 @@ class _QuadraturePlan:
 
     For the points x (1-D): their radii R = L + |x|, the dyadic shells
     [z_min 2^m, min(z_min 2^(m+1), R)] from z_min = h/2 (``lo``, the node
-    weights ``w`` and the ``active`` mask), the interpolation plan of x
-    itself (``at_x``) and, per block of points whose nodes fit in
-    ``_QUAD_FLOATS`` values, the cells of the node positions x + z and x - z
-    (``blocks``: ``_interp_plan``'s j, off-grid sentinel included, in the
-    smallest unsigned dtype that holds n, with its on-node positions ``on``
-    and their nodes ``j_on``).  The nodes z, the positions and their offsets
-    p - x_j are recomputed per call (``nodes``, ``positions``): a few passes
-    per block, where keeping them would take 24 more bytes per node than the
-    4 that the two cells take.  Built once per (n, L, points) per process and
-    kept by ``_quadrature_plan``; its arrays are frozen and ``nbytes`` counts
-    them.
+    weights ``w`` and the ``active`` mask) and, per block of points whose
+    nodes fit in ``_QUAD_FLOATS`` values, the cells of the node positions
+    x + z and x - z (``blocks``: ``_interp_plan``'s j, off-grid sentinel
+    included, in the smallest unsigned dtype that holds n, with its on-node
+    positions ``on`` and their nodes ``j_on``).  x itself is sampled by
+    ``np.interp``, which needs no plan.  The nodes z, the positions and
+    their offsets p - x_j are recomputed per call (``nodes``,
+    ``positions``): a few passes per block, where keeping them would take 24
+    more bytes per node than the 4 that the two cells take.  Built once per
+    (n, L, points) per process and kept by ``_quadrature_plan``; its arrays
+    are frozen and ``nbytes`` counts them.
     """
 
     def __init__(self, grid: Grid1D, xs: np.ndarray):
         self.xs = xs.copy()  # the caller's array may change; the plan outlives the call
-        self.at_x = _interp_plan(grid, xs, np.empty(xs.size, np.intp), np.empty(xs.size))
         z_min = grid.spacing / 2.0
         self.big_r = grid.half_width + np.abs(xs)
         n_shells = np.ceil(np.log2(self.big_r / z_min)).astype(int)
@@ -506,9 +498,9 @@ class _QuadraturePlan:
             block = slice(i, i + step)
             z = self.nodes(block)
             p = self.positions(block, z, np.empty((2,) + z.shape))
-            j, _, on, j_on = _interp_plan(grid, p, np.empty(p.shape, np.intp), np.empty(p.shape))
+            j, _, on, j_on = _interp_plan(grid, p)
             self.blocks.append((block, j.astype(cell), on, j_on))
-        arrays = [self.xs, self.big_r, self.lo, self.active, self.w, *self.at_x]
+        arrays = [self.xs, self.big_r, self.lo, self.active, self.w]
         arrays += [arr for _, *plan in self.blocks for arr in plan]
         for arr in arrays:
             arr.setflags(write=False)
@@ -550,14 +542,15 @@ def fractional_laplacian_quadrature(f: Field | Sequence[Field], alpha: float, x)
     f is one Field, giving values of shape (P,) at the P points x (a scalar
     x gives P = 1), or a sequence of B Fields on one grid, giving (B, P); a
     single field is a stack of one.  What depends on neither the field nor
-    the order -- the shells, the weights, the shell mask and one
-    interpolation plan for x and for the node positions x + z and x - z
-    (``_interp_plan``) -- is the process's ``_QuadraturePlan`` for (n, L,
+    the order -- the shells, the weights, the shell mask and the cells of
+    the node positions x + z and x - z (``_interp_plan``, one
+    ``np.searchsorted``) -- is the process's ``_QuadraturePlan`` for (n, L,
     points), built on first use and kept with the shared workspaces within
     ``WORKSPACE_BUDGET``, so every order and every call at that geometry
-    reuses it.  Per call and block of points, the nodes and z^(1+alpha) are
-    recomputed, and each row samples its field at the positions with two
-    gathers, a multiply and an add,
+    reuses it.  Each row samples its field at x by ``np.interp``.  Per call
+    and block of points, the nodes and z^(1+alpha) are recomputed, and each
+    row samples its field at the positions with two gathers, a multiply and
+    an add,
 
         f(p) = slope[j] * (p - x_j) + f[j],  slope[j] = (f[j+1] - f[j]) / (x_{j+1} - x_j),
 
@@ -603,11 +596,9 @@ def fractional_laplacian_quadrature(f: Field | Sequence[Field], alpha: float, x)
         raise ValueError("quadrature oracle requires evaluation points inside (-L, L)")
 
     plan = _quadrature_plan(grid, xs)
+    fx = np.stack([np.interp(xs, grid.x, g.values, left=0.0, right=0.0) for g in fields])
     dx = np.diff(grid.x)
     tables = np.zeros((2, grid.n + 1))
-    fx = np.empty((len(fields), xs.size))
-    for row, g in enumerate(fields):
-        _interp_apply(plan.at_x, _interp_tables(g.values, dx, tables), fx[row], np.empty(xs.size))
     shell_sums = np.empty((len(fields),) + plan.w.shape)
     for block, cells, on, j_on in plan.blocks:
         z = plan.nodes(block)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
 from dataclasses import replace
 
@@ -244,7 +245,7 @@ class TestScalingExperiments:
 
     def test_rarefaction_smoke(self):
         report = scaling_limit_experiment(
-            _rarefaction_base(), (1.0, 2.0), q=2.0, R=1.5, t1=1.0, t2=2.0, n_samples=3
+            _rarefaction_base(), (1.0, 2.0), q=2.0, R=1.5, t1=1.0, t2=2.0
         )
         assert report.mode == "rarefaction"
         assert report.lambdas == (1.0, 2.0)
@@ -301,7 +302,7 @@ class TestPoolSizing:
             lambda_groups.append(lams)
             return [(lam,) * 6 for lam in lams]
 
-        monkeypatch.setattr(diagnostics, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(diagnostics, "_rarefaction_group", group)
         return sizes
 
@@ -372,7 +373,7 @@ def test_barenblatt_sweep_is_one_run_matching_per_lambda_runs(monkeypatch):
             raise AssertionError("the Barenblatt sweep must not start a process pool")
 
     monkeypatch.setattr(diagnostics, "run", recording_run)
-    monkeypatch.setattr(diagnostics, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     zero = SolverConfig(
         alpha=0.5,
         n=1024,

@@ -459,7 +459,7 @@ def test_interpolation_plan_is_np_interp_bit_for_bit(values, positions):
     """
     grid = _ON_GRID
     p = np.array(positions)
-    plan = fracops._interp_plan(grid, p, np.empty(p.size, np.intp), np.empty(p.size))
+    plan = fracops._interp_plan(grid, p)
     with np.errstate(over="ignore"):
         tables = fracops._interp_tables(values, np.diff(grid.x), np.zeros((2, grid.n + 1)))
         got = fracops._interp_apply(plan, tables, np.empty(p.size), np.empty(p.size))

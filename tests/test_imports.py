@@ -46,6 +46,23 @@ def test_package_import_leaves_heavy_scipy_unloaded(fresh_python):
     assert loaded == []
 
 
+# The rarefaction sweep's process pool and what it loads: 8-12 ms of start-up
+# (``-X importtime``) that no command needs until a sweep starts a pool.
+POOL_MODULES = ("concurrent.futures.process", "multiprocessing", "socket", "subprocess", "logging")
+
+
+def test_package_import_leaves_the_process_pool_unloaded(fresh_python):
+    """``scaling_limit_experiment`` imports ``ProcessPoolExecutor`` only when it starts a pool."""
+    loaded = json.loads(
+        fresh_python(
+            "import json, sys\n"
+            "import euler_align, euler_align.cli\n"
+            f"print(json.dumps([m for m in {POOL_MODULES!r} if m in sys.modules]))\n"
+        )
+    )
+    assert loaded == []
+
+
 def test_set_up_of_shipped_configs_loads_no_scipy(fresh_python):
     paths = sorted(str(p) for p in CONFIG_DIR.glob("*.ini"))
     assert paths
@@ -238,19 +255,62 @@ def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
     return found
 
 
+def literal_dict_keys(tree: ast.AST) -> dict[str, set[str] | None]:
+    """Per name assigned in ``tree`` (a plain name or an attribute's name): the keys of the literal
+    ``dict(k=...)`` or ``{"k": ...}`` it is assigned, or None if some assignment to it is not such a
+    dict, or the assignments disagree."""
+    found: dict[str, set[str] | None] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assign):
+            continue
+        value = node.value
+        if isinstance(value, ast.Dict) and all(
+            isinstance(k, ast.Constant) and isinstance(k.value, str) for k in value.keys
+        ):
+            keys = {k.value for k in value.keys}
+        elif (
+            isinstance(value, ast.Call)
+            and getattr(value.func, "id", None) == "dict"
+            and not value.args
+            and all(k.arg is not None for k in value.keywords)
+        ):
+            keys = {k.arg for k in value.keywords}
+        else:
+            keys = None
+        for target in node.targets:
+            name = getattr(target, "id", None) or getattr(target, "attr", None)
+            if name is not None:
+                found[name] = keys if found.get(name, keys) == keys else None
+    return found
+
+
 def passed_parameters(source: str) -> dict[str, set]:
-    """Per callee name: the keywords and positions its calls pass; "*" for a ``*``/``**`` call."""
+    """Per callee name: the keywords and positions its calls pass.
+
+    A ``**NAME`` or ``**self.NAME`` argument passes the keys of the literal
+    dict assigned to NAME in ``source`` (``literal_dict_keys``); any other
+    ``*``/``**`` argument adds "*", which stands for every parameter.
+    """
+    tree = ast.parse(source)
+    dicts = literal_dict_keys(tree)
     passed: dict[str, set] = {}
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
         if name is None:
             continue
         entry = passed.setdefault(name, set())
-        if any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords):
+        if any(isinstance(a, ast.Starred) for a in node.args):
             entry.add("*")
-        entry.update(k.arg for k in node.keywords if k.arg is not None)
+        for k in node.keywords:
+            if k.arg is not None:
+                entry.add(k.arg)
+                continue
+            v = k.value
+            on_self = isinstance(v, ast.Attribute) and getattr(v.value, "id", None) == "self"
+            keys = dicts.get(v.id if isinstance(v, ast.Name) else v.attr if on_self else None)
+            entry.update({"*"} if keys is None else keys)
         entry.update(range(len(node.args)))
     return passed
 
@@ -260,6 +320,13 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     sample = "class C:\n    def __init__(self, a, b=1): pass\n    def m(self, c=2, *, d=3): pass\ndef f(e=4): pass\n"
     assert defaulted_parameters(sample) == [("C", "b", 1), ("m", "c", 0), ("m", "d", None), ("f", "e", 0)]
     assert passed_parameters("C(1, b=2)\nx.m(*a)\n") == {"C": {0, "b"}, "m": {0, "*"}}
+    mappings = (
+        "S = dict(q=1)\nT = {'t': 2, **S}\nclass W:\n    U = {'u': 3}\n    def go(self):\n"
+        "        f(1, **S)\n        g(**self.U)\n        h(**T)\n        k(**self.S, **other.U)\n"
+    )
+    assert passed_parameters(mappings) == {
+        "dict": {"q"}, "f": {0, "q"}, "g": {"u"}, "h": {"*"}, "k": {"q", "*"}
+    }
     modules = sorted(SRC_DIR.glob("*.py"))
     users = modules + sorted(PERFBENCH_DIR.glob("*.py"))
     passed: dict[str, set] = {}
