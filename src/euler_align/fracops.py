@@ -10,14 +10,9 @@ Two independent routes to the fractional Laplacian of order alpha in (0,1):
       c_alpha * int_0^inf (2 f(x) - f(x+z) - f(x-z)) / z^(1+alpha) dz
 
   with zero extension of f outside the grid, by a fixed dyadic-shell midpoint
-  rule vectorized over points and shells (the oracle path).  It takes one
-  field or a stack of fields on one grid: its shells and the cells of its
-  nodes, found by ``np.searchsorted`` as ``np.interp`` finds them, are built
-  once per (grid, points) per process, for every order, and kept with the
-  shared workspaces; each field is then sampled by ``np.interp`` at the
-  points and, bit for bit as ``np.interp`` would, with two gathers, a
-  multiply and an add per node, so the cross-validation trials of one
-  resolution are one call.
+  rule vectorized over points and shells (the oracle path), on one field or
+  a stack of fields on one grid, with a plan per (grid, points) per process
+  (see ``fractional_laplacian_quadrature``).
 
 Both realize the operator with Fourier symbol |xi|^alpha; the singular-integral
 form therefore carries the normalization constant
@@ -29,9 +24,9 @@ d_x^{-1} Lambda^alpha, the velocity reconstruction u = d_x^{-1}(G + Lambda^alpha
 and numerical checks of the Stroock-Varopoulos and fractional
 Gagliardo-Nirenberg inequalities.
 
-Every field is real, so every multiplier lives on the rfft half spectrum
-xi = ``Grid1D.wavenumbers`` >= 0 (n/2 + 1 entries) and is applied as
-irfft(m * rfft(f), n).  The operators are built from |xi|^p
+Every field is real, so every multiplier lives on the rfft half spectrum xi =
+``Grid1D.wavenumbers`` >= 0 (n/2 + 1 entries), applied by one routine,
+``apply_multiplier``: irfft(m * rfft(f), n).  The operators are built from |xi|^p
 (``SpectralWorkspace.abs_power_multiplier``): Lambda^alpha is |xi|^alpha, the
 Hilbert transform -i |xi|^0, d_x^{-1} Lambda^alpha is -i |xi|^(alpha-1) and the
 derivative i xi.  The odd multipliers need no zeroed Nyquist entry: irfft
@@ -64,11 +59,11 @@ transforms and elementwise intermediates into per-thread work arrays (see
 ``_work_array``) that persist between calls: at n >= 8192 each is >= 128 KiB,
 and fresh ones would make the allocator trim and re-fault the heap top on
 every step.  The quadrature oracle keeps its samples and node offsets in
-such arrays too, and the stacked ``fractional_laplacian_spectral`` its
-spectra, for the same reason.  Each is a view of a per-thread buffer that
-only grows, so calls that alternate between stack heights and grid sizes
-reuse one buffer.  Call sites name ``np.fft.rfft`` through the module
-attribute, so call counters can patch it.
+such arrays too, and ``apply_multiplier`` its spectra, for the same reason.
+Each is a view of a per-thread buffer that only grows, so calls that
+alternate between stack heights and grid sizes reuse one buffer (the image
+correction's are as high as its largest stack).  Call sites name
+``np.fft.rfft`` through the module attribute, so call counters can patch it.
 """
 from __future__ import annotations
 
@@ -129,8 +124,8 @@ def fftconvolve(values: np.ndarray, kernel_spectrum: np.ndarray) -> np.ndarray:
     rows, shape (n + 1,); the zero padding keeps the circular wrap-around out
     of the window.  The transforms run row by row, so each row gets the
     floats of a stack of one.  A run's initial velocity, its steps and the
-    image correction (one row as a stack of one) share one set of work
-    arrays.  Returns a (B, n) view of this thread's work array (``_work_array``).
+    image correction (its whole stack) share one set of work arrays.
+    Returns a (B, n) view of this thread's work array (``_work_array``).
     """
     b, n = values.shape
     spectrum = np.fft.rfft(values, 2 * n, out=_work_array("conv_hat", (b, n + 1), complex))
@@ -286,7 +281,11 @@ class SpectralWorkspace:
             if g_coef:
                 kernel[n - 1] += g_coef * (0.5 * h)
                 kernel[n:] += g_coef * h
-            return np.fft.rfft(kernel, 2 * n)
+            with np.errstate(over="ignore", invalid="ignore"):
+                spectrum = np.fft.rfft(kernel, 2 * n)
+            if not np.isfinite(spectrum).all():  # rejected before it is cached: a NaN key is never found again
+                raise GridError(f"g_coef = {g_coef!r} gives a non-finite velocity kernel")
+            return spectrum
 
         return self._cached(("velocity_kernel", bool(image_correction), float(g_coef)), build)
 
@@ -347,9 +346,22 @@ def workspace(grid: Grid1D, alpha: float) -> SpectralWorkspace:
     return _shared((grid.n, float(grid.half_width), a), lambda: SpectralWorkspace(grid, alpha))
 
 
-def apply_multiplier(f: Field, multiplier: np.ndarray) -> Field:
-    """Apply a Fourier multiplier (rfft layout, n/2 + 1 entries) to a real field."""
-    return Field(f.grid, np.fft.irfft(multiplier * np.fft.rfft(f.values), f.grid.n))
+def apply_multiplier(f: Field | Sequence[Field], multiplier: np.ndarray) -> Field | np.ndarray:
+    """irfft(multiplier * rfft(f), n), the one routine that applies a half-spectrum multiplier, shape (n//2 + 1,).
+
+    f is one Field, giving a Field, or a sequence of B Fields on one grid, giving a new (B, n) array whose
+    rows are the one-field calls' bytes.  The spectrum goes in a per-thread work array (``_work_array``).
+    """
+    single, fields = _field_stack(f, "apply_multiplier")
+    grid, m = fields[0].grid, fields[0].grid.n // 2 + 1
+    if np.shape(multiplier) != (m,):
+        raise ValueError(f"multiplier shape {np.shape(multiplier)} is not the half spectrum's {(m,)}")
+    # The output array holds the stack first: the rfft reads it before the irfft writes it.
+    out = np.stack([g.values for g in fields])
+    hat = np.fft.rfft(out, out=_work_array("multiplier_hat", (len(fields), m), complex))
+    np.multiply(multiplier, hat, out=hat)
+    np.fft.irfft(hat, grid.n, out=out)
+    return Field(grid, out[0]) if single else out
 
 
 def _check_ws(f: Field, ws: SpectralWorkspace) -> None:
@@ -357,24 +369,29 @@ def _check_ws(f: Field, ws: SpectralWorkspace) -> None:
         raise GridError("field and workspace live on different grids")
 
 
-def periodic_image_correction(f: Field, ws: SpectralWorkspace) -> Field:
+def periodic_image_correction(f: Field | Sequence[Field], ws: SpectralWorkspace) -> Field | np.ndarray:
     """Correction (f conv Q) turning the periodic multiplier into the real-line operator.
 
     For f supported inside the domain, Lambda^alpha_{R} f = Lambda^alpha_{per} f
     + (f conv Q) pointwise on the grid, where Q collects the kernel's periodic
-    images.  Computed by ``fftconvolve`` with the workspace's cached spectrum
-    of Q (``SpectralWorkspace.image_kernel_spectrum``).
+    images.  One ``fftconvolve`` with the workspace's cached spectrum of Q
+    (``SpectralWorkspace.image_kernel_spectrum``) on a Field or a stack, as ``apply_multiplier``.
     """
-    _check_ws(f, ws)
-    return Field(f.grid, f.grid.spacing * fftconvolve(f.values[None], ws.image_kernel_spectrum())[0])
+    single, fields = _field_stack(f, "periodic_image_correction")
+    _check_ws(fields[0], ws)
+    out = np.stack([g.values for g in fields])
+    np.multiply(ws.grid.spacing, fftconvolve(out, ws.image_kernel_spectrum()), out=out)
+    return Field(ws.grid, out[0]) if single else out
 
 
 def _field_stack(f: Field | Sequence[Field], what: str) -> tuple[bool, list[Field]]:
-    """Whether f is one Field, and its fields as a list: a single field is a stack of one."""
+    """Whether f is one Field, and its fields as a list on one grid: a single field is a stack of one."""
     single = isinstance(f, Field)
     fields = [f] if single else list(f)
     if not fields:
         raise ValueError(f"{what} needs at least one field")
+    if any(g.grid != fields[0].grid for g in fields):
+        raise GridError(f"the fields of one {what} stack lie on different grids; they must share one grid")
     return single, fields
 
 
@@ -393,25 +410,16 @@ def fractional_laplacian_spectral(
 
     f is one Field, giving a Field, or a sequence of B Fields on the
     workspace's grid, giving their values as one (B, n) array; a single
-    field is a stack of one.  The multiplier is one rfft/irfft of the stack,
-    which runs row by row, and the correction one
-    ``periodic_image_correction`` per row, so every row is the one-field
-    call's bytes and the convolution's work arrays stay one row high.
-    Raises ``GridError`` for a field on another grid than ``ws`` and
-    ``ValueError`` for an empty sequence.
+    field is a stack of one.  It is one ``apply_multiplier`` call on the
+    stack plus, with the correction, one ``periodic_image_correction`` call,
+    so every row is the one-field call's bytes.  Raises ``GridError`` for a
+    field on another grid than ``ws`` and ``ValueError`` for an empty sequence.
     """
     single, fields = _field_stack(f, "fractional_laplacian_spectral")
-    for g in fields:
-        _check_ws(g, ws)
-    n = ws.grid.n
-    # The output array holds the stack first: the rfft reads it before the irfft writes it.
-    out = np.stack([g.values for g in fields])
-    hat = np.fft.rfft(out, out=_work_array("lap_hat", (len(fields), n // 2 + 1), complex))
-    hat *= ws.abs_power_multiplier(ws.alpha)
-    np.fft.irfft(hat, n, out=out)
+    _check_ws(fields[0], ws)
+    out = apply_multiplier(fields, ws.abs_power_multiplier(ws.alpha))
     if image_correction:
-        for row, g in zip(out, fields):
-            row += periodic_image_correction(g, ws).values
+        out += periodic_image_correction(fields, ws)
     return Field(ws.grid, out[0]) if single else out
 
 
@@ -582,10 +590,8 @@ def fractional_laplacian_quadrature(f: Field | Sequence[Field], alpha: float, x)
     for an empty sequence, or for points that are not a scalar or 1-D or not
     inside (-L, L).
     """
-    single, fields = _field_stack(f, "quadrature oracle")
+    single, fields = _field_stack(f, "quadrature")
     grid = fields[0].grid
-    if any(g.grid != grid for g in fields):
-        raise GridError("fields in one quadrature stack must share one grid")
     a = float(FracOrder(alpha))
     c_a = singular_kernel_constant(a)
     xs = np.asarray(x, dtype=float)
@@ -719,26 +725,27 @@ def _velocity_rows(
 
 
 def stroock_varopoulos_check(
-    v: Field, p: float, ws: SpectralWorkspace, tol: float = 1e-6
-) -> tuple[float, float, bool]:
-    """Check int v^p Lambda^alpha v >= (4p/(p+1)^2) int (Lambda^{alpha/2} v^{(p+1)/2})^2.
+    v: Field, exponents: Sequence[float], ws: SpectralWorkspace, tol: float = 1e-6
+) -> list[tuple[float, float, bool]]:
+    """Check int v^p Lambda^alpha v >= (4p/(p+1)^2) int (Lambda^{alpha/2} v^{(p+1)/2})^2 for each exponent p.
 
-    Requires v >= 0 and p >= 1.  Returns (lhs, rhs, holds) where ``holds``
-    allows a relative slack of ``tol`` for discretization noise.
+    Requires v >= 0 and finite exponents p >= 1.  Returns one (lhs, rhs, holds) per exponent, where ``holds``
+    allows a relative slack of ``tol`` for discretization noise.  Lambda^alpha v is one ``apply_multiplier``
+    call, the Lambda^{alpha/2} of the powers one stacked call, and the integrals are h * sum.
     """
-    if p < 1.0:
-        raise ValueError(f"stroock_varopoulos_check requires p >= 1, got {p}")
+    bad = [p for p in exponents if not (math.isfinite(p) and p >= 1.0)]
+    if bad or len(exponents) == 0:
+        raise ValueError(f"stroock_varopoulos_check requires finite exponents p >= 1, got {bad or 'none'}")
     if float(v.values.min()) < -1e-13 * max(1.0, float(np.abs(v.values).max())):
         raise ValueError("stroock_varopoulos_check requires a nonnegative field")
     _check_ws(v, ws)
-    vals = np.clip(v.values, 0.0, None)
+    h, vals = v.grid.spacing, np.clip(v.values, 0.0, None)
     lam_v = apply_multiplier(v, ws.abs_power_multiplier(ws.alpha)).values
-    lhs = float(integrate(Field(v.grid, vals**p * lam_v)))
-    w = Field(v.grid, vals ** ((p + 1.0) / 2.0))
-    half = apply_multiplier(w, ws.abs_power_multiplier(ws.alpha / 2.0)).values
-    rhs = float(4.0 * p / (p + 1.0) ** 2 * integrate(Field(v.grid, half**2)))
-    holds = lhs >= rhs - tol * abs(rhs) - 1e-14
-    return lhs, rhs, holds
+    powers = [Field(v.grid, vals ** ((p + 1.0) / 2.0)) for p in exponents]
+    halves = apply_multiplier(powers, ws.abs_power_multiplier(ws.alpha / 2.0))
+    lhs = [float(h * (vals**p * lam_v).sum()) for p in exponents]
+    rhs = [float(4.0 * p / (p + 1.0) ** 2 * float(h * (half**2).sum())) for p, half in zip(exponents, halves)]
+    return [(left, right, left >= right - tol * abs(right) - 1e-14) for left, right in zip(lhs, rhs)]
 
 
 def gagliardo_nirenberg_check(

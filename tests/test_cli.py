@@ -150,6 +150,14 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(_write(tmp_path, "g.ini", text)), "--out", str(out)]) == 2
         assert "proportional mode only" in _manifest(out)["failure"]
 
+    def test_g_coef_whose_velocity_kernel_overflows_exits_two_naming_it(self, tmp_path, capsys):
+        """A finite g_coef can still overflow the velocity kernel; the error names the coefficient."""
+        text = SMALL_RUN.replace("mode = proportional", "mode = proportional\ng_coef = 1e308")
+        out = tmp_path / "huge_g_coef"
+        assert main(["simulate", "--config", str(_write(tmp_path, "g.ini", text)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: g_coef = 1e+308 gives a non-finite velocity kernel"]
+        assert "g_coef = 1e+308" in _manifest(out)["failure"]
+
     def test_shape_key_the_kind_ignores_exits_two_with_manifest(self, tmp_path):
         cfg = _write(tmp_path, "ignored.ini", SMALL_RUN.replace("rho0_kind = gaussian", "rho0_kind = getoor"))
         out = tmp_path / "ignored"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import threading
 import tracemalloc
 
@@ -39,7 +40,7 @@ from euler_align import (
 )
 from euler_align import closedform, fracops, selftest
 from euler_align.fracops import N_IMAGES, apply_multiplier, derivative, fftconvolve, workspace
-from euler_align.grid import antiderivative
+from euler_align.grid import antiderivative, integrate
 from oracles import getoor_tail_hyp2f1, velocity_profile_U_hyp2f1
 
 ALPHAS = (0.25, 0.5, 0.75)
@@ -124,6 +125,53 @@ class TestSpectralOperator:
             fractional_laplacian_spectral(fields, ws)
         with pytest.raises(ValueError, match="at least one field"):
             fractional_laplacian_spectral([], ws)
+
+    @pytest.mark.parametrize("n, alpha", [(1000, 0.25), (2048, 0.75)])
+    def test_stacked_multiplier_and_correction_are_the_per_field_calls_row_for_row(self, n, alpha):
+        grid = build_grid(n, 8.0)
+        ws = SpectralWorkspace(grid, alpha)
+        fields = _three_rows(grid, alpha, random_bump_field(grid, np.random.default_rng(n)))
+        multipliers = (ws.abs_power_multiplier(alpha), ws.abs_power_multiplier(-alpha),
+                       -1j * ws.abs_power_multiplier(alpha - 1.0), 1j * grid.wavenumbers)
+        for op in [lambda f, m=m: apply_multiplier(f, m) for m in multipliers] + [
+                lambda f: periodic_image_correction(f, ws)]:
+            stacked = op(fields)
+            assert stacked.shape == (3, n)
+            for f, row in zip(fields, stacked):
+                one = op(f)
+                assert isinstance(one, Field) and row.tobytes() == one.values.tobytes()
+
+    @pytest.mark.parametrize("b", [2, 5])
+    def test_a_corrected_stack_is_four_transforms_and_one_convolution(self, b, monkeypatch):
+        """The multiplier and the correction each transform the whole stack once, whatever its height."""
+        grid = build_grid(256, 8.0)
+        ws = SpectralWorkspace(grid, 0.5)
+        ws.image_kernel_spectrum()  # built apart: its own rfft is not the operator's
+        fields = [random_bump_field(grid, np.random.default_rng(seed)) for seed in range(b)]
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+        monkeypatch.setattr(fracops, "fftconvolve", counted("fftconvolve", fracops.fftconvolve))
+        fractional_laplacian_spectral(fields, ws, image_correction=True)
+        assert sorted(calls) == ["fftconvolve", "irfft", "irfft", "rfft", "rfft"]
+
+    def test_multiplier_must_be_the_half_spectrum(self):
+        grid = build_grid(64, 4.0)
+        f = Field(grid, np.zeros(64))
+        for shape in [(64,), (2, 33), (32,)]:
+            with pytest.raises(ValueError, match=re.escape(f"multiplier shape {shape} is not the half spectrum's (33,)")):
+                apply_multiplier([f, f], np.ones(shape))
+        with pytest.raises(GridError, match="share one grid"):
+            apply_multiplier([f, Field(build_grid(64, 5.0), np.zeros(64))], np.ones(33))
+        with pytest.raises(ValueError, match="at least one field"):
+            apply_multiplier([], np.ones(33))
 
 
 class TestSharedWorkspace:
@@ -675,6 +723,17 @@ class TestVelocity:
         resid = (u.values + mirrored)[1:]
         npt.assert_allclose(resid, 0.0, atol=1e-6 * np.abs(u.values).max())
 
+    def test_non_finite_coefficient_kernel_is_rejected_before_it_is_cached(self, fresh_workspaces, rng):
+        """A NaN, infinite or overflowing G coefficient names itself, and the shared workspace does not grow."""
+        ws = workspace(build_grid(256, 8.0), 0.5)
+        rho = random_bump_field(ws.grid, rng)
+        velocity_from_state(rho, 0.5, ws, image_correction=True)
+        cached, nbytes = dict(ws._cache), ws.nbytes
+        for c in (np.nan, np.inf, -np.inf, 1e308, np.nan):
+            with pytest.raises(GridError, match=re.escape(f"g_coef = {c!r}")):
+                velocity_from_state(rho, c, ws, image_correction=True)
+        assert ws._cache == cached and ws.nbytes == nbytes
+
     def test_left_tail_anchor_sign_and_linearity(self, rng):
         grid = build_grid(512, 8.0)
         f = random_bump_field(grid, rng)
@@ -692,7 +751,7 @@ class TestInequalities:
         ws = SpectralWorkspace(grid, alpha)
         for _ in range(3):
             v = random_bump_field(grid, rng)
-            lhs, rhs, holds = stroock_varopoulos_check(v, p, ws)
+            [(lhs, rhs, holds)] = stroock_varopoulos_check(v, (p,), ws)
             assert holds
             assert lhs >= rhs * (1.0 - 1e-6)
 
@@ -701,9 +760,48 @@ class TestInequalities:
         ws = SpectralWorkspace(grid, 0.5)
         v = random_bump_field(grid, rng)
         with pytest.raises(ValueError):
-            stroock_varopoulos_check(v, 0.5, ws)
+            stroock_varopoulos_check(v, (0.5,), ws)
         with pytest.raises(ValueError):
-            stroock_varopoulos_check(Field(grid, -v.values), 2.0, ws)
+            stroock_varopoulos_check(Field(grid, -v.values), (2.0,), ws)
+
+    @pytest.mark.parametrize("exponents, named", [
+        ((), "none"), ((2.0, np.inf), "[inf]"), ((np.nan,), "[nan]"), ((-np.inf, 2.0, 0.5), "[-inf, 0.5]"),
+        ((1.5, 0.99), "[0.99]")])
+    def test_stroock_varopoulos_rejects_empty_or_bad_exponents(self, exponents, named, rng):
+        """Each exponent that is not finite and >= 1 is named; inf and NaN once surfaced as a non-finite field."""
+        grid = build_grid(256, 8.0)
+        v = random_bump_field(grid, rng)
+        with pytest.raises(ValueError, match=re.escape(f"finite exponents p >= 1, got {named}")):
+            stroock_varopoulos_check(v, exponents, SpectralWorkspace(grid, 0.5))
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_stroock_varopoulos_is_the_per_exponent_expression(self, alpha, rng, monkeypatch):
+        """Each (lhs, rhs, holds) is the bytes of the one-exponent expression below, and all exponents
+        together take two multiplier calls: Lambda^alpha v once and one stack of the powers."""
+        grid = build_grid(2048, 16.0)
+        ws = SpectralWorkspace(grid, alpha)
+        exponents = (1.0, 1.5, 2.0, 3.0)
+
+        def one_exponent(v, p, tol=1e-6):
+            vals = np.clip(v.values, 0.0, None)
+            lam_v = apply_multiplier(v, ws.abs_power_multiplier(ws.alpha)).values
+            lhs = float(integrate(Field(v.grid, vals**p * lam_v)))
+            w = Field(v.grid, vals ** ((p + 1.0) / 2.0))
+            half = apply_multiplier(w, ws.abs_power_multiplier(ws.alpha / 2.0)).values
+            rhs = float(4.0 * p / (p + 1.0) ** 2 * integrate(Field(v.grid, half**2)))
+            return lhs, rhs, lhs >= rhs - tol * abs(rhs) - 1e-14
+
+        for v in (random_bump_field(grid, rng), Field(grid, getoor_profile(alpha, grid.x))):
+            for tol in (1e-6, 0.0):
+                ref = [one_exponent(v, p, tol) for p in exponents]
+                got = stroock_varopoulos_check(v, exponents, ws, tol)
+                assert [(lhs.hex(), rhs.hex(), holds) for lhs, rhs, holds in got] == [
+                    (lhs.hex(), rhs.hex(), holds) for lhs, rhs, holds in ref]
+        calls = []
+        multiply = fracops.apply_multiplier
+        monkeypatch.setattr(fracops, "apply_multiplier", lambda f, m: calls.append(m) or multiply(f, m))
+        stroock_varopoulos_check(v, (1.5, 2.0, 3.0), ws)
+        assert len(calls) == 2
 
     def test_gagliardo_nirenberg_ratio_dilation_invariant(self):
         grid = build_grid(4096, 16.0)

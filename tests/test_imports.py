@@ -167,6 +167,58 @@ def test_package_uses_only_the_rfft_half_spectrum():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+# The routines that may call ``<...>.fft.rfft``/``<...>.fft.irfft``: the multiplier, the
+# windowed convolution, the solver's stacked step and the workspace's kernel builders.
+TRANSFORM_ROUTINES = {
+    "fracops.apply_multiplier",
+    "fracops.fftconvolve",
+    "fracops.SpectralWorkspace.image_kernel_spectrum",
+    "fracops.SpectralWorkspace.velocity_kernel_spectrum",
+    "solver._spectral_step",
+}
+
+
+def transform_sites(source: str) -> list[tuple[str, int]]:
+    """(routine, line) of each ``<...>.fft.rfft``/``<...>.fft.irfft`` call in ``source``.
+
+    The routine is the module-level def, or the method of a module-level class,
+    that holds the call, its nested functions and lambdas included; a call in
+    a class body is the class's, and one outside any def or class "<module>".
+    """
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    units = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.ClassDef):
+            units += [(f"{top.name}.{m.name}" if isinstance(m, defs) else top.name, m) for m in top.body]
+        else:
+            units.append((top.name if isinstance(top, defs) else "<module>", top))
+    return [
+        (routine, node.lineno)
+        for routine, unit in units
+        for node in ast.walk(unit)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("rfft", "irfft")
+        and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr == "fft"
+    ]
+
+
+def test_transforms_run_only_in_the_listed_routines():
+    """A second copy of irfft(m * rfft(f)) outside ``apply_multiplier`` cannot come back unseen."""
+    sample = (
+        "x = np.fft.rfft(a)\ndef f():\n    def g():\n        return np.fft.irfft(b)\n"
+        "class C:\n    def m(self):\n        return (lambda: numpy.fft.rfft(c))()\n"
+        "def h():\n    return np.fft.rfftfreq(8) + np.fft.fft(d)\n"
+    )
+    assert transform_sites(sample) == [("<module>", 1), ("f", 4), ("C.m", 7)]
+    modules = sorted(SRC_DIR.glob("*.py"))
+    assert modules
+    found = {f"{p.stem}.{routine}" for p in modules for routine, _ in transform_sites(p.read_text())}
+    assert sorted(found - TRANSFORM_ROUTINES) == []
+    assert found == TRANSFORM_ROUTINES  # every listed routine still transforms
+
+
 PERFBENCH_DIR = SRC_DIR.parents[1] / "perfbench"
 
 # Public names kept with no caller in the package or the benchmark, and why.
