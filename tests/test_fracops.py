@@ -6,7 +6,7 @@ import re
 import threading
 import tracemalloc
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 import numpy as np
@@ -498,17 +498,19 @@ def _positions(grid):
         st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))),
     positions=st.lists(_positions(_ON_GRID), min_size=1, max_size=300),
 )
+@example(values=np.r_[-1e308, 1e308, np.zeros(_ON_GRID.n - 2)], positions=[float(_ON_GRID.x[0])])
 def test_interpolation_plan_is_np_interp_bit_for_bit(values, positions):
     """The oracle's plan samples exactly as ``np.interp(..., left=0, right=0)``, signed zeros included.
 
-    Values span the finite floats, so slopes may overflow to inf: numpy's
+    Values span the finite floats, so slopes may overflow to inf, and on a
+    node inf * 0 is NaN until the node's own value replaces it: numpy's
     ufuncs warn there and ``np.interp``'s C loop does not, and the floats
     agree either way.
     """
     grid = _ON_GRID
     p = np.array(positions)
     plan = fracops._interp_plan(grid, p)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         tables = fracops._interp_tables(values, np.diff(grid.x), np.zeros((2, grid.n + 1)))
         got = fracops._interp_apply(plan, tables, np.empty(p.size), np.empty(p.size))
     assert got.tobytes() == np.interp(p, grid.x, values, left=0, right=0).tobytes()
