@@ -61,9 +61,12 @@ and fresh ones would make the allocator trim and re-fault the heap top on
 every step.  The quadrature oracle keeps its samples and node offsets in
 such arrays too, and ``apply_multiplier`` its spectra, for the same reason.
 Each is a view of a per-thread buffer that only grows, so calls that
-alternate between stack heights and grid sizes reuse one buffer (the image
-correction's are as high as its largest stack).  Call sites name
-``np.fft.rfft`` through the module attribute, so call counters can patch it.
+alternate between stack heights and grid sizes reuse one buffer.
+``apply_multiplier`` and ``periodic_image_correction`` transform a stack in
+blocks of ``_block_rows(n)`` rows, ``BLOCK_FLOATS`` values, the rule the
+solver's step blocks follow, so their buffers hold one block, not the
+tallest stack.  Call sites name ``np.fft.rfft`` through the module
+attribute, so call counters can patch it.
 """
 from __future__ import annotations
 
@@ -87,7 +90,7 @@ from .grid import (
 N_IMAGES = 64  # image pairs SpectralWorkspace.image_kernel sums before its analytic tail
 WORKSPACE_BUDGET = 32 << 20  # bytes the shared workspaces and quadrature plans (``_shared``) may hold, lazily built arrays included
 NODES_PER_SHELL = 48  # midpoint nodes per dyadic shell in fractional_laplacian_quadrature
-_QUAD_FLOATS = 1 << 13  # node values per block there: 64 KiB, half glibc's mmap and trim thresholds
+BLOCK_FLOATS = 1 << 13  # values per block of scratch rows, steps or nodes: 64 KiB, half glibc's mmap and trim thresholds
 
 
 _work = threading.local()
@@ -98,7 +101,10 @@ def _work_array(name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
 
     The buffer is allocated anew only when ``shape`` needs more entries than
     it holds, so calls that alternate between stack heights or grid sizes
-    reuse it, and it keeps the largest size asked for.  A call with the
+    reuse it, and it keeps the largest size asked for.  ``apply_multiplier``
+    and ``periodic_image_correction`` ask for one block of rows
+    (``_block_rows``), about 128 KiB an array whatever the stack's height;
+    the solver's arrays are as high as its lockstep runs.  A call with the
     shape of the previous one returns the same view, as cheaply as a lookup:
     the solver calls this about 15 times per step.  The contents are
     scratch: every caller overwrites the array before it reads it
@@ -116,6 +122,11 @@ def _work_array(name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
     return entry[1]
 
 
+def _block_rows(n: int) -> int:
+    """Rows of n values in one block of ``BLOCK_FLOATS``: max(1, BLOCK_FLOATS // n)."""
+    return max(1, BLOCK_FLOATS // n)
+
+
 def fftconvolve(values: np.ndarray, kernel_spectrum: np.ndarray) -> np.ndarray:
     """Samples n-1 .. 2n-2 of the linear convolution of each row of ``values``, (B, n), with a kernel K.
 
@@ -124,8 +135,8 @@ def fftconvolve(values: np.ndarray, kernel_spectrum: np.ndarray) -> np.ndarray:
     rows, shape (n + 1,); the zero padding keeps the circular wrap-around out
     of the window.  The transforms run row by row, so each row gets the
     floats of a stack of one.  A run's initial velocity, its steps and the
-    image correction (its whole stack) share one set of work arrays.
-    Returns a (B, n) view of this thread's work array (``_work_array``).
+    image correction (one block of rows at a time) share one set of work
+    arrays.  Returns a (B, n) view of this thread's work array (``_work_array``).
     """
     b, n = values.shape
     spectrum = np.fft.rfft(values, 2 * n, out=_work_array("conv_hat", (b, n + 1), complex))
@@ -350,17 +361,21 @@ def apply_multiplier(f: Field | Sequence[Field], multiplier: np.ndarray) -> Fiel
     """irfft(multiplier * rfft(f), n), the one routine that applies a half-spectrum multiplier, shape (n//2 + 1,).
 
     f is one Field, giving a Field, or a sequence of B Fields on one grid, giving a new (B, n) array whose
-    rows are the one-field calls' bytes.  The spectrum goes in a per-thread work array (``_work_array``).
+    rows are the one-field calls' bytes.  The rows are transformed in blocks of ``_block_rows(n)``, whose
+    spectra go in a per-thread work array (``_work_array``) one block high.
     """
     single, fields = _field_stack(f, "apply_multiplier")
     grid, m = fields[0].grid, fields[0].grid.n // 2 + 1
     if np.shape(multiplier) != (m,):
         raise ValueError(f"multiplier shape {np.shape(multiplier)} is not the half spectrum's {(m,)}")
-    # The output array holds the stack first: the rfft reads it before the irfft writes it.
+    # The output array holds the stack first: each block's rfft reads it before its irfft writes it.
     out = np.stack([g.values for g in fields])
-    hat = np.fft.rfft(out, out=_work_array("multiplier_hat", (len(fields), m), complex))
-    np.multiply(multiplier, hat, out=hat)
-    np.fft.irfft(hat, grid.n, out=out)
+    rows = _block_rows(grid.n)
+    for i in range(0, len(out), rows):
+        block = out[i : i + rows]
+        hat = np.fft.rfft(block, out=_work_array("multiplier_hat", (len(block), m), complex))
+        np.multiply(multiplier, hat, out=hat)
+        np.fft.irfft(hat, grid.n, out=block)
     return Field(grid, out[0]) if single else out
 
 
@@ -375,12 +390,16 @@ def periodic_image_correction(f: Field | Sequence[Field], ws: SpectralWorkspace)
     For f supported inside the domain, Lambda^alpha_{R} f = Lambda^alpha_{per} f
     + (f conv Q) pointwise on the grid, where Q collects the kernel's periodic
     images.  One ``fftconvolve`` with the workspace's cached spectrum of Q
-    (``SpectralWorkspace.image_kernel_spectrum``) on a Field or a stack, as ``apply_multiplier``.
+    (``SpectralWorkspace.image_kernel_spectrum``) per block of ``_block_rows(n)`` rows, on a Field
+    or a stack, as ``apply_multiplier``; each block's samples are written over its stacked values.
     """
     single, fields = _field_stack(f, "periodic_image_correction")
     _check_ws(fields[0], ws)
     out = np.stack([g.values for g in fields])
-    np.multiply(ws.grid.spacing, fftconvolve(out, ws.image_kernel_spectrum()), out=out)
+    spectrum, rows = ws.image_kernel_spectrum(), _block_rows(ws.grid.n)
+    for i in range(0, len(out), rows):
+        block = out[i : i + rows]
+        np.multiply(ws.grid.spacing, fftconvolve(block, spectrum), out=block)
     return Field(ws.grid, out[0]) if single else out
 
 
@@ -477,7 +496,7 @@ class _QuadraturePlan:
     For the points x (1-D): their radii R = L + |x|, the dyadic shells
     [z_min 2^m, min(z_min 2^(m+1), R)] from z_min = h/2 (``lo``, the node
     weights ``w`` and the ``active`` mask) and, per block of points whose
-    nodes fit in ``_QUAD_FLOATS`` values, the cells of the node positions
+    nodes fit in ``BLOCK_FLOATS`` values, the cells of the node positions
     x + z and x - z (``blocks``: ``_interp_plan``'s j, off-grid sentinel
     included, in the smallest unsigned dtype that holds n, with its on-node
     positions ``on`` and their nodes ``j_on``).  x itself is sampled by
@@ -499,7 +518,7 @@ class _QuadraturePlan:
         hi = np.minimum(np.ldexp(z_min, m + 1), self.big_r[:, None])
         self.active = (m < n_shells[:, None]) & (self.lo < hi)
         self.w = (hi - self.lo) / NODES_PER_SHELL
-        step = _QUAD_FLOATS // (NODES_PER_SHELL * max(m.size, 1))  # points per block
+        step = BLOCK_FLOATS // (NODES_PER_SHELL * max(m.size, 1))  # points per block
         cell = np.min_scalar_type(grid.n)
         self.blocks = []
         for i in range(0, xs.size, step):
@@ -568,11 +587,11 @@ def fractional_laplacian_quadrature(f: Field | Sequence[Field], alpha: float, x)
     not fuse that multiply-add.
 
     Memory stays bounded per row: a block's nodes form one (block, shells,
-    NODES_PER_SHELL) array of at most ``_QUAD_FLOATS`` values.  The kept plan
+    NODES_PER_SHELL) array of at most ``BLOCK_FLOATS`` values.  The kept plan
     holds about 4 bytes per node (the cells of x + z and x - z, 2 bytes each
     below n = 65536) and the indices of the positions that fall on a node.
     The offsets, the cells widened to indices and the two rows of samples
-    live in per-thread arrays of twice ``_QUAD_FLOATS`` entries that persist
+    live in per-thread arrays of twice ``BLOCK_FLOATS`` entries that persist
     between calls (``_work_array``), and each row's slope and value tables
     are rebuilt in one (2, n + 1) array per block, so no array is (B, block)
     or (B, n); the largest that grows with B is the (B, P, shells) shell

@@ -55,7 +55,9 @@ import numpy as np
 
 from ._version import __version__
 from .closedform import getoor_profile
-from .fracops import FracOrder, SpectralWorkspace, _velocity_rows, _work_array, velocity_from_state, workspace
+from .fracops import (
+    FracOrder, SpectralWorkspace, _block_rows, _velocity_rows, _work_array, velocity_from_state, workspace,
+)
 from .grid import (
     Field,
     Grid1D,
@@ -825,7 +827,7 @@ def _run_lockstep(cfgs) -> tuple[Trajectory, ...]:
     logs = [_RunLog(cfg) for cfg in cfgs]
     # Slot 0 holds the evolved rows a block starts from; slots 1..block_steps of blk and tu its steps.
     # Made after the initial states, whose temporaries are freed by then.
-    block_steps = max(1, 8192 // n)
+    block_steps = _block_rows(n)
     blk = np.empty((block_steps + 1, len(cfgs), 2, n))
     tu = np.empty((block_steps + 1, len(cfgs), 2))  # (t, u_inf)
     u = np.empty((len(cfgs), n))
@@ -871,7 +873,7 @@ def run(cfg: SolverConfig) -> Trajectory:
 
     The one-run case of ``_run_lockstep``: the loop advances raw arrays through
     the core ``step`` wraps and builds ``Field``s only for recorded states,
-    whose t is the output time itself.  Steps fill blocks of max(1, 8192 // n)
+    whose t is the output time itself.  Steps fill blocks of ``fracops._block_rows(n)``
     steps (128 KiB of new rows per run), whose G and summary rows are formed
     in one pass when full and at output times.  The run aborts with
     SolverError if the state develops non-finite values or if the density/G
