@@ -10,9 +10,9 @@ Two independent routes to the fractional Laplacian of order alpha in (0,1):
       c_alpha * int_0^inf (2 f(x) - f(x+z) - f(x-z)) / z^(1+alpha) dz
 
   with zero extension of f outside the grid, by a fixed dyadic-shell midpoint
-  rule vectorized over points and shells (the oracle path), on one field or
-  a stack of fields on one grid, with a plan per (grid, points) per process
-  (see ``fractional_laplacian_quadrature``).
+  rule (the oracle path), on one field or a stack of fields on one grid, as
+  one matrix of weights on the grid values per block of points (see
+  ``fractional_laplacian_quadrature``).
 
 Both realize the operator with Fourier symbol |xi|^alpha; the singular-integral
 form therefore carries the normalization constant
@@ -58,10 +58,10 @@ package's start-up time, and only ``numpy.fft`` (numpy >= 2.0) takes an
 transforms and elementwise intermediates into per-thread work arrays (see
 ``_work_array``) that persist between calls: at n >= 8192 each is >= 128 KiB,
 and fresh ones would make the allocator trim and re-fault the heap top on
-every step.  The quadrature oracle keeps its samples and node offsets in
-such arrays too, and ``apply_multiplier`` its spectra, for the same reason.
-Each is a view of a per-thread buffer that only grows, so calls that
-alternate between stack heights and grid sizes reuse one buffer.
+every step.  ``apply_multiplier`` keeps its spectra in such an array too,
+for the same reason.  Each is a view of a per-thread buffer that only
+grows, so calls that alternate between stack heights and grid sizes reuse
+one buffer.
 ``apply_multiplier`` and ``periodic_image_correction`` transform a stack in
 blocks of ``_block_rows(n)`` rows, ``BLOCK_FLOATS`` values, the rule the
 solver's step blocks follow, so their buffers hold one block, not the
@@ -88,9 +88,9 @@ from .grid import (
 )
 
 N_IMAGES = 64  # image pairs SpectralWorkspace.image_kernel sums before its analytic tail
-WORKSPACE_BUDGET = 32 << 20  # bytes the shared workspaces and quadrature plans (``_shared``) may hold, lazily built arrays included
+WORKSPACE_BUDGET = 32 << 20  # bytes the shared workspaces (``workspace``) may hold, lazily built arrays included
 NODES_PER_SHELL = 48  # midpoint nodes per dyadic shell in fractional_laplacian_quadrature
-BLOCK_FLOATS = 1 << 13  # values per block of scratch rows, steps or nodes: 64 KiB, half glibc's mmap and trim thresholds
+BLOCK_FLOATS = 1 << 13  # values per block of scratch rows, steps or oracle weights: 64 KiB, half glibc's mmap and trim thresholds
 
 
 _work = threading.local()
@@ -188,12 +188,11 @@ class SpectralWorkspace:
     never reconstructs a velocity never pays for the velocity's arrays.
     Every cached array is frozen, and building one twice gives the same
     values, so a workspace is shared per process via ``workspace(grid,
-    alpha)``, one per (n, L, alpha) within ``WORKSPACE_BUDGET`` bytes (which
-    the quadrature oracle's plans share), and across threads, and it
-    pickles.  ``nbytes`` counts the arrays it holds, its grid's included.
-    The scratch arrays that the velocity and the spectral step write into
-    are not part of it: they are per thread, one buffer per name, grown to
-    the largest size asked for (``_work_array``).
+    alpha)``, one per (n, L, alpha) within ``WORKSPACE_BUDGET`` bytes, and
+    across threads, and it pickles.  ``nbytes`` counts the arrays it holds,
+    its grid's included.  The scratch arrays that the velocity and the
+    spectral step write into are not part of it: they are per thread, one
+    buffer per name, grown to the largest size asked for (``_work_array``).
     """
 
     def __init__(self, grid: Grid1D, alpha: float):
@@ -327,34 +326,24 @@ class SpectralWorkspace:
         return self._cached(("transport",), build)
 
 
-_SHARED: dict[tuple, SpectralWorkspace | _QuadraturePlan] = {}  # least recently used first
-
-
-def _shared(key: tuple, build):
-    """The value the process keeps under key, built by ``build()`` on first use.
-
-    Each call keeps the most recently used values while their ``nbytes``,
-    lazily built arrays included, fit in ``WORKSPACE_BUDGET``, and always the
-    one it returns.  No lock is held while building, so a racing thread or a
-    fork costs at most a duplicate build.
-    """
-    value = _SHARED.pop(key, None) or build()
-    _SHARED[key] = value  # reinserted last, as the most recently used
-    while len(_SHARED) > 1 and sum(v.nbytes for v in list(_SHARED.values())) > WORKSPACE_BUDGET:
-        _SHARED.pop(list(_SHARED)[0], None)  # the least recently used
-    return value
+_SHARED: dict[tuple, SpectralWorkspace] = {}  # least recently used first
 
 
 def workspace(grid: Grid1D, alpha: float) -> SpectralWorkspace:
     """The process's shared SpectralWorkspace for (grid.n, grid.half_width, alpha), built on first use.
 
-    Equal grids share it, also when built apart.  It is kept by the rule of
-    ``_shared``: within ``WORKSPACE_BUDGET`` bytes, together with the
-    quadrature oracle's interpolation plans, least recently used evicted
-    first.  ``SpectralWorkspace(grid, alpha)`` gives a private one.
+    Equal grids share it, also when built apart.  Each call keeps the most
+    recently used workspaces while their ``nbytes``, lazily built arrays
+    included, fit in ``WORKSPACE_BUDGET``, and always the one it returns.  No
+    lock is held while building, so a racing thread or a fork costs at most a
+    duplicate build.  ``SpectralWorkspace(grid, alpha)`` gives a private one.
     """
-    a = float(FracOrder(alpha))
-    return _shared((grid.n, float(grid.half_width), a), lambda: SpectralWorkspace(grid, alpha))
+    key = (grid.n, float(grid.half_width), float(FracOrder(alpha)))
+    ws = _SHARED.pop(key, None) or SpectralWorkspace(grid, alpha)
+    _SHARED[key] = ws  # reinserted last, as the most recently used
+    while len(_SHARED) > 1 and sum(v.nbytes for v in list(_SHARED.values())) > WORKSPACE_BUDGET:
+        _SHARED.pop(list(_SHARED)[0], None)  # the least recently used
+    return ws
 
 
 def apply_multiplier(f: Field | Sequence[Field], multiplier: np.ndarray) -> Field | np.ndarray:
@@ -442,118 +431,34 @@ def fractional_laplacian_spectral(
     return Field(ws.grid, out[0]) if single else out
 
 
-def _interp_plan(grid: Grid1D, p: np.ndarray):
-    """How ``np.interp(p, grid.x, fp, left=0.0, right=0.0)`` samples any fp on ``grid``.
+def _quadrature_weights(grid: Grid1D, xs: np.ndarray, big_r: np.ndarray, lo: np.ndarray, w: np.ndarray,
+                        a: float) -> np.ndarray:
+    """The (points, n) weights W with W @ f the oracle's bracket at the points xs, before c_alpha.
 
-    Returns the plan (j, d, on, j_on), j and d shaped like p, that
-    ``_interp_apply`` reads.  j is numpy's own cell search, the last node
-    x_j <= p (``np.searchsorted``), and d = p - x_j.  Off [x_0, x_{n-1}]
-    j = n, where the tables of ``_interp_tables`` hold zeros, so the sample
-    is 0 * d + 0 = +0.0.  On a node (x_{n-1} included) numpy returns fp[j]
-    itself, not slope * 0 + fp[j] (whose sign of zero may differ), so the
-    flat indices ``on`` of those positions and their nodes ``j_on`` are kept
-    apart.
+    Node k of a point has z = lo + (k + 1/2) w per shell (w = 0 on inactive
+    shells) and c = w / z^(1+alpha); it samples f at x + z and x - z with
+    weight -c each, and the point itself at x with 2 (sum c + R^(-alpha) / alpha).
+    A position p in [x_0, x_{n-1}] lies in cell j = floor((p - x_0) / h)
+    (the last cell for p = x_{n-1}) at fraction t, and gives weight (1 - t)
+    to node j and t to node j + 1, as ``np.interp`` interpolates; one
+    off [x_0, x_{n-1}] gives none, the zero extension.
     """
-    xp, n = grid.x, grid.n
-    j = np.searchsorted(xp, p, side="right") - 1
-    j[(p < xp[0]) | (p > xp[-1])] = n
-    d = p - xp.take(j, mode="clip")  # off the grid j = n clips to x_{n-1}, and d != 0 there
-    on = np.flatnonzero(d == 0.0)
-    return j, d, on, j.reshape(-1)[on]
-
-
-def _interp_tables(values: np.ndarray, dx: np.ndarray, tables: np.ndarray) -> np.ndarray:
-    """Write one row's (slopes, values) into ``tables``, shape (2, n + 1), and return it.
-
-    slopes[j] = (fp[j+1] - fp[j]) / (x[j+1] - x[j]) for j < n - 1, with
-    dx = diff(x): numpy's interp slopes.  Entry n - 1 of the slopes and
-    both entries n must hold zeros (see ``_interp_plan``); this writes
-    neither.  slopes[n-1] is read only on the node x_{n-1}, whose sample
-    ``_interp_apply`` overwrites.
-    """
-    n = values.size
-    slopes = np.subtract(values[1:], values[:-1], out=tables[0, : n - 1])
-    slopes /= dx
-    tables[1, :n] = values
-    return tables
-
-
-def _interp_apply(plan, tables: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """One row's samples at a plan's positions, slopes[j] * d + values[j], in ``out`` (``tmp`` is scratch)."""
-    j, d, on, j_on = plan
-    slopes, values = tables
-    slopes.take(j, out=out, mode="clip")
-    out *= d
-    out += values.take(j, out=tmp, mode="clip")
-    if on.size:
-        out.reshape(-1)[on] = values[j_on]
-    return out
-
-
-class _QuadraturePlan:
-    """What ``fractional_laplacian_quadrature`` needs of (grid, points) that no field and no order changes.
-
-    For the points x (1-D): their radii R = L + |x|, the dyadic shells
-    [z_min 2^m, min(z_min 2^(m+1), R)] from z_min = h/2 (``lo``, the node
-    weights ``w`` and the ``active`` mask) and, per block of points whose
-    nodes fit in ``BLOCK_FLOATS`` values, the cells of the node positions
-    x + z and x - z (``blocks``: ``_interp_plan``'s j, off-grid sentinel
-    included, in the smallest unsigned dtype that holds n, with its on-node
-    positions ``on`` and their nodes ``j_on``).  x itself is sampled by
-    ``np.interp``, which needs no plan.  The nodes z, the positions and
-    their offsets p - x_j are recomputed per call (``nodes``,
-    ``positions``): a few passes per block, where keeping them would take 24
-    more bytes per node than the 4 that the two cells take.  Built once per
-    (n, L, points) per process and kept by ``_quadrature_plan``; its arrays
-    are frozen and ``nbytes`` counts them.
-    """
-
-    def __init__(self, grid: Grid1D, xs: np.ndarray):
-        self.xs = xs.copy()  # the caller's array may change; the plan outlives the call
-        z_min = grid.spacing / 2.0
-        self.big_r = grid.half_width + np.abs(xs)
-        n_shells = np.ceil(np.log2(self.big_r / z_min)).astype(int)
-        m = np.arange(n_shells.max(initial=0))
-        self.lo = np.ldexp(z_min, m)
-        hi = np.minimum(np.ldexp(z_min, m + 1), self.big_r[:, None])
-        self.active = (m < n_shells[:, None]) & (self.lo < hi)
-        self.w = (hi - self.lo) / NODES_PER_SHELL
-        step = BLOCK_FLOATS // (NODES_PER_SHELL * max(m.size, 1))  # points per block
-        cell = np.min_scalar_type(grid.n)
-        self.blocks = []
-        for i in range(0, xs.size, step):
-            block = slice(i, i + step)
-            z = self.nodes(block)
-            p = self.positions(block, z, np.empty((2,) + z.shape))
-            j, _, on, j_on = _interp_plan(grid, p)
-            self.blocks.append((block, j.astype(cell), on, j_on))
-        arrays = [self.xs, self.big_r, self.lo, self.active, self.w]
-        arrays += [arr for _, *plan in self.blocks for arr in plan]
-        for arr in arrays:
-            arr.setflags(write=False)
-        self.nbytes = sum(arr.nbytes for arr in arrays)
-
-    def nodes(self, block: slice) -> np.ndarray:
-        """The midpoint nodes z of a block of points, shape (points, shells, ``NODES_PER_SHELL``)."""
-        return self.lo[:, None] + (np.arange(NODES_PER_SHELL) + 0.5) * self.w[block, :, None]
-
-    def positions(self, block: slice, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The node positions x + z and x - z of a block, stacked in ``out``, shape (2,) + z.shape."""
-        xv = self.xs[block, None, None]
-        np.add(xv, z, out=out[0])
-        np.subtract(xv, z, out=out[1])
-        return out
-
-
-def _quadrature_plan(grid: Grid1D, xs: np.ndarray) -> _QuadraturePlan:
-    """The process's shared ``_QuadraturePlan`` for (grid.n, grid.half_width, xs), built on first use.
-
-    Keyed without the order, so every alpha shares it.  It is kept beside the
-    shared workspaces by the rule of ``_shared``: within ``WORKSPACE_BUDGET``
-    bytes, least recently used evicted first.
-    """
-    key = ("quadrature", grid.n, float(grid.half_width), xs.tobytes())
-    return _shared(key, lambda: _QuadraturePlan(grid, xs))
+    n, points = grid.n, len(xs)
+    z = lo[:, None] + (np.arange(NODES_PER_SHELL) + 0.5) * w[:, :, None]
+    c = (w[:, :, None] / z ** (1.0 + a)).reshape(points, -1)
+    z = z.reshape(points, -1)
+    x = xs[:, None]
+    u = np.concatenate((x + z, x - z, x), axis=1)  # the positions
+    coef = np.concatenate((-c, -c, 2.0 * (c.sum(axis=1, keepdims=True) + big_r[:, None] ** -a / a)), axis=1)
+    coef[(u < grid.x[0]) | (u > grid.x[-1])] = 0.0
+    u -= grid.x[0]
+    u /= grid.spacing
+    j = np.clip(u.astype(np.intp), 0, n - 2)
+    t = np.subtract(u, j, out=u)
+    j += np.arange(0, points * n, n)[:, None]  # the cell's flat index in the (points, n) block
+    weights = np.bincount(j.ravel(), ((1.0 - t) * coef).ravel(), minlength=points * n)
+    weights += np.bincount(j.ravel() + 1, (t * coef).ravel(), minlength=points * n)
+    return weights.reshape(points, n)
 
 
 def fractional_laplacian_quadrature(f: Field | Sequence[Field], alpha: float, x) -> np.ndarray:
@@ -568,41 +473,22 @@ def fractional_laplacian_quadrature(f: Field | Sequence[Field], alpha: float, x)
 
     f is one Field, giving values of shape (P,) at the P points x (a scalar
     x gives P = 1), or a sequence of B Fields on one grid, giving (B, P); a
-    single field is a stack of one.  What depends on neither the field nor
-    the order -- the shells, the weights, the shell mask and the cells of
-    the node positions x + z and x - z (``_interp_plan``, one
-    ``np.searchsorted``) -- is the process's ``_QuadraturePlan`` for (n, L,
-    points), built on first use and kept with the shared workspaces within
-    ``WORKSPACE_BUDGET``, so every order and every call at that geometry
-    reuses it.  Each row samples its field at x by ``np.interp``.  Per call
-    and block of points, the nodes and z^(1+alpha) are recomputed, and each
-    row samples its field at the positions with two gathers, a multiply and
-    an add,
+    single field is a stack of one.  Interpolation followed by the midpoint
+    rule is linear in f, so for each block of points the call builds the
+    matrix of weights that the rule puts on the grid values
+    (``_quadrature_weights``, scattered by ``np.bincount``) and applies it
+    to each row with its own matrix-vector product, so every row is the
+    one-field call's bytes.  A block holds ``_block_rows(max(n, 2 *
+    NODES_PER_SHELL * shells))`` points, so its weights and its node
+    positions each stay within about ``BLOCK_FLOATS`` values, and no array
+    grows with B but the (B, P) result.  Nothing is kept between calls.
 
-        f(p) = slope[j] * (p - x_j) + f[j],  slope[j] = (f[j+1] - f[j]) / (x_{j+1} - x_j),
-
-    which are ``np.interp``'s operations in ``np.interp``'s order, with its
-    branches (0 off the grid, f[j] itself on a node).  The tests check this
-    against ``np.interp`` bit for bit on this x86-64 numpy build, which does
-    not fuse that multiply-add.
-
-    Memory stays bounded per row: a block's nodes form one (block, shells,
-    NODES_PER_SHELL) array of at most ``BLOCK_FLOATS`` values.  The kept plan
-    holds about 4 bytes per node (the cells of x + z and x - z, 2 bytes each
-    below n = 65536) and the indices of the positions that fall on a node.
-    The offsets, the cells widened to indices and the two rows of samples
-    live in per-thread arrays of twice ``BLOCK_FLOATS`` entries that persist
-    between calls (``_work_array``), and each row's slope and value tables
-    are rebuilt in one (2, n + 1) array per block, so no array is (B, block)
-    or (B, n); the largest that grows with B is the (B, P, shells) shell
-    sums.  Held for all rows, the tables (0.6 MiB for 20 rows at n = 2048),
-    or fresh sample arrays, would grow the heap top past the allocator's trim
-    threshold on every call and re-fault it on the next.
-
-    A point's shells beyond its own R are masked out, and the shell sums are
-    added to each point's total in shell order, so every value is the same
-    float the point-by-point loop with ``np.interp`` gives for that field
-    alone.
+    The values agree with the point-by-point, shell-by-shell loop with
+    ``np.interp`` to round-off, not bit for bit: the weight of f(x), 2 sum c,
+    cancels against the node weights near x, and sum c grows like
+    z_min^(-alpha) / alpha, so the round-off grows with alpha and with n
+    (at most 1.4e-13 relative at n = 4096, L = 8 and alpha = 0.75, and
+    7.2e-13 at n = 4096, L = 3.3 and alpha = 0.9).
 
     Deliberately independent of the FFT route: no periodicity, no multipliers.
     Raises ``GridError`` for fields on different grids and ``ValueError``
@@ -612,7 +498,6 @@ def fractional_laplacian_quadrature(f: Field | Sequence[Field], alpha: float, x)
     single, fields = _field_stack(f, "quadrature")
     grid = fields[0].grid
     a = float(FracOrder(alpha))
-    c_a = singular_kernel_constant(a)
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1:
         raise ValueError(f"quadrature points must be a scalar or 1-D, got shape {xs.shape}")
@@ -620,36 +505,21 @@ def fractional_laplacian_quadrature(f: Field | Sequence[Field], alpha: float, x)
     if not np.all(np.abs(xs) < grid.half_width):
         raise ValueError("quadrature oracle requires evaluation points inside (-L, L)")
 
-    plan = _quadrature_plan(grid, xs)
-    fx = np.stack([np.interp(xs, grid.x, g.values, left=0.0, right=0.0) for g in fields])
-    dx = np.diff(grid.x)
-    tables = np.zeros((2, grid.n + 1))
-    shell_sums = np.empty((len(fields),) + plan.w.shape)
-    for block, cells, on, j_on in plan.blocks:
-        z = plan.nodes(block)
-        z_pow = z ** (1.0 + a)
-        d, samples, tmp = _work_array("quad", (3,) + cells.shape)
-        j = _work_array("quad_j", cells.shape, np.intp)
-        j[...] = cells
-        # The offsets p - x_j; off the grid j = n clips to x_{n-1}, and any finite offset samples +0.0 there.
-        plan.positions(block, z, d)
-        d -= grid.x.take(j, out=tmp, mode="clip")
-        interp = (j, d, on, j_on)
-        for row, g in enumerate(fields):
-            s_plus, s_minus = _interp_apply(interp, _interp_tables(g.values, dx, tables), samples, tmp)
-            # (2 f(x) - f(x+z) - f(x-z)) / z^(1+alpha), operation by operation.
-            num = np.subtract(2.0 * fx[row, block, None, None], s_plus, out=s_plus)
-            num -= s_minus
-            num /= z_pow
-            num.sum(-1, out=shell_sums[row, block])
-    shell_sums *= plan.w
-    shell_sums[:, ~plan.active] = 0.0
-    total = np.zeros(fx.shape)
-    for shell in np.moveaxis(shell_sums, -1, 0):
-        total += shell
-    # Scalar powers: numpy's vectorized pow may differ from the scalar one by an ulp.
-    total += 2.0 * fx * np.array([r ** -a for r in plan.big_r.tolist()]) / a
-    out = c_a * total
+    z_min = grid.spacing / 2.0
+    big_r = grid.half_width + np.abs(xs)
+    n_shells = np.ceil(np.log2(big_r / z_min)).astype(int)
+    m = np.arange(n_shells.max(initial=0))
+    lo = np.ldexp(z_min, m)
+    hi = np.minimum(np.ldexp(z_min, m + 1), big_r[:, None])
+    w = np.where((m < n_shells[:, None]) & (lo < hi), (hi - lo) / NODES_PER_SHELL, 0.0)
+    out = np.empty((len(fields), xs.size))
+    step = _block_rows(max(grid.n, 2 * NODES_PER_SHELL * m.size))  # points per block
+    for i in range(0, xs.size, step):
+        block = slice(i, i + step)
+        weights = _quadrature_weights(grid, xs[block], big_r[block], lo, w[block], a)
+        for row, g in zip(out, fields):
+            row[block] = weights @ g.values
+    out *= singular_kernel_constant(a)
     return out[0] if single else out
 
 

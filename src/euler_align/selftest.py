@@ -176,12 +176,10 @@ def cross_validation_errors(alpha: float, rng: np.random.Generator, trials: int)
     Every trial's bump parameters are drawn first, in trial order (the rng
     sequence of drawing them trial by trial); each resolution then builds
     its grid once and passes all trials' fields as one stack to both
-    routes: one oracle call, whose interpolation plan the process keeps
-    for every order (``fracops._quadrature_plan``), and one
-    ``fractional_laplacian_spectral`` call with the process's shared
-    workspace (``fracops.workspace``).  The probes are grid nodes, and all
-    trials reduce as one array.  Raises ``ValueError`` for fewer than one
-    trial, before drawing anything.
+    routes: one oracle call and one ``fractional_laplacian_spectral`` call
+    with the process's shared workspace (``fracops.workspace``).  The probes
+    are grid nodes, and all trials reduce as one array.  Raises
+    ``ValueError`` for fewer than one trial, before drawing anything.
     """
     if trials < 1:
         raise ValueError(f"cross_validation_errors needs trials >= 1, got {trials}")

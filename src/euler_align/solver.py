@@ -468,18 +468,20 @@ class _Runs:
     """The constants of B runs that advance in lockstep, stacked once.
 
     The runs share n, the flux scheme and the number k of evolved rows; each
-    brings its own workspace, spacing h, viscosity eps and ``_peak_scale``,
-    so its own transport multipliers, velocity-kernel spectrum and
-    tail-anchor weights.  The per-run scalars are the Python floats a run
-    alone computes, held as columns that broadcast over the run's rows, so
-    every elementwise op gives each run the floats of its own step.
+    brings its own config and workspace, so its own transport multipliers,
+    velocity-kernel spectrum and tail-anchor weights, and its spacing h (the
+    workspace grid's), viscosity eps (``effective_epsilon(h)``) and
+    ``_peak_scale``.  The per-run scalars are the Python floats a run alone
+    computes, held as columns that broadcast over the run's rows, so every
+    elementwise op gives each run the floats of its own step.
     """
 
-    def __init__(self, cfgs: tuple[SolverConfig, ...], workspaces: tuple[SpectralWorkspace, ...],
-                 spacings: tuple[float, ...], eps: tuple[float, ...], scales: tuple[float, ...]):
+    def __init__(self, cfgs: tuple[SolverConfig, ...], workspaces: tuple[SpectralWorkspace, ...]):
         self.scheme, self.k = cfgs[0].flux_scheme, _evolved_rows(cfgs[0])
-        self.spacings, self.scales = spacings, scales
-        self.peak_scale = max(scales)
+        self.spacings = spacings = tuple(ws.grid.spacing for ws in workspaces)
+        eps = [cfg.effective_epsilon(h) for cfg, h in zip(cfgs, spacings)]
+        self.scales = tuple(_peak_scale(cfg) for cfg in cfgs)
+        self.peak_scale = max(self.scales)
         self.spectra = _stack([
             ws.velocity_kernel_spectrum(cfg.image_correction, 0.0 if self.k == 2 else _g_coef(cfg.initial))
             for cfg, ws in zip(cfgs, workspaces)
@@ -616,6 +618,11 @@ def step(state: State, dt: float, cfg: SolverConfig, ws: SpectralWorkspace) -> S
     loops on, for one run, adding these checks and the new State's 3 ``Field``s.  In
     proportional and zero_G modes state.g is not read: the new G is formed
     from the new rho.
+
+    ``run`` and ``_run_lockstep`` never call it.  It stays public because it
+    is the one-step API that outside code measures and drives:
+    ``perfbench/tracing.py`` spans it, its ``count_one_step`` calls it, and
+    the scheme tests call it.
     """
     if dt <= 0 or not math.isfinite(dt):
         raise SolverError(f"dt must be positive and finite, got {dt}")
@@ -635,7 +642,7 @@ def step(state: State, dt: float, cfg: SolverConfig, ws: SpectralWorkspace) -> S
     k = _evolved_rows(cfg)
     new = np.empty((1, 2, grid.n))
     y = np.stack((state.rho.values, state.g.values)[:k])[None]
-    runs = _Runs((cfg,), (ws,), (h,), (eps,), (_peak_scale(cfg),))
+    runs = _Runs((cfg,), (ws,))
     u = _advance(y, state.u.values[None], [state.t], [dt], runs, new[:, :k])
     _form_g(new, cfg)
     return _state(grid, new[0], state.t + dt, u[0])
@@ -852,7 +859,7 @@ def _run_lockstep(cfgs) -> tuple[Trajectory, ...]:
                 blk[0, : len(live)] = blk[0, keep]
                 blk, tu, u = blk[:, : len(live)], tu[:, : len(live)], u[keep]
             active = [logs[i] for i in live]
-            runs = _Runs(*zip(*((log.cfg, log.ws, log.h, log.eps, log.scale) for log in active)))
+            runs = _Runs(tuple(log.cfg for log in active), tuple(log.ws for log in active))
             restack = False
         dts = [log.dt() for log in active]
         u = _advance(blk[j, :, :k], u, [log.t for log in active], dts, runs, blk[j + 1, :, :k])

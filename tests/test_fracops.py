@@ -6,9 +6,8 @@ import re
 import threading
 import tracemalloc
 
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -38,7 +37,7 @@ from euler_align import (
     velocity_from_state,
     velocity_profile_U,
 )
-from euler_align import closedform, fracops, selftest
+from euler_align import closedform, fracops
 from euler_align.fracops import N_IMAGES, apply_multiplier, derivative, fftconvolve, workspace
 from euler_align.grid import antiderivative, integrate
 from oracles import getoor_tail_hyp2f1, velocity_profile_U_hyp2f1
@@ -229,74 +228,24 @@ class TestSharedWorkspace:
         assert len(built) == len(set(built)) == 15
 
 
-class TestSharedQuadraturePlan:
-    """The oracle's interpolation plan: one per (n, L, points) per process, shared by every order."""
-
-    def test_cold_selftest_builds_one_plan_per_geometry_and_a_second_none(self, fresh_workspaces, monkeypatch):
-        """``run_selftest`` makes 9 oracle calls at 3 geometries (its Getoor probes and the two
-        cross-validation levels); each call used to build its own plan."""
-        built, calls = [], []
-        init = fracops._QuadraturePlan.__init__
-
-        def counted_init(plan, grid, xs):
-            built.append((grid.n, xs.size))
-            init(plan, grid, xs)
-
-        def counted_oracle(f, alpha, x):
-            calls.append(alpha)
-            return fractional_laplacian_quadrature(f, alpha, x)
-
-        monkeypatch.setattr(fracops._QuadraturePlan, "__init__", counted_init)
-        monkeypatch.setattr(selftest, "fractional_laplacian_quadrature", counted_oracle)
-        first = run_selftest(seed=0)
-        assert len(calls) == 9
-        assert len(built) == len(set(built)) == 3
-        assert {n for n, _ in built} == {1024, 2048, 4096}
-        second = run_selftest(seed=0)
-        assert len(calls) == 18 and len(built) == 3
-        assert second.records == first.records
+class TestQuadratureKeepsNothing:
+    """The oracle builds its weights per call: no state survives it, so a cold call is a warm one."""
 
     @pytest.mark.parametrize("n", [1000, 2048])
-    def test_warm_cold_and_single_field_calls_are_byte_equal(self, fresh_workspaces, n):
+    def test_calls_at_three_orders_leave_the_shared_cache_empty(self, fresh_workspaces, n):
         grid = build_grid(n, 8.0)
         probes = grid.x[np.abs(grid.x) <= 6.0][:: n // 64]
         fields = _three_rows(grid, 0.5, random_bump_field(grid, np.random.default_rng(n)))
         cold = fractional_laplacian_quadrature(fields, 0.5, probes)
-        [plan] = fresh_workspaces.values()
-        assert isinstance(plan, fracops._QuadraturePlan)
-        for alpha in (0.25, 0.75):  # another order reuses the plan
+        for alpha in (0.25, 0.75):
             fractional_laplacian_quadrature(fields, alpha, probes)
-        warm = fractional_laplacian_quadrature(fields, 0.5, probes)
-        singles = [fractional_laplacian_quadrature(f, 0.5, list(probes)) for f in fields]
-        assert list(fresh_workspaces.values()) == [plan]
-        fresh_workspaces.clear()
-        rebuilt = fractional_laplacian_quadrature(fields, 0.5, probes)
-        assert list(fresh_workspaces.values()) != [plan]
-        assert warm.tobytes() == cold.tobytes() == rebuilt.tobytes()
-        assert np.stack(singles).tobytes() == cold.tobytes()
+        repeated = fractional_laplacian_quadrature(fields, 0.5, probes)
+        assert fresh_workspaces == {}
+        assert repeated.tobytes() == cold.tobytes()
 
-    def test_plan_bytes_count_toward_the_workspace_budget(self, fresh_workspaces, monkeypatch):
-        grid = build_grid(1024, 8.0)
-        probes = grid.x[np.abs(grid.x) <= 6.0][::16]
-        f = random_bump_field(grid, np.random.default_rng(5))
-        ws = workspace(grid, 0.5)
-        fractional_laplacian_quadrature(f, 0.5, probes)
-        assert list(fresh_workspaces.values())[0] is ws
-        plan = list(fresh_workspaces.values())[1]
-        assert plan.nbytes >= sum(cells.nbytes for _, cells, _, _ in plan.blocks) > 0
-        monkeypatch.setattr(fracops, "WORKSPACE_BUDGET", ws.nbytes + plan.nbytes)
-        assert workspace(grid, 0.5) is ws  # both fit
-        assert list(fresh_workspaces.values()) == [plan, ws]
-        # One byte less: the plan, now the most recently used, evicts the workspace.
-        monkeypatch.setattr(fracops, "WORKSPACE_BUDGET", ws.nbytes + plan.nbytes - 1)
-        fractional_laplacian_quadrature(f, 0.5, probes)
-        assert list(fresh_workspaces.values()) == [plan]
-        # The newest stays even when it alone exceeds the budget.
-        monkeypatch.setattr(fracops, "WORKSPACE_BUDGET", 1)
-        fractional_laplacian_quadrature(f, 0.25, probes)
-        assert list(fresh_workspaces.values()) == [plan]
-        assert workspace(grid, 0.5) is not ws
-        assert len(fresh_workspaces) == 1
+    def test_a_second_selftest_gives_equal_records(self, fresh_workspaces):
+        first = run_selftest(seed=0)
+        assert run_selftest(seed=0).records == first.records
 
 
 def _abs_power(xi, p):
@@ -426,7 +375,7 @@ def test_image_kernel_build_peak_memory_under_one_mib():
 
 
 def _reference_quadrature(f, alpha, x, nodes_per_shell=48):
-    """The oracle as a point-by-point, shell-by-shell loop; the vectorized one must match it bit for bit."""
+    """The oracle as a point-by-point, shell-by-shell loop with ``np.interp``; the oracle must match it to ``LOOP_RTOL``."""
     a = float(FracOrder(alpha))
     c_a = singular_kernel_constant(a)
     grid = f.grid
@@ -462,67 +411,31 @@ def _three_rows(grid, alpha, bumps):
     return [Field(grid, getoor_profile(alpha, grid.x)), bumps, Field(grid, signed)]
 
 
+# The oracle sums the same terms as the loop in another order: as weights on the grid values, where the
+# weight of f(x), 2 sum c, cancels against its neighbours'.  Measured at most 1.34e-13 * max(1, |loop|)
+# on the probes below (n <= 4096, alpha <= 0.75); the round-off grows with n and alpha, and the bound
+# leaves room for another BLAS's summation order in the matrix-vector products.
+LOOP_RTOL = 4e-13
+
+
 def _assert_stack_matches_the_loop(fields, alpha, x):
-    """Each row of the stacked call is the one-field call's bytes, and that call is the loop's values."""
+    """Each row of the stacked call is the one-field call's bytes, and that call is the loop's values to round-off."""
     stacked = fractional_laplacian_quadrature(fields, alpha, x)
     assert stacked.shape == (len(fields), np.size(x))
     for f, row in zip(fields, stacked):
         one = fractional_laplacian_quadrature(f, alpha, x)
         assert one.shape == (np.size(x),)
         assert row.tobytes() == one.tobytes()
-        assert np.array_equal(one, _reference_quadrature(f, alpha, x))
-
-
-_ON_GRID = build_grid(1000, 8.0)
-
-
-def _positions(grid):
-    """Interpolation positions: anywhere, on and next to nodes, at both ends, in (x_{n-1}, L) and off [-L, L)."""
-    x, L = grid.x, grid.half_width
-    node = st.integers(0, grid.n - 1).map(lambda k: float(x[k]))
-    return st.one_of(
-        st.floats(-L, L, exclude_max=True),
-        node,
-        node.map(lambda v: float(np.nextafter(v, np.inf))),
-        node.map(lambda v: float(np.nextafter(v, -np.inf))),
-        st.sampled_from([float(x[0]), float(x[-1]), L]),
-        st.floats(float(x[-1]), L, exclude_min=True, exclude_max=True),
-        st.floats(-2.0 * L, -L, exclude_max=True),
-        st.floats(L, 2.0 * L),
-    )
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    values=hnp.arrays(np.float64, _ON_GRID.n, elements=st.one_of(
-        st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))),
-    positions=st.lists(_positions(_ON_GRID), min_size=1, max_size=300),
-)
-@example(values=np.r_[-1e308, 1e308, np.zeros(_ON_GRID.n - 2)], positions=[float(_ON_GRID.x[0])])
-def test_interpolation_plan_is_np_interp_bit_for_bit(values, positions):
-    """The oracle's plan samples exactly as ``np.interp(..., left=0, right=0)``, signed zeros included.
-
-    Values span the finite floats, so slopes may overflow to inf, and on a
-    node inf * 0 is NaN until the node's own value replaces it: numpy's
-    ufuncs warn there and ``np.interp``'s C loop does not, and the floats
-    agree either way.
-    """
-    grid = _ON_GRID
-    p = np.array(positions)
-    plan = fracops._interp_plan(grid, p)
-    with np.errstate(over="ignore", invalid="ignore"):
-        tables = fracops._interp_tables(values, np.diff(grid.x), np.zeros((2, grid.n + 1)))
-        got = fracops._interp_apply(plan, tables, np.empty(p.size), np.empty(p.size))
-    assert got.tobytes() == np.interp(p, grid.x, values, left=0, right=0).tobytes()
+        ref = _reference_quadrature(f, alpha, x)
+        assert np.all(np.abs(one - ref) <= LOOP_RTOL * np.maximum(1.0, np.abs(ref)))
 
 
 def test_stacked_quadrature_peak_memory():
     """20 rows at n = 2048 (a cross-validation level) hold no (rows, block) temporaries:
-    measured 533,156 bytes (numpy 2.4), about 5 KiB per row above a 431 KiB base."""
+    measured 443,478 bytes (numpy 2.4) on a first call, against 432,672 for one row."""
     grid = build_grid(2048, 8.0)
     probes = grid.x[np.abs(grid.x) <= 6.0][::32]
     fields = [random_bump_field(grid, np.random.default_rng(seed)) for seed in range(20)]
-    fractional_laplacian_quadrature(fields, 0.5, probes)  # the per-thread block arrays persist
     tracemalloc.start()
     try:
         fractional_laplacian_quadrature(fields, 0.5, probes)
@@ -563,7 +476,7 @@ class TestQuadratureOracle:
     # so there the shell mask decides the result.
     @pytest.mark.parametrize("n", [1000, 1024, 2048, 4096])
     @pytest.mark.parametrize("alpha", ALPHAS)
-    def test_bit_identical_to_point_by_point_loop(self, alpha, n):
+    def test_matches_the_point_by_point_loop(self, alpha, n):
         grid = build_grid(n, 8.0)
         L, step = grid.half_width, n // 128
         near_zero = grid.x[np.abs(grid.x) <= 0.9][::step]
@@ -584,6 +497,20 @@ class TestQuadratureOracle:
         assert probes.size * shells * fracops.NODES_PER_SHELL > 4 * fracops.BLOCK_FLOATS
         f = random_bump_field(grid, np.random.default_rng(7))
         _assert_stack_matches_the_loop(_three_rows(grid, alpha, f), alpha, probes)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_a_field_nonzero_at_both_ends_matches_the_loop(self, alpha):
+        """The zero extension's two branches: nodes left of x_0 and in (x_{n-1}, L) sample 0, not the end values.
+
+        The last probe lies in (x_{n-1}, L) itself, and its first shell's nodes x + z, z in [h/2, h],
+        straddle L; every probe's far nodes x - z reach below x_0 = -L.
+        """
+        grid = build_grid(1000, 8.0)
+        x, L, h = grid.x, grid.half_width, grid.spacing
+        fields = [Field(grid, 1.0 + 0.5 * np.sin(x) + x / L), Field(grid, np.exp(-x))]
+        assert all(g.values[0] != 0.0 and g.values[-1] != 0.0 for g in fields)
+        probes = np.array([-L + 0.3 * h, x[1], -0.5 * L, 0.0, 0.7 * L, x[-2], x[-1], L - 0.6 * h])
+        _assert_stack_matches_the_loop(fields, alpha, probes)
 
     def test_points_must_be_a_scalar_or_one_dimensional(self):
         grid = build_grid(256, 8.0)
@@ -869,7 +796,7 @@ def test_the_battery_leaves_work_arrays_of_one_block():
     """After the self-test battery and a 20-trial cross-validation, this thread's work arrays total at most 1 MiB.
 
     The arrays are per thread, so a fresh thread starts with none: its total is what the battery left,
-    measured 847,104 bytes (numpy 2.4), against 2,158,208 when each stack was transformed whole.
+    measured 327,936 bytes (numpy 2.4), against 2,158,208 when each stack was transformed whole.
     """
     totals = []
 
