@@ -277,7 +277,7 @@ def cmd_profiles(args: argparse.Namespace, manifest: dict) -> int:
     (args.out / "profiles.gp").write_text(
         'set datafile separator ","\n'
         'set xlabel "x"\n'
-        f'set title "profile family, alpha = {alpha:g}"\n'
+        f'set title "profile family, alpha = {alpha!r}"\n'
         'plot "profile.csv" using 1:2 with lines title "phi", \\\n'
         '     "profile.csv" using 1:3 with lines title "fractional laplacian", \\\n'
         '     "profile.csv" using 1:4 with lines title "velocity"\n'
@@ -285,7 +285,7 @@ def cmd_profiles(args: argparse.Namespace, manifest: dict) -> int:
     manifest["files"] = ["profile.csv", "profiles.gp"]
     checks = {"values_finite": _check(0.0, 0.5, passed=bool(np.isfinite(table).all()))}
     code = _gate(manifest, checks, "profile tabulation produced non-finite values")
-    print(f"profiles: wrote {args.out / 'profile.csv'} (alpha={alpha:g}, {n} points)")
+    print(f"profiles: wrote {args.out / 'profile.csv'} (alpha={alpha!r}, {n} points)")
     return code
 
 

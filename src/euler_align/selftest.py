@@ -95,27 +95,44 @@ class SelfTestReport:
 # Seeded field generators
 
 
-def _bump_params(rng: np.random.Generator, half_width: float) -> list[tuple[float, float, float]]:
-    """Draw three (amplitude, center, width) triples for a sum-of-Gaussians field."""
-    return [
-        (
-            float(rng.uniform(0.5, 2.0)),
-            float(rng.uniform(-half_width / 4.0, half_width / 4.0)),
-            float(rng.uniform(0.3, 1.0)),
-        )
-        for _ in range(3)
-    ]
+def _bump_params(rng: np.random.Generator, half_width: float) -> np.ndarray:
+    """Draw one sum-of-Gaussians field's parameters: a (3, 3) array of (amplitude, center, width) rows.
+
+    The nine uniforms come from one ``rng.uniform`` call, row by row, which gives the values and
+    leaves the generator state of nine scalar draws in that order: amplitudes in [0.5, 2), centers
+    within the middle half of [-half_width, half_width), widths in [0.3, 1).
+    """
+    quarter = half_width / 4.0
+    return rng.uniform((0.5, -quarter, 0.3), (2.0, quarter, 1.0), size=(3, 3))
 
 
 def _bump_values(
-    x: np.ndarray, params: list[tuple[float, float, float]], dilation: float = 1.0
+    x: np.ndarray, params: np.ndarray | list[np.ndarray], dilation: float | tuple[float, ...] = 1.0
 ) -> np.ndarray:
-    """Evaluate the bump sum under the mass-preserving dilation v -> s*v(s*x)."""
-    s = float(dilation)
-    vals = np.zeros_like(x)
-    for amp, center, width in params:
-        vals += s * amp * np.exp(-0.5 * ((s * x - center) / width) ** 2)
-    return vals
+    """Evaluate bump sums under the mass-preserving dilation v -> s*v(s*x).
+
+    ``params`` is one (3, 3) set from :func:`_bump_params` or a (B, 3, 3) stack of them, and
+    ``dilation`` a scalar or a (B,) stack; they broadcast against each other.  One set under one
+    dilation gives the (n,) samples, anything else a (B, n) stack whose rows are, byte for byte,
+    the one-set evaluations: the stack is summed bump by bump, each bump formed in place on one
+    scratch array as (s * amp) * exp(-0.5 * ((s * x - center) / width)**2), in that order.
+    """
+    params, s = np.asarray(params, dtype=float), np.asarray(dilation, dtype=float)
+    shape = np.broadcast_shapes(params.shape[:-2], s.shape)
+    params = np.broadcast_to(params, shape + (3, 3)).reshape(-1, 3, 3)
+    s = np.broadcast_to(s, shape).reshape(-1, 1)
+    vals = np.zeros((len(params), len(x)))
+    scratch = np.empty_like(vals)
+    for amp, center, width in params.transpose(1, 2, 0)[..., None]:  # each (B, 1), bump by bump
+        np.multiply(s, x, out=scratch)
+        scratch -= center
+        scratch /= width
+        np.square(scratch, out=scratch)
+        scratch *= -0.5
+        np.exp(scratch, out=scratch)
+        scratch *= s * amp
+        vals += scratch
+    return vals.reshape(shape + (len(x),))
 
 
 def random_bump_field(grid: Grid1D, rng: np.random.Generator) -> Field:
@@ -174,22 +191,26 @@ def cross_validation_errors(alpha: float, rng: np.random.Generator, trials: int)
     midpoint rule (``fracops.NODES_PER_SHELL`` nodes per shell) for the
     singular integral of the difference kernel, so agreement validates both.
     Every trial's bump parameters are drawn first, in trial order (the rng
-    sequence of drawing them trial by trial); each resolution then builds
-    its grid once and passes all trials' fields as one stack to both
-    routes: one oracle call and one ``fractional_laplacian_spectral`` call
-    with the process's shared workspace (``fracops.workspace``).  The probes
-    are grid nodes, and all trials reduce as one array.  Raises
-    ``ValueError`` for fewer than one trial, before drawing anything.
+    sequence of drawing them trial by trial), and all trials are evaluated
+    once, as one stack, on the n = 2048 grid; the n = 1024 samples are its
+    every other column, since ``build_grid(1024, L).x`` is
+    ``build_grid(2048, L).x[::2]`` bit for bit (the spacings differ by
+    exactly a factor 2).  Each resolution then passes all trials' fields as
+    one stack to both routes: one oracle call and one
+    ``fractional_laplacian_spectral`` call with the process's shared
+    workspace (``fracops.workspace``).  The probes are grid nodes, and all
+    trials reduce as one array.  Raises ``ValueError`` for fewer than one
+    trial, before drawing anything.
     """
     if trials < 1:
         raise ValueError(f"cross_validation_errors needs trials >= 1, got {trials}")
     half_width = 8.0
-    params = [_bump_params(rng, half_width) for _ in range(trials)]
+    fine = _bump_values(build_grid(2048, half_width).x, [_bump_params(rng, half_width) for _ in range(trials)])
     errors = []
     for n in (1024, 2048):
         grid = build_grid(n, half_width)
+        values = fine[:, :: 2048 // n]
         probes = np.flatnonzero(np.abs(grid.x) <= 0.75 * half_width)[:: n // 64]
-        values = np.stack([_bump_values(grid.x, p) for p in params])
         fields = [Field(grid, row) for row in values]
         quads = fractional_laplacian_quadrature(fields, alpha, grid.x[probes])
         specs = fractional_laplacian_spectral(fields, workspace(grid, alpha), image_correction=True)
@@ -270,18 +291,16 @@ def _check_closedform_velocity(alpha: float) -> tuple[float, bool]:
 def _check_stroock_varopoulos(alpha: float, rng: np.random.Generator) -> tuple[float, bool]:
     ws = workspace(build_grid(2048, 16.0), alpha)
     tol = TOLERANCES["stroock_varopoulos"]
-    checks = [c for _ in range(5) for c in stroock_varopoulos_check(random_bump_field(ws.grid, rng), (1.5, 2.0, 3.0), ws, tol)]
+    values = _bump_values(ws.grid.x, [_bump_params(rng, ws.grid.half_width) for _ in range(5)])
+    checks = [c for row in values for c in stroock_varopoulos_check(Field(ws.grid, row), (1.5, 2.0, 3.0), ws, tol)]
     return max([0.0] + [(rhs - lhs) / abs(rhs) for lhs, rhs, _ in checks]), all(holds for _, _, holds in checks)
 
 
 def _check_gagliardo_nirenberg(alpha: float, rng: np.random.Generator) -> float:
     grid = build_grid(4096, 16.0)
     ws = workspace(grid, alpha)
-    params = _bump_params(rng, grid.half_width)
-    ratios = []
-    for s in (1.0, 2.0, 4.0):
-        v = Field(grid, _bump_values(grid.x, params, dilation=s))
-        ratios.append(gagliardo_nirenberg_check(v, r=3.0, q=2.0, ws=ws)[2])
+    values = _bump_values(grid.x, _bump_params(rng, grid.half_width), dilation=(1.0, 2.0, 4.0))
+    ratios = [gagliardo_nirenberg_check(Field(grid, row), r=3.0, q=2.0, ws=ws)[2] for row in values]
     return float(np.abs(np.asarray(ratios) / ratios[0] - 1.0).max())
 
 

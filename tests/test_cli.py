@@ -484,6 +484,14 @@ class TestProfilesCommand:
         assert main(["profiles", "--alpha=5e-324", "--out", str(out)]) == 2
         assert "normal float" in _manifest(out)["failure"]
 
+    def test_alpha_just_below_one_is_printed_exactly(self, tmp_path, capsys):
+        """An order that ``:g`` would round to 1, outside (0, 1), is reported as parsed."""
+        out = tmp_path / "profnear1"
+        assert main(["profiles", "--alpha", "0.9999999999999999", "--out", str(out)]) == 0
+        assert "(alpha=0.9999999999999999, 1536 points)" in capsys.readouterr().out
+        assert 'set title "profile family, alpha = 0.9999999999999999"' in (out / "profiles.gp").read_text()
+        assert _manifest(out)["alpha"] == 0.9999999999999999
+
     def test_smallest_normal_alpha_tabulates_finite_values(self, tmp_path):
         out = tmp_path / "profmin"
         assert main(["profiles", f"--alpha={sys.float_info.min!r}", "--out", str(out)]) == 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,32 @@ def _reference_cross_validation(alpha, rng, trials):
             spec_at = np.interp(probes, grid.x, spec.values)
             out[trial] = np.abs(spec_at - quad).max() / np.abs(f.values).max()
     return coarse, fine
+
+
+def _per_grid_cross_validation(alpha, rng, trials):
+    """``cross_validation_errors`` evaluating each resolution's stack on its own grid, one set at a time."""
+    half_width = 8.0
+    params = [selftest._bump_params(rng, half_width) for _ in range(trials)]
+    errors = []
+    for n in (1024, 2048):
+        grid = build_grid(n, half_width)
+        probes = np.flatnonzero(np.abs(grid.x) <= 0.75 * half_width)[:: n // 64]
+        values = np.stack([selftest._bump_values(grid.x, p) for p in params])
+        fields = [Field(grid, row) for row in values]
+        quads = fractional_laplacian_quadrature(fields, alpha, grid.x[probes])
+        specs = fractional_laplacian_spectral(fields, fracops.workspace(grid, alpha), image_correction=True)
+        errors.append(np.abs(specs[:, probes] - quads).max(axis=1) / np.abs(values).max(axis=1))
+    return tuple(errors)
+
+
+def _traced_peak(call):
+    """Peak bytes ``tracemalloc`` sees during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestRunSelftest:
@@ -137,17 +165,29 @@ class TestRandomFields:
         assert fine.max() < coarse.max()
         assert coarse.max() < 5e-2
 
-    @pytest.mark.parametrize("alpha, trials", [(0.25, 3), (0.75, 5)])
-    def test_cross_validation_errors_match_the_per_trial_loop(self, alpha, trials):
-        """One stacked oracle call and one stacked spectral call per resolution give the loop's
-        errors bit for bit, and the rng ends in the loop's state."""
-        rng, ref_rng = np.random.default_rng(29), np.random.default_rng(29)
+    @pytest.mark.parametrize("alpha, trials, seed", [(0.25, 3, 29), (0.75, 5, 29), (0.25, 20, 20240817),
+                                                     (0.5, 20, 20240817), (0.75, 20, 20240817)])
+    def test_cross_validation_errors_match_the_per_trial_loop(self, alpha, trials, seed):
+        """One stacked oracle call and one stacked spectral call per resolution, on fields
+        evaluated once on the fine grid, give the errors of evaluating and checking every trial
+        on each grid separately, bit for bit, and the rng ends in the loop's state."""
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         coarse, fine = cross_validation_errors(alpha, rng, trials)
         ref_coarse, ref_fine = _reference_cross_validation(alpha, ref_rng, trials)
         assert coarse.shape == fine.shape == (trials,)
         assert coarse.tobytes() == ref_coarse.tobytes()
         assert fine.tobytes() == ref_fine.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_cross_validation_stack_peaks_no_higher_than_per_grid_stacks(self):
+        """The trials are evaluated in place, once, on the fine grid: a warm 20-trial call peaks no
+        higher under ``tracemalloc`` than evaluating each resolution's stack on its own grid."""
+        rng = np.random.default_rng(20240817)
+        cross_validation_errors(0.5, rng, 20)
+        _per_grid_cross_validation(0.5, rng, 20)
+        peak = _traced_peak(lambda: cross_validation_errors(0.5, np.random.default_rng(3), 20))
+        reference = _traced_peak(lambda: _per_grid_cross_validation(0.5, np.random.default_rng(3), 20))
+        assert peak <= reference
 
     @pytest.mark.parametrize("trials", [-1, 0])
     def test_cross_validation_needs_at_least_one_trial(self, trials):
@@ -175,3 +215,60 @@ class TestRandomFields:
         assert len(built) == 2
         assert np.array_equal(coarse, expected[0])
         assert np.array_equal(fine, expected[1])
+
+
+class TestBumpStacks:
+    """The seeded bump fields come in stacks whose rows are the one-set evaluation's bytes."""
+
+    @pytest.mark.parametrize("seed, half_width", [(0, 8.0), (7, 16.0), (20240817, 3.3)])
+    def test_one_vector_draw_equals_nine_scalar_draws(self, seed, half_width):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        params = selftest._bump_params(rng, half_width)
+        quarter = half_width / 4.0
+        ref = [[ref_rng.uniform(0.5, 2.0), ref_rng.uniform(-quarter, quarter), ref_rng.uniform(0.3, 1.0)]
+               for _ in range(3)]
+        assert params.shape == (3, 3)
+        assert params.tobytes() == np.array(ref).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("dilation", [1.0, 2.0, 4.0])
+    def test_one_set_is_the_sum_of_its_bumps(self, dilation):
+        x = build_grid(2048, 16.0).x
+        params = selftest._bump_params(np.random.default_rng(5), 16.0)
+        ref = np.zeros_like(x)
+        for amp, center, width in params.tolist():
+            ref += dilation * amp * np.exp(-0.5 * ((dilation * x - center) / width) ** 2)
+        assert selftest._bump_values(x, params, dilation).tobytes() == ref.tobytes()
+
+    def test_stacked_sets_match_one_set_rows(self):
+        rng = np.random.default_rng(13)
+        x = build_grid(2048, 8.0).x
+        params = [selftest._bump_params(rng, 8.0) for _ in range(5)]
+        values = selftest._bump_values(x, params)
+        assert values.shape == (5, 2048)
+        for row, p in zip(values, params):
+            assert row.tobytes() == selftest._bump_values(x, p).tobytes()
+
+    def test_dilation_stack_matches_one_set_rows(self):
+        x = build_grid(4096, 16.0).x
+        params = selftest._bump_params(np.random.default_rng(17), 16.0)
+        values = selftest._bump_values(x, params, dilation=(1.0, 2.0, 4.0))
+        assert values.shape == (3, 4096)
+        for row, s in zip(values, (1.0, 2.0, 4.0)):
+            assert row.tobytes() == selftest._bump_values(x, params, dilation=s).tobytes()
+
+    def test_stack_is_evaluated_in_place(self):
+        """A stack costs its (B, n) result, one (B, n) scratch array and numpy's broadcasting
+        buffers (at most two of 8192 values), not a (B, n) temporary per operation."""
+        rng = np.random.default_rng(19)
+        x = build_grid(2048, 8.0).x
+        params = [selftest._bump_params(rng, 8.0) for _ in range(20)]
+        selftest._bump_values(x, params)
+        assert _traced_peak(lambda: selftest._bump_values(x, params)) <= (2 * 20 * 2048 + 2 * 8192) * 8 + 4096
+
+    @pytest.mark.parametrize("n, half_width", [(1024, 8.0), (8, 1.0), (64, 3.3), (512, 16.0), (2048, 0.1),
+                                               (1000, 7.7)])
+    def test_coarse_grid_is_every_other_fine_node(self, n, half_width):
+        """h_n = 2 h_2n exactly, so x_j = -L + h_n j is the fine grid's node 2j bit for bit."""
+        coarse, fine = build_grid(n, half_width), build_grid(2 * n, half_width)
+        assert coarse.x.tobytes() == fine.x[::2].tobytes()
